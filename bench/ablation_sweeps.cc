@@ -93,9 +93,7 @@ sweepCacheCapacity()
 {
     // The capacity ablation behind the analytical cache model: hit
     // rate versus capacity for the three synthetic stream classes,
-    // measured through the segment-descriptor streams and the
-    // piecewise-analytic replay engine (bit-identical to the scalar
-    // oracle, gated in the test suite), against the power-law
+    // measured through the cache simulator, against the power-law
     // prediction for the hot/cold mix.
     const uint64_t hot = kib(64), cold = mib(8);
     const double hot_frac = 0.6;
@@ -104,14 +102,19 @@ sweepCacheCapacity()
                  "power law (hot/cold)"});
     for (uint64_t cap_kib : {16, 32, 64, 128, 256, 512}) {
         sim::CacheSim cache(kib(cap_kib), 8, 64);
-        double stream = sim::measureHitRateSegments(
-            cache, sim::genStreamingSegments(mib(4), 64));
-        double gemm = sim::measureHitRateSegments(
-            cache, sim::genBlockedGemmSegments(256, 256, 256, 64));
+        double stream = sim::measureHitRate(
+            cache, [](const sim::AccessSink &sink) {
+                sim::genStreaming(mib(4), 64, sink);
+            });
+        double gemm = sim::measureHitRate(
+            cache, [](const sim::AccessSink &sink) {
+                sim::genBlockedGemm(256, 256, 256, 64, sink);
+            });
         Rng rng(99);
-        double hotcold = sim::measureHitRateSegments(
-            cache, sim::genHotColdSegments(100000, hot, cold,
-                                           hot_frac, rng));
+        double hotcold = sim::measureHitRate(
+            cache, [&](const sim::AccessSink &sink) {
+                sim::genHotCold(100000, hot, cold, hot_frac, rng, sink);
+            });
         double law = sim::capacityHitFraction(
             hot_frac, static_cast<double>(hot),
             static_cast<double>(kib(cap_kib)), 1.0);
@@ -124,8 +127,7 @@ sweepCacheCapacity()
                       csprintf("%.1f%%", 100.0 * law)});
     }
     std::printf("%s\n", table.render(
-        "Ablation: cache capacity vs hit rate (piecewise-analytic "
-        "segment replay)").c_str());
+        "Ablation: cache capacity vs hit rate").c_str());
 }
 
 void

@@ -38,36 +38,13 @@
  * byte-identical to cold ones, replay without a single build, and
  * clear a 1.5x speedup floor (~2x measured on the CI container).
  *
- * Part 5 measures the segment-descriptor streams and the
- * piecewise-analytic cache replay engine on the hit-rate
- * measurements the cache-model validation re-runs per geometry: the
- * blocked-GEMM measurement through the legacy per-access paths
- * (callback generation into the scalar access() oracle; materialized
- * trace through the batched accessBlock) versus segment descriptors
- * through the piecewise engine, and the same for a pure streaming
- * sweep (where the engine is closed-form, O(segments)). Statistics
- * must be bit-identical across all engines and the piecewise engine
- * must beat the scalar path by >= 5x on the blocked-GEMM
- * measurement.
- *
- * Part 6 measures fault containment: a registry-backed 2x2 epoch
+ * Part 5 measures fault containment: a registry-backed 2x2 epoch
  * sweep runs under a deterministic fault storm -- store files
  * corrupted on disk, a snapshot read failing, a persist dropped, and
  * two of the four cells throwing on their first attempt -- with a
  * per-cell retry budget. The sweep must complete, no cell may end
  * failed, the faulted cells must recompute cold and converge, and
  * every result must be bit-identical to a clean serial sweep.
- *
- * Part 7 measures the warm closed-form replay tier on the steady
- * state the cache-model validation spends most of its time in: a
- * blocked-GEMM stream whose footprint is fully resident, re-walked
- * round after round on a persistent cache. The PR 5 engine (warm
- * tier disabled, scalar probe kernel) pays a tag probe per distinct
- * line every round; the tier ladder accounts each fully resident
- * segment in closed form through the per-set residency summaries.
- * Statistics and the full final cache state must be bit-identical to
- * the scalar oracle, the warm tier must actually engage, and the
- * steady-state round must beat the PR 5 engine by >= 2x.
  *
  * Results are written to a JSON report (default BENCH_epoch.json,
  * argv[1] overrides); the process fails if any gate is missed.
@@ -88,10 +65,7 @@
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "common/units.hh"
 #include "harness/scheduler.hh"
-#include "sim/access_gen.hh"
-#include "sim/cache_model.hh"
 #include "support.hh"
 
 using namespace seqpoint;
@@ -179,33 +153,6 @@ uniqueSls(const SweepResult &r)
         for (const prof::IterationLog &it : log.iterations)
             sls.insert(it.seqLen);
     return sls.size();
-}
-
-/** One timed cache-replay engine: per-measurement seconds + stats. */
-struct EngineResult {
-    double sec = 0.0;
-    sim::CacheStats stats;
-};
-
-/**
- * Time one hit-rate measurement to ~0.3s of repetitions: run once
- * to calibrate, then average over enough repetitions that the
- * per-measurement time is stable on a shared runner.
- */
-EngineResult
-timeEngine(const std::function<sim::CacheStats()> &measure)
-{
-    EngineResult r;
-    double t0 = now();
-    r.stats = measure();
-    double once = std::max(now() - t0, 1e-9);
-    unsigned reps = once >= 0.3
-        ? 1 : static_cast<unsigned>(0.3 / once) + 1;
-    t0 = now();
-    for (unsigned i = 0; i < reps; ++i)
-        r.stats = measure();
-    r.sec = (now() - t0) / reps;
-    return r;
 }
 
 /** Flip one payload byte of a snapshot store file in place. */
@@ -538,102 +485,7 @@ main(int argc, char **argv)
     std::filesystem::remove_all(store_dir, store_ec);
 
     // ------------------------------------------------------------------
-    // Part 5: segment-descriptor streams + piecewise replay engine.
-    // ------------------------------------------------------------------
-    // The blocked-GEMM hit-rate measurement the cache-model
-    // validation re-runs per geometry x generator cell, on an
-    // L2-like geometry.
-    const uint64_t gm = 512, gn = 512, gk = 256;
-    const unsigned gtile = 64;
-    sim::CacheSim gemm_cache(kib(256), 8, 64);
-    sim::SegmentList gemm_segs =
-        sim::genBlockedGemmSegments(gm, gn, gk, gtile);
-    sim::AccessTrace gemm_trace = gemm_segs.materialize();
-
-    // Legacy path 1: callback generation into the scalar oracle --
-    // what measureHitRate() did before this engine.
-    EngineResult gemm_scalar = timeEngine([&] {
-        gemm_cache.reset();
-        sim::genBlockedGemm(gm, gn, gk, gtile,
-                            [&](uint64_t a, bool w) {
-                                gemm_cache.access(a, w);
-                            });
-        return gemm_cache.stats();
-    });
-    // Legacy path 2: the materialized trace through the batched
-    // accessBlock scan (the PR 2 fast path; generation pre-paid).
-    EngineResult gemm_block = timeEngine([&] {
-        gemm_cache.reset();
-        gemm_cache.accessBlock(gemm_trace, 0, gemm_trace.size());
-        return gemm_cache.stats();
-    });
-    // Segment engine: O(segments) generation + piecewise replay
-    // (generation included -- descriptors are cheap enough to emit
-    // per measurement).
-    EngineResult gemm_segment = timeEngine([&] {
-        return sim::replaySegments(
-            gemm_cache, sim::genBlockedGemmSegments(gm, gn, gk, gtile));
-    });
-
-    // Pure streaming sweep: the closed-form path accounts the whole
-    // stream without touching an address.
-    const uint64_t stream_bytes = mib(32);
-    const unsigned stream_stride = 16;
-    sim::CacheSim stream_cache(kib(256), 8, 64);
-    EngineResult stream_scalar = timeEngine([&] {
-        stream_cache.reset();
-        sim::genStreaming(stream_bytes, stream_stride,
-                          [&](uint64_t a, bool w) {
-                              stream_cache.access(a, w);
-                          });
-        return stream_cache.stats();
-    });
-    EngineResult stream_segment = timeEngine([&] {
-        return sim::replaySegments(
-            stream_cache,
-            sim::genStreamingSegments(stream_bytes, stream_stride));
-    });
-
-    bool seg_identical = gemm_segment.stats == gemm_scalar.stats &&
-        gemm_block.stats == gemm_scalar.stats &&
-        stream_segment.stats == stream_scalar.stats;
-    double sp_seg_scalar = gemm_scalar.sec / gemm_segment.sec;
-    double sp_seg_block = gemm_block.sec / gemm_segment.sec;
-    double sp_stream = stream_scalar.sec / stream_segment.sec;
-    double seg_floor = 5.0;
-
-    Table seg_table({"engine", "per measurement", "speedup"});
-    seg_table.addRow({"GEMM: callback + scalar oracle",
-                      csprintf("%.3fms", 1e3 * gemm_scalar.sec),
-                      "1.0x"});
-    seg_table.addRow({"GEMM: trace + batched accessBlock",
-                      csprintf("%.3fms", 1e3 * gemm_block.sec),
-                      csprintf("%.1fx",
-                               gemm_scalar.sec / gemm_block.sec)});
-    seg_table.addRow({"GEMM: segments + piecewise engine",
-                      csprintf("%.3fms", 1e3 * gemm_segment.sec),
-                      csprintf("%.1fx", sp_seg_scalar)});
-    seg_table.addRow({"stream: callback + scalar oracle",
-                      csprintf("%.3fms", 1e3 * stream_scalar.sec),
-                      "1.0x"});
-    seg_table.addRow({"stream: segments (closed form)",
-                      csprintf("%.3fms", 1e3 * stream_segment.sec),
-                      csprintf("%.1fx", sp_stream)});
-    std::printf("%s\n", seg_table.render(csprintf(
-        "Segment replay: blocked GEMM %llux%llux%llu tile %u "
-        "(%llu accesses in %zu segments), stream %llu MiB stride %u",
-        static_cast<unsigned long long>(gm),
-        static_cast<unsigned long long>(gn),
-        static_cast<unsigned long long>(gk), gtile,
-        static_cast<unsigned long long>(gemm_segs.accesses()),
-        gemm_segs.size(),
-        static_cast<unsigned long long>(stream_bytes >> 20),
-        stream_stride)).c_str());
-    std::printf("segment engine bit-identical to scalar oracle: %s\n\n",
-                seg_identical ? "yes" : "NO -- BUG");
-
-    // ------------------------------------------------------------------
-    // Part 6: fault containment under a deterministic fault storm.
+    // Part 5: fault containment under a deterministic fault storm.
     // ------------------------------------------------------------------
     // A 2x2 registry-backed sweep (GNMT + DS2 on configs #1/#2) runs
     // with half its store files corrupted on disk, one snapshot read
@@ -743,106 +595,6 @@ main(int argc, char **argv)
     std::filesystem::remove_all(fc_store, store_ec);
 
     // ------------------------------------------------------------------
-    // Part 7: warm closed-form replay tier (steady state).
-    // ------------------------------------------------------------------
-    // A blocked GEMM whose whole footprint fits the cache: after the
-    // first round every segment is fully resident, so the tier
-    // ladder's warm closed form carries all subsequent rounds.
-    const uint64_t wm = 128, wn = 128, wk = 64;
-    const unsigned wtile = 32;
-    sim::SegmentList warm_segs =
-        sim::genBlockedGemmSegments(wm, wn, wk, wtile);
-    sim::AccessTrace warm_trace = warm_segs.materialize();
-
-    // Identity first: a fixed number of rounds through the scalar
-    // oracle, the PR 5 engine (warm tier off, scalar probes) and the
-    // tier ladder, comparing statistics AND the full final cache
-    // state (tags, LRU clocks, dirty bits) -- the warm tier writes
-    // its lastUse stamps arithmetically, so the clocks themselves
-    // are the contract.
-    const int warm_check_rounds = 4;
-    sim::CacheSim warm_oracle(kib(256), 8, 64);
-    sim::CacheSim warm_legacy(kib(256), 8, 64);
-    sim::CacheSim warm_tiered(kib(256), 8, 64);
-    warm_legacy.setProbeKernel(sim::CacheSim::ProbeKernel::Scalar);
-    sim::ReplayOptions warm_off;
-    warm_off.warmTier = false;
-    for (int round = 0; round < warm_check_rounds; ++round) {
-        for (size_t i = 0; i < warm_trace.size(); ++i)
-            warm_oracle.access(warm_trace.addr(i),
-                               warm_trace.isWrite(i));
-        sim::replaySegmentsResume(warm_legacy, warm_segs, warm_off);
-        sim::replaySegmentsResume(warm_tiered, warm_segs);
-    }
-    auto same_state = [](const sim::CacheSim &a,
-                         const sim::CacheSim &b) {
-        sim::CacheSetState sa = a.snapshotState();
-        sim::CacheSetState sb = b.snapshotState();
-        return a.stats() == b.stats() && sa.useClock == sb.useClock &&
-            sa.tags == sb.tags && sa.lastUse == sb.lastUse &&
-            sa.flags == sb.flags;
-    };
-    bool warm_identical = same_state(warm_tiered, warm_oracle) &&
-        same_state(warm_legacy, warm_oracle);
-    sim::ReplayTierCounters warm_tiers = warm_tiered.stats().tiers;
-
-    // Timing: steady-state rounds on a persistent cache (no restore
-    // in the timed loop -- restoring would retire the residency
-    // summaries the warm tier reads). One installing round, then
-    // per-round time averaged over enough repetitions to be stable.
-    auto time_rounds = [&](sim::CacheSim &cache,
-                           const sim::ReplayOptions &opts) {
-        sim::replaySegmentsResume(cache, warm_segs, opts);
-        double s0 = now();
-        sim::replaySegmentsResume(cache, warm_segs, opts);
-        double once = std::max(now() - s0, 1e-9);
-        unsigned reps = once >= 0.3
-            ? 1 : static_cast<unsigned>(0.3 / once) + 1;
-        s0 = now();
-        for (unsigned i = 0; i < reps; ++i)
-            sim::replaySegmentsResume(cache, warm_segs, opts);
-        return (now() - s0) / reps;
-    };
-    sim::CacheSim legacy_cache(kib(256), 8, 64);
-    legacy_cache.setProbeKernel(sim::CacheSim::ProbeKernel::Scalar);
-    double warm_legacy_sec = time_rounds(legacy_cache, warm_off);
-    sim::CacheSim tiered_cache(kib(256), 8, 64);
-    double warm_tiered_sec = time_rounds(tiered_cache,
-                                         sim::ReplayOptions{});
-
-    double sp_warm = warm_legacy_sec / warm_tiered_sec;
-    double warm_floor = 2.0;
-    bool warm_engaged = warm_tiers.warmSegments > 0;
-
-    Table warm_table({"engine", "per round", "speedup"});
-    warm_table.addRow({"PR 5 segment engine (scalar probes)",
-                       csprintf("%.3fms", 1e3 * warm_legacy_sec),
-                       "1.0x"});
-    warm_table.addRow({csprintf("tier ladder (%s probe kernel)",
-                                sim::CacheSim::simdProbeSupported()
-                                    ? "SIMD" : "scalar"),
-                       csprintf("%.3fms", 1e3 * warm_tiered_sec),
-                       csprintf("%.1fx", sp_warm)});
-    std::printf("%s\n", warm_table.render(csprintf(
-        "Warm replay: blocked GEMM %llux%llux%llu tile %u resident "
-        "re-walks (%llu accesses in %zu segments; tiers "
-        "cold/warm/line-run %llu/%llu/%llu)",
-        static_cast<unsigned long long>(wm),
-        static_cast<unsigned long long>(wn),
-        static_cast<unsigned long long>(wk), wtile,
-        static_cast<unsigned long long>(warm_segs.accesses()),
-        warm_segs.size(),
-        static_cast<unsigned long long>(warm_tiers.coldSegments),
-        static_cast<unsigned long long>(warm_tiers.warmSegments),
-        static_cast<unsigned long long>(
-            warm_tiers.lineRunSegments))).c_str());
-    std::printf("tier ladder bit-identical to scalar oracle "
-                "(stats + final state): %s\n",
-                warm_identical ? "yes" : "NO -- BUG");
-    std::printf("warm tier engaged on the steady state: %s\n\n",
-                warm_engaged ? "yes" : "NO -- BUG");
-
-    // ------------------------------------------------------------------
     // JSON report.
     // ------------------------------------------------------------------
     FILE *f = std::fopen(json_path, "w");
@@ -856,7 +608,7 @@ main(int argc, char **argv)
     // BENCH_GATE: identical hw_threads speedup speedup_floor
     // BENCH_GATE: warmed_without_builds
     // BENCH_GATE: completed failed_cells quarantines corrupted_files
-    // BENCH_GATE: retried_cells warm_segments
+    // BENCH_GATE: retried_cells
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"workload\": \"%s\",\n", wl.name.c_str());
     std::fprintf(f, "  \"epochs\": %u,\n", epochs);
@@ -937,58 +689,6 @@ main(int argc, char **argv)
     std::fprintf(f, "    \"bit_identical\": %s\n",
                  reg_identical ? "true" : "false");
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"segment_replay\": {\n");
-    std::fprintf(f, "    \"gemm\": \"%llux%llux%llu tile %u\",\n",
-                 static_cast<unsigned long long>(gm),
-                 static_cast<unsigned long long>(gn),
-                 static_cast<unsigned long long>(gk), gtile);
-    std::fprintf(f, "    \"gemm_accesses\": %llu,\n",
-                 static_cast<unsigned long long>(gemm_segs.accesses()));
-    std::fprintf(f, "    \"gemm_segments\": %zu,\n", gemm_segs.size());
-    std::fprintf(f, "    \"gemm_scalar_sec\": %.6f,\n",
-                 gemm_scalar.sec);
-    std::fprintf(f, "    \"gemm_block_sec\": %.6f,\n", gemm_block.sec);
-    std::fprintf(f, "    \"gemm_segment_sec\": %.6f,\n",
-                 gemm_segment.sec);
-    std::fprintf(f, "    \"speedup\": %.2f,\n", sp_seg_scalar);
-    std::fprintf(f, "    \"speedup_vs_block\": %.2f,\n", sp_seg_block);
-    std::fprintf(f, "    \"speedup_floor\": %.2f,\n", seg_floor);
-    std::fprintf(f, "    \"stream_scalar_sec\": %.6f,\n",
-                 stream_scalar.sec);
-    std::fprintf(f, "    \"stream_segment_sec\": %.6f,\n",
-                 stream_segment.sec);
-    std::fprintf(f, "    \"stream_speedup\": %.2f,\n", sp_stream);
-    std::fprintf(f, "    \"bit_identical\": %s\n",
-                 seg_identical ? "true" : "false");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"warm_replay\": {\n");
-    std::fprintf(f, "    \"gemm\": \"%llux%llux%llu tile %u\",\n",
-                 static_cast<unsigned long long>(wm),
-                 static_cast<unsigned long long>(wn),
-                 static_cast<unsigned long long>(wk), wtile);
-    std::fprintf(f, "    \"accesses\": %llu,\n",
-                 static_cast<unsigned long long>(warm_segs.accesses()));
-    std::fprintf(f, "    \"segments\": %zu,\n", warm_segs.size());
-    std::fprintf(f, "    \"check_rounds\": %d,\n", warm_check_rounds);
-    std::fprintf(f, "    \"simd_probe\": %s,\n",
-                 sim::CacheSim::simdProbeSupported() ? "true"
-                                                     : "false");
-    std::fprintf(f, "    \"legacy_sec\": %.6f,\n", warm_legacy_sec);
-    std::fprintf(f, "    \"tiered_sec\": %.6f,\n", warm_tiered_sec);
-    std::fprintf(f, "    \"speedup\": %.2f,\n", sp_warm);
-    std::fprintf(f, "    \"speedup_floor\": %.2f,\n", warm_floor);
-    std::fprintf(f, "    \"cold_segments\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     warm_tiers.coldSegments));
-    std::fprintf(f, "    \"warm_segments\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     warm_tiers.warmSegments));
-    std::fprintf(f, "    \"line_run_segments\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     warm_tiers.lineRunSegments));
-    std::fprintf(f, "    \"bit_identical\": %s\n",
-                 warm_identical ? "true" : "false");
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"fault_containment\": {\n");
     std::fprintf(f, "    \"grid\": \"GNMT+DS2 x config1+config2\",\n");
     std::fprintf(f, "    \"cell_retries\": 2,\n");
@@ -1062,16 +762,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Segment-replay contract: the piecewise engine is bit-identical
-    // to the scalar oracle and beats the callback-plus-scalar path
-    // by >= 5x on the blocked-GEMM hit-rate measurement.
-    if (!seg_identical || sp_seg_scalar < seg_floor) {
-        std::fprintf(stderr, "FAIL: segment-replay speedup %.2fx "
-                     "(need >= %.1fx), identical=%d\n", sp_seg_scalar,
-                     seg_floor, seg_identical);
-        return 1;
-    }
-
     // Fault-containment contract: the storm-ridden sweep completes
     // with every cell converged (no failures after retries), its
     // results bit-identical to the clean serial run, the corrupted
@@ -1088,18 +778,5 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Warm-tier contract: the tier ladder is bit-identical to the
-    // scalar oracle in statistics and final state, the warm closed
-    // form actually engages on the steady state, and the
-    // steady-state round beats the PR 5 engine by >= 2x.
-    if (!warm_identical || !warm_engaged || sp_warm < warm_floor) {
-        std::fprintf(stderr, "FAIL: warm-replay speedup %.2fx "
-                     "(need >= %.1fx), identical=%d, "
-                     "warm_segments=%llu\n", sp_warm, warm_floor,
-                     warm_identical,
-                     static_cast<unsigned long long>(
-                         warm_tiers.warmSegments));
-        return 1;
-    }
     return 0;
 }

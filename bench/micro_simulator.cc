@@ -9,13 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include "common/strutil.hh"
-#include "common/units.hh"
 #include "models/ds2.hh"
 #include "models/gnmt.hh"
 #include "nn/autotune.hh"
 #include "nn/kernel_gen.hh"
-#include "sim/access_gen.hh"
-#include "sim/cache_model.hh"
 #include "sim/cache_sim.hh"
 #include "sim/gpu.hh"
 
@@ -110,116 +107,6 @@ BM_CacheSimAccesses(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheSimAccesses);
-
-void
-BM_GemmHitRateScalar(benchmark::State &state)
-{
-    // The blocked-GEMM hit-rate measurement through the scalar
-    // oracle, access by access (the pre-segment measureHitRate).
-    sim::CacheSim cache(kib(256), 8, 64);
-    for (auto _ : state) {
-        cache.reset();
-        sim::genBlockedGemm(256, 256, 256, 64,
-                            [&](uint64_t a, bool w) {
-                                cache.access(a, w);
-                            });
-        benchmark::DoNotOptimize(cache.stats());
-    }
-    state.SetLabel(csprintf("hit rate %.1f%%",
-                            100.0 * cache.stats().hitRate()));
-}
-BENCHMARK(BM_GemmHitRateScalar);
-
-void
-BM_GemmHitRateBatched(benchmark::State &state)
-{
-    // The same stream materialized once and replayed through the
-    // batched accessBlock scan.
-    sim::AccessTrace trace;
-    sim::genBlockedGemm(256, 256, 256, 64, trace.sink());
-    sim::CacheSim cache(kib(256), 8, 64);
-    for (auto _ : state) {
-        cache.reset();
-        cache.accessBlock(trace, 0, trace.size());
-        benchmark::DoNotOptimize(cache.stats());
-    }
-}
-BENCHMARK(BM_GemmHitRateBatched);
-
-void
-BM_GemmHitRateSegments(benchmark::State &state)
-{
-    // Segment descriptors through the piecewise-analytic engine
-    // (generation included; it is O(segments)).
-    sim::CacheSim cache(kib(256), 8, 64);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::replaySegments(
-            cache, sim::genBlockedGemmSegments(256, 256, 256, 64)));
-    }
-}
-BENCHMARK(BM_GemmHitRateSegments);
-
-void
-BM_StreamHitRateSegments(benchmark::State &state)
-{
-    // Pure streaming sweep: one descriptor, closed form.
-    sim::CacheSim cache(kib(256), 8, 64);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::replaySegments(
-            cache, sim::genStreamingSegments(mib(32), 16)));
-    }
-}
-BENCHMARK(BM_StreamHitRateSegments);
-
-void
-BM_WarmGemmRewalk(benchmark::State &state)
-{
-    // Steady-state re-walk of a fully resident blocked GEMM on a
-    // persistent cache: the warm closed-form tier (arg 1) vs the PR 5
-    // engine with the warm tier disabled (arg 0).
-    sim::SegmentList segs = sim::genBlockedGemmSegments(128, 128, 64,
-                                                        32);
-    sim::CacheSim cache(kib(256), 8, 64);
-    sim::ReplayOptions opts;
-    opts.warmTier = state.range(0) != 0;
-    sim::replaySegmentsResume(cache, segs, opts); // install
-    for (auto _ : state) {
-        sim::replaySegmentsResume(cache, segs, opts);
-        benchmark::DoNotOptimize(cache.stats());
-    }
-    state.SetLabel(csprintf(
-        "tiers c/w/l %llu/%llu/%llu",
-        static_cast<unsigned long long>(
-            cache.stats().tiers.coldSegments),
-        static_cast<unsigned long long>(
-            cache.stats().tiers.warmSegments),
-        static_cast<unsigned long long>(
-            cache.stats().tiers.lineRunSegments)));
-}
-BENCHMARK(BM_WarmGemmRewalk)->Arg(0)->Arg(1);
-
-void
-BM_SegmentProbeKernel(benchmark::State &state)
-{
-    // The per-line probe loop on a probe-heavy hot/cold mix: scalar
-    // scan (arg 0) vs the vectorized kernel (arg 1, skipped when the
-    // host lacks it).
-    bool simd = state.range(0) != 0;
-    if (simd && !sim::CacheSim::simdProbeSupported()) {
-        state.SkipWithError("no vectorized probe on this host");
-        return;
-    }
-    Rng rng(13, 0x5eed);
-    sim::SegmentList segs =
-        sim::genHotColdSegments(20000, kib(64), mib(4), 0.7, rng);
-    sim::CacheSim cache(kib(256), 8, 64);
-    cache.setProbeKernel(simd ? sim::CacheSim::ProbeKernel::Simd
-                              : sim::CacheSim::ProbeKernel::Scalar);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::replaySegments(cache, segs));
-    }
-}
-BENCHMARK(BM_SegmentProbeKernel)->Arg(0)->Arg(1);
 
 void
 BM_MeasuredAutotunePerShape(benchmark::State &state)

@@ -8,93 +8,38 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/cache_model.hh"
 
 namespace seqpoint {
 namespace sim {
 
+namespace {
+
+/** Emit `count` reads or writes at `first + i * 4`. */
 void
-SegmentList::addRun(const SegDesc &seg)
+walkElements(uint64_t first, uint64_t count, bool write,
+             const AccessSink &sink)
 {
-    panic_if(seg.count == 0, "SegmentList: empty run");
-    segs.push_back(seg);
-    total += seg.count;
+    for (uint64_t i = 0; i < count; ++i)
+        sink(first + i * 4, write);
 }
 
-void
-SegmentList::add(uint64_t addr, bool write)
-{
-    ++total;
-    if (!segs.empty()) {
-        SegDesc &last = segs.back();
-        if (last.write == write) {
-            if (last.count == 1) {
-                // The second access fixes the run's stride.
-                last.stride = static_cast<int64_t>(addr) -
-                    static_cast<int64_t>(last.firstAddr);
-                last.count = 2;
-                return;
-            }
-            if (addr == last.addr(last.count)) {
-                ++last.count;
-                return;
-            }
-        }
-    }
-    segs.push_back(SegDesc{addr, 0, 1, write});
-}
+} // anonymous namespace
 
 void
-SegmentList::clear()
-{
-    segs.clear();
-    total = 0;
-}
-
-AccessTrace
-SegmentList::materialize() const
-{
-    AccessTrace trace;
-    trace.reserve(static_cast<std::size_t>(total));
-    replay(trace.sink());
-    return trace;
-}
-
-void
-SegmentList::replay(const AccessSink &sink) const
-{
-    for (const SegDesc &seg : segs)
-        for (uint64_t i = 0; i < seg.count; ++i)
-            sink(seg.addr(i), seg.write);
-}
-
-SegmentList
-detectSegments(const AccessTrace &trace)
-{
-    SegmentList list;
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        list.add(trace.addr(i), trace.isWrite(i));
-    return list;
-}
-
-SegmentList
-genStreamingSegments(uint64_t bytes, unsigned stride)
+genStreaming(uint64_t bytes, unsigned stride, const AccessSink &sink)
 {
     panic_if(stride < 4, "genStreaming: stride below element size");
-    SegmentList list;
-    uint64_t count = (bytes + stride - 1) / stride;
-    if (count > 0)
-        list.addRun(0, stride, count, false);
-    return list;
+    for (uint64_t addr = 0; addr < bytes; addr += stride)
+        sink(addr, false);
 }
 
-SegmentList
-genBlockedGemmSegments(uint64_t m, uint64_t n, uint64_t k, unsigned tile)
+void
+genBlockedGemm(uint64_t m, uint64_t n, uint64_t k, unsigned tile,
+               const AccessSink &sink)
 {
     panic_if(tile == 0, "genBlockedGemm: zero tile");
     constexpr uint64_t elem = 4;
     constexpr uint64_t kblock = 64; ///< K elements per inner block.
-    constexpr int64_t step = elem;  ///< Element-granular walks.
     // Address map: A at 0, B after A, C after B.
     uint64_t base_a = 0;
     uint64_t base_b = m * k * elem;
@@ -103,7 +48,6 @@ genBlockedGemmSegments(uint64_t m, uint64_t n, uint64_t k, unsigned tile)
     uint64_t mt = (m + tile - 1) / tile;
     uint64_t nt = (n + tile - 1) / tile;
 
-    SegmentList list;
     for (uint64_t bi = 0; bi < mt; ++bi) {
         for (uint64_t bj = 0; bj < nt; ++bj) {
             uint64_t i_end = std::min<uint64_t>((bi + 1) * tile, m);
@@ -111,98 +55,48 @@ genBlockedGemmSegments(uint64_t m, uint64_t n, uint64_t k, unsigned tile)
             uint64_t j_cnt = j_end - bj * tile;
             // Walk the K dimension in blocks: re-read the A panel
             // row by row, stream the B panel rows (every 4th row,
-            // modelling the unrolled k loop). The walks themselves
-            // are element-granular -- one descriptor per panel row,
-            // whatever the element count.
+            // modelling the unrolled k loop).
             for (uint64_t kk0 = 0; kk0 < k; kk0 += kblock) {
                 uint64_t kb_end = std::min<uint64_t>(kk0 + kblock, k);
                 for (uint64_t i = bi * tile; i < i_end; ++i)
-                    list.addRun(base_a + (i * k + kk0) * elem, step,
-                                kb_end - kk0, false);
+                    walkElements(base_a + (i * k + kk0) * elem,
+                                 kb_end - kk0, false, sink);
                 for (uint64_t kk = kk0; kk < kb_end; kk += 4)
-                    list.addRun(base_b + (kk * n + bj * tile) * elem,
-                                step, j_cnt, false);
+                    walkElements(base_b + (kk * n + bj * tile) * elem,
+                                 j_cnt, false, sink);
             }
             for (uint64_t i = bi * tile; i < i_end; ++i)
-                list.addRun(base_c + (i * n + bj * tile) * elem, step,
-                            j_cnt, true);
+                walkElements(base_c + (i * n + bj * tile) * elem, j_cnt,
+                             true, sink);
         }
     }
-    return list;
-}
-
-SegmentList
-genHotColdSegments(uint64_t accesses, uint64_t hot_bytes,
-                   uint64_t cold_bytes, double hot_frac, Rng &rng)
-{
-    panic_if(hot_frac < 0.0 || hot_frac > 1.0,
-             "genHotCold: hot_frac out of [0,1]");
-    panic_if(hot_bytes < 64 || cold_bytes < 64,
-             "genHotCold: regions too small");
-    SegmentList list;
-    for (uint64_t i = 0; i < accesses; ++i) {
-        bool hot = rng.uniformDouble() < hot_frac;
-        uint64_t region = hot ? hot_bytes : cold_bytes;
-        uint64_t offset = hot ? 0 : hot_bytes;
-        uint64_t addr = offset + static_cast<uint64_t>(
-            rng.uniformInt(0, static_cast<int64_t>(region / 64 - 1))) * 64;
-        list.add(addr, false);
-    }
-    return list;
-}
-
-void
-genStreaming(uint64_t bytes, unsigned stride, const AccessSink &sink)
-{
-    genStreamingSegments(bytes, stride).replay(sink);
-}
-
-void
-genBlockedGemm(uint64_t m, uint64_t n, uint64_t k, unsigned tile,
-               const AccessSink &sink)
-{
-    genBlockedGemmSegments(m, n, k, tile).replay(sink);
 }
 
 void
 genHotCold(uint64_t accesses, uint64_t hot_bytes, uint64_t cold_bytes,
            double hot_frac, Rng &rng, const AccessSink &sink)
 {
-    genHotColdSegments(accesses, hot_bytes, cold_bytes, hot_frac, rng)
-        .replay(sink);
+    panic_if(hot_frac < 0.0 || hot_frac > 1.0,
+             "genHotCold: hot_frac out of [0,1]");
+    panic_if(hot_bytes < 64 || cold_bytes < 64,
+             "genHotCold: regions too small");
+    for (uint64_t i = 0; i < accesses; ++i) {
+        bool hot = rng.uniformDouble() < hot_frac;
+        uint64_t region = hot ? hot_bytes : cold_bytes;
+        uint64_t offset = hot ? 0 : hot_bytes;
+        uint64_t addr = offset + static_cast<uint64_t>(
+            rng.uniformInt(0, static_cast<int64_t>(region / 64 - 1))) * 64;
+        sink(addr, false);
+    }
 }
 
 double
 measureHitRate(CacheSim &cache,
                const std::function<void(const AccessSink &)> &gen)
 {
-    SegmentList list;
-    gen(list.sink());
-    return measureHitRateSegments(cache, list);
-}
-
-double
-replayHitRate(CacheSim &cache, const AccessTrace &trace)
-{
-    return replayStatsFast(cache, trace).hitRate();
-}
-
-CacheStats
-replayStatsFast(CacheSim &cache, const AccessTrace &trace)
-{
     cache.reset();
-    SegmentList segs = detectSegments(trace);
-    // The piecewise engine pays per segment; it only wins when the
-    // decomposition actually compresses. Unstructured traces fold
-    // into pair runs under the greedy decomposer (the second access
-    // always fixes a stride), i.e. exactly 2 accesses per segment,
-    // so require a strictly better ratio before leaving the batched
-    // scan -- statistics and state are identical either way.
-    if (trace.size() >= 3 * segs.size())
-        replaySegmentsResume(cache, segs);
-    else
-        cache.accessBlock(trace, 0, trace.size());
-    return cache.stats();
+    gen([&cache](uint64_t addr, bool write) { cache.access(addr, write); });
+    return cache.stats().hitRate();
 }
 
 } // namespace sim

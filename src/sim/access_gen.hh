@@ -5,15 +5,6 @@
  * CacheSim these validate the analytical cache model: the test suite
  * drives the same working sets through both and checks the hit-rate
  * power law.
- *
- * Streams exist in two representations. The compact form is a
- * SegmentList of segment descriptors -- (firstAddr, stride, count,
- * write) stride runs -- which the generators emit directly in
- * O(segments); the piecewise-analytic replay engine (cache_model.hh)
- * consumes descriptors without ever materializing individual
- * accesses. The materialized form is the flat AccessTrace buffer,
- * kept for the scalar oracle, the batched accessBlock replay and
- * streams with no stride structure.
  */
 
 #ifndef SEQPOINT_SIM_ACCESS_GEN_HH
@@ -21,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/rng.hh"
 #include "sim/cache_sim.hh"
@@ -33,189 +23,43 @@ namespace sim {
 using AccessSink = std::function<void(uint64_t addr, bool write)>;
 
 /**
- * A recorded access stream in one flat buffer: each entry packs
- * `(addr << 1) | is_write` into a uint64_t (synthetic addresses stay
- * far below 2^63). Generating into a trace once and replaying it
- * avoids the per-access std::function indirection when the same
- * stream is driven through several cache geometries.
- */
-class AccessTrace
-{
-  public:
-    /** Append one access. */
-    void add(uint64_t addr, bool write)
-    {
-        words.push_back((addr << 1) | (write ? 1u : 0u));
-    }
-
-    /** @return Number of recorded accesses. */
-    std::size_t size() const { return words.size(); }
-
-    /** @return True when nothing was recorded. */
-    bool empty() const { return words.empty(); }
-
-    /** @return Address of access i. */
-    uint64_t addr(std::size_t i) const { return words[i] >> 1; }
-
-    /** @return True when access i is a write. */
-    bool isWrite(std::size_t i) const { return (words[i] & 1) != 0; }
-
-    /** Pre-allocate room for n accesses. */
-    void reserve(std::size_t n) { words.reserve(n); }
-
-    /** Drop all recorded accesses. */
-    void clear() { words.clear(); }
-
-    /** @return A sink that records into this trace. */
-    AccessSink sink()
-    {
-        return [this](uint64_t a, bool w) { add(a, w); };
-    }
-
-  private:
-    std::vector<uint64_t> words;
-};
-
-/**
- * A compact access stream: a sequence of segment descriptors, each a
- * stride run. The incremental add() builder folds an arbitrary
- * access-by-access stream into maximal stride runs greedily, so a
- * SegmentList expands to exactly the access sequence it was built
- * from -- compression never changes replay semantics, only the work
- * needed to account it.
- */
-class SegmentList
-{
-  public:
-    /** Append one run descriptor (no merging; count may not be 0). */
-    void addRun(const SegDesc &seg);
-
-    /** Append a run by parts (convenience over addRun()). */
-    void addRun(uint64_t first_addr, int64_t stride, uint64_t count,
-                bool write)
-    {
-        addRun(SegDesc{first_addr, stride, count, write});
-    }
-
-    /**
-     * Append one access, extending the trailing run when the address
-     * continues its stride pattern (same direction flag; the second
-     * access of a run fixes its stride). O(1).
-     */
-    void add(uint64_t addr, bool write);
-
-    /** @return The run descriptors in stream order. */
-    const std::vector<SegDesc> &segments() const { return segs; }
-
-    /** @return Number of descriptors. */
-    std::size_t size() const { return segs.size(); }
-
-    /** @return True when no accesses were recorded. */
-    bool empty() const { return segs.empty(); }
-
-    /** @return Total accesses across all descriptors. */
-    uint64_t accesses() const { return total; }
-
-    /** Drop all descriptors. */
-    void clear();
-
-    /** @return A sink that folds accesses into this list. */
-    AccessSink sink()
-    {
-        return [this](uint64_t a, bool w) { add(a, w); };
-    }
-
-    /**
-     * Expand to the flat per-access form (the exact access sequence
-     * the list was built from). O(accesses) -- for oracle
-     * cross-checks and the batched-replay fallback, not hot paths.
-     */
-    AccessTrace materialize() const;
-
-    /** Invoke `sink` for every access, in stream order. */
-    void replay(const AccessSink &sink) const;
-
-  private:
-    std::vector<SegDesc> segs;
-    uint64_t total = 0;
-};
-
-/**
- * Decompose a trace into maximal stride segments (greedy: each run
- * extends while the next access continues its stride with the same
- * direction flag). Handles every edge shape: empty traces (empty
- * list), single accesses and direction flips (count-1 runs),
- * repeated addresses (stride-0 runs), negative and line-straddling
- * strides (any int64 stride is a valid descriptor).
- *
- * @param trace Recorded access stream.
- * @return Segment list expanding to exactly `trace`.
- */
-SegmentList detectSegments(const AccessTrace &trace);
-
-/**
  * Streaming access pattern: touch `bytes` bytes once, sequentially,
- * with `stride` between consecutive 4-byte elements. One descriptor.
+ * with `stride` between consecutive 4-byte elements.
  *
  * @param bytes Footprint in bytes.
  * @param stride Element stride in bytes (>= 4).
+ * @param sink Receives each access.
  */
-SegmentList genStreamingSegments(uint64_t bytes, unsigned stride);
+void genStreaming(uint64_t bytes, unsigned stride, const AccessSink &sink);
 
 /**
- * Blocked-GEMM access pattern as segment descriptors: walk C tiles;
- * for each tile, walk the K dimension in blocks, re-reading the A
- * panel row by row and streaming B panel rows (element granularity,
- * 4 bytes, sampled every 4 elements), then store the C tile. The A
- * panel re-walks across the bj tiles and the B panel re-walks across
- * the bi tiles are what give a blocked GEMM its cache reuse.
- *
- * O(segments): one descriptor per panel-row walk, never a
- * materialized access.
+ * Blocked-GEMM access pattern: walk C tiles; for each tile, walk the
+ * K dimension in blocks, re-reading the A panel row by row and
+ * streaming B panel rows (element granularity, 4 bytes, every 4th
+ * row), then store the C tile. The A panel re-walks across the bj
+ * tiles and the B panel re-walks across the bi tiles are what give a
+ * blocked GEMM its cache reuse.
  *
  * @param m Rows of A/C.
  * @param n Cols of B/C.
  * @param k Inner dimension.
  * @param tile Tile edge in elements (e.g. 64).
+ * @param sink Receives each access.
  */
-SegmentList genBlockedGemmSegments(uint64_t m, uint64_t n, uint64_t k,
-                                   unsigned tile);
+void genBlockedGemm(uint64_t m, uint64_t n, uint64_t k, unsigned tile,
+                    const AccessSink &sink);
 
 /**
  * Hot/cold mixture: a fraction `hot_frac` of accesses target a
  * `hot_bytes` region (temporal locality), the rest sweep a large cold
- * region. Models embedding-table lookups. Random addresses have no
- * stride structure, so the descriptors are (mostly) count-1 runs:
- * compact replay falls back to per-line accounting.
+ * region. Models embedding-table lookups.
  *
  * @param accesses Number of accesses to generate.
  * @param hot_bytes Size of the hot region.
  * @param cold_bytes Size of the cold region.
  * @param hot_frac Fraction of accesses landing in the hot region.
  * @param rng Random source.
- */
-SegmentList genHotColdSegments(uint64_t accesses, uint64_t hot_bytes,
-                               uint64_t cold_bytes, double hot_frac,
-                               Rng &rng);
-
-/**
- * Streaming access pattern through a per-access sink (compatibility
- * shim over genStreamingSegments(); identical access sequence).
- */
-void genStreaming(uint64_t bytes, unsigned stride, const AccessSink &sink);
-
-/**
- * Blocked-GEMM access pattern through a per-access sink
- * (compatibility shim over genBlockedGemmSegments(); identical
- * access sequence).
- */
-void genBlockedGemm(uint64_t m, uint64_t n, uint64_t k, unsigned tile,
-                    const AccessSink &sink);
-
-/**
- * Hot/cold mixture through a per-access sink (compatibility shim
- * over genHotColdSegments(); identical access sequence and RNG
- * consumption).
+ * @param sink Receives each access.
  */
 void genHotCold(uint64_t accesses, uint64_t hot_bytes, uint64_t cold_bytes,
                 double hot_frac, Rng &rng, const AccessSink &sink);
@@ -223,45 +67,13 @@ void genHotCold(uint64_t accesses, uint64_t hot_bytes, uint64_t cold_bytes,
 /**
  * Drive a pattern through a cache and return its measured hit rate.
  *
- * The generated stream is folded into segment descriptors and
- * replayed through the piecewise-analytic engine (cache_model.hh),
- * which is bit-identical to feeding the cache access by access.
- *
- * @param cache Cache to exercise (reset first).
- * @param gen Invoked with a sink that records the stream.
+ * @param cache Cache to exercise (reset first; holds the statistics
+ *              of the whole stream afterwards).
+ * @param gen Invoked with a sink that feeds the cache.
  * @return Hit rate observed over the whole stream.
  */
 double measureHitRate(CacheSim &cache,
                       const std::function<void(const AccessSink &)> &gen);
-
-/**
- * Replay a recorded trace through a cache and return the hit rate.
- * Routed through replayStatsFast(), so traces with stride structure
- * take the piecewise-analytic engine and unstructured traces the
- * batched accessBlock scan -- identical statistics either way.
- *
- * @param cache Cache to exercise (reset first).
- * @param trace Previously recorded access stream.
- * @return Hit rate observed over the whole stream.
- */
-double replayHitRate(CacheSim &cache, const AccessTrace &trace);
-
-/**
- * Replay statistics with the piecewise-analytic fast path.
- *
- * The trace is decomposed into maximal stride segments; when the
- * decomposition compresses (>= 2 accesses per segment on average)
- * the segments are replayed through the piecewise engine
- * (cache_model.hh), otherwise the trace is replayed through the
- * batched CacheSim::accessBlock. Either way the returned statistics
- * and the final cache state are identical to an access()-per-entry
- * replay on a reset cache.
- *
- * @param cache Cache to exercise (reset first).
- * @param trace Previously recorded access stream.
- * @return Statistics of the full replay.
- */
-CacheStats replayStatsFast(CacheSim &cache, const AccessTrace &trace);
 
 } // namespace sim
 } // namespace seqpoint

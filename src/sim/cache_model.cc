@@ -5,9 +5,7 @@
 
 #include "sim/cache_model.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -63,153 +61,6 @@ evalMemoryBreakdown(const KernelDesc &desc, const GpuConfig &cfg)
     mb.l1HitRate = loads > 0.0 ? h1 : 0.0;
     mb.l2HitRate = h2;
     return mb;
-}
-
-bool
-analyticStreamApplicable(const SegDesc &seg, unsigned line_bytes)
-{
-    if (seg.count == 0 || seg.stride < 0)
-        return false;
-    uint64_t s = static_cast<uint64_t>(seg.stride);
-    return s <= line_bytes || s % line_bytes == 0;
-}
-
-StreamShape
-streamShape(const SegDesc &seg, uint64_t sets, unsigned line_bytes)
-{
-    panic_if(!analyticStreamApplicable(seg, line_bytes),
-             "streamShape: segment not applicable");
-    panic_if(sets == 0, "streamShape: zero sets");
-
-    const uint64_t line = line_bytes;
-    const uint64_t s = static_cast<uint64_t>(seg.stride);
-
-    StreamShape sh;
-    sh.firstLine = seg.firstAddr / line;
-    if (s <= line) {
-        // Every line in [first, last] is touched (consecutive
-        // accesses advance at most one line; stride 0 stays put).
-        uint64_t last_line =
-            (seg.firstAddr + (seg.count - 1) * s) / line;
-        sh.q = 1;
-        sh.distinct = last_line - sh.firstLine + 1;
-    } else {
-        // Exact line multiple: an arithmetic line sequence, one
-        // access (and one distinct line) per step.
-        sh.q = s / line;
-        sh.distinct = seg.count;
-    }
-    // Lines land on sets (firstLine + t*q) mod sets, cycling with
-    // period sets / gcd(q, sets) and visiting `period` distinct sets
-    // exactly once per cycle.
-    sh.period = sets / std::gcd(sh.q, sets);
-    return sh;
-}
-
-CacheStats
-analyticStreamStats(const SegDesc &seg, uint64_t sets, unsigned assoc,
-                    unsigned line_bytes)
-{
-    return analyticStreamStatsShaped(
-        seg, streamShape(seg, sets, line_bytes), assoc);
-}
-
-CacheStats
-analyticStreamStatsShaped(const SegDesc &seg, const StreamShape &sh,
-                          unsigned assoc)
-{
-    panic_if(assoc == 0, "analyticStreamStats: bad geometry");
-
-    // Each touched set holds either floor(D/P) or ceil(D/P) of the
-    // stream's lines; a set overflows (and evicts, LRU) only beyond
-    // its assoc ways.
-    uint64_t per_set = sh.distinct / sh.period;
-
-    CacheStats s;
-    s.accesses = seg.count;
-    // Line addresses are non-decreasing and each line's accesses are
-    // consecutive, so every access past the first touch of its line
-    // hits, and every distinct line misses exactly once.
-    s.misses = sh.distinct;
-    s.hits = seg.count - sh.distinct;
-    s.evictions = per_set >= assoc
-        ? sh.distinct - sh.period * assoc : 0;
-    // Write-allocate streams leave every installed line dirty, so
-    // each eviction writes back; read streams never dirty a line.
-    s.writebacks = seg.write ? s.evictions : 0;
-    return s;
-}
-
-void
-replaySegmentsResume(CacheSim &cache, const SegmentList &list)
-{
-    replaySegmentsResume(cache, list, ReplayOptions{});
-}
-
-void
-replaySegmentsResume(CacheSim &cache, const SegmentList &list,
-                     const ReplayOptions &opts)
-{
-    const unsigned line = cache.lineSize();
-    const uint64_t sets = cache.numSets();
-    // Warm verification (probe + stamp + memo record) costs more per
-    // segment than the line-run walk it replaces, so it only pays when
-    // the residency it establishes survives long enough to be memoized
-    // and replayed. Back off while the structure is churning: after
-    // any install/eviction, the next kWarmQuietWindow segments skip
-    // the warm test and take the line-run tier directly. The counter
-    // starts at the window so a steady-state call (the case the warm
-    // tier exists for) engages from its first segment.
-    constexpr uint64_t kWarmQuietWindow = 32;
-    uint64_t struct_gen = cache.structuralGen();
-    uint64_t quiet = kWarmQuietWindow;
-    for (const SegDesc &seg : list.segments()) {
-        // Tier ladder: memoized warm replay, cold closed form, warm
-        // closed form, line-run replay. The memo check comes first --
-        // only applicable segments are ever memoized, and a hit
-        // proves the segment fully resident (so the cold tier could
-        // not apply) and skips the shape math entirely; on a miss the
-        // shape is computed once per applicable segment and shared by
-        // every tier test and the accounting.
-        if (opts.warmTier && cache.replayWarmMemo(seg))
-            continue; // pure hits: structure unchanged by definition
-        if (analyticStreamApplicable(seg, line)) {
-            StreamShape sh = streamShape(seg, sets, line);
-            if (cache.segmentSetsCold(seg, sh)) {
-                cache.applyColdStream(seg, sh);
-                struct_gen = cache.structuralGen();
-                quiet = 0;
-                continue;
-            }
-            if (opts.warmTier && quiet >= kWarmQuietWindow &&
-                cache.segmentSetsWarm(seg, sh)) {
-                cache.applyWarmStream(seg, sh);
-                continue; // pure hits: structure unchanged
-            }
-        }
-        cache.accessSegment(seg);
-        const uint64_t gen = cache.structuralGen();
-        if (gen != struct_gen) {
-            struct_gen = gen;
-            quiet = 0;
-        } else {
-            ++quiet;
-        }
-    }
-}
-
-CacheStats
-replaySegments(CacheSim &cache, const SegmentList &list)
-{
-    cache.reset();
-    replaySegmentsResume(cache, list);
-    return cache.stats();
-}
-
-double
-measureHitRateSegments(CacheSim &cache, const SegmentList &list)
-{
-    return replaySegments(cache, list).hitRate();
 }
 
 } // namespace sim

@@ -5,105 +5,12 @@
 
 #include "sim/cache_sim.hh"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/logging.hh"
-#include "sim/access_gen.hh"
-#include "sim/cache_model.hh"
-
-// The vectorized probe compiles on x86-64 GCC/Clang (per-function
-// target attribute, so no global -mavx2) and is selected at runtime
-// via cpuid. SEQPOINT_DISABLE_SIMD_PROBE forces the build onto the
-// portable scalar arm (CI compiles and tests that configuration too).
-#if defined(__x86_64__) && !defined(SEQPOINT_DISABLE_SIMD_PROBE) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SEQPOINT_SIMD_PROBE_X86 1
-#include <immintrin.h>
-#endif
 
 namespace seqpoint {
 namespace sim {
-
-namespace {
-
-#ifdef SEQPOINT_SIMD_PROBE_X86
-
-/**
- * Vectorized tag probe: compare four ways per step and verify the
- * valid bit on candidate matches only (invalid ways may carry any
- * stale tag bits, so a raw tag equality is a candidate, not a hit;
- * at most one *valid* way can match).
- */
-__attribute__((target("avx2"))) int
-probeWayAvx2(const uint64_t *tags, const uint8_t *flags, unsigned ways,
-             uint64_t tag)
-{
-    const __m256i vtag = _mm256_set1_epi64x(static_cast<long long>(tag));
-    unsigned w = 0;
-    for (; w + 4 <= ways; w += 4) {
-        __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        __m256i eq = _mm256_cmpeq_epi64(t, vtag);
-        unsigned mask = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-        while (mask) {
-            unsigned cand = w + static_cast<unsigned>(
-                std::countr_zero(mask));
-            if (flags[cand] & 1)
-                return static_cast<int>(cand);
-            mask &= mask - 1;
-        }
-    }
-    for (; w < ways; ++w) {
-        if ((flags[w] & 1) && tags[w] == tag)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-/**
- * Vectorized first-minimum scan over the per-way lastUse clocks
- * (invalid ways hold clock 0 and therefore win against any valid
- * way). Unsigned order is recovered from the signed epi64 compare by
- * biasing with the sign bit.
- */
-__attribute__((target("avx2"))) unsigned
-victimWayAvx2(const uint64_t *last_use, unsigned ways)
-{
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ull));
-    // Pass 1: the minimum clock value.
-    __m256i vmin = _mm256_xor_si256(
-        _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(last_use)), bias);
-    unsigned w = 4;
-    for (; w + 4 <= ways; w += 4) {
-        __m256i cur = _mm256_xor_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(last_use + w)), bias);
-        __m256i gt = _mm256_cmpgt_epi64(vmin, cur);
-        vmin = _mm256_blendv_epi8(vmin, cur, gt);
-    }
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), vmin);
-    uint64_t min_use = std::min(std::min(lanes[0], lanes[1]),
-                                std::min(lanes[2], lanes[3])) ^
-        0x8000000000000000ull;
-    for (; w < ways; ++w)
-        min_use = std::min(min_use, last_use[w]);
-    // Pass 2: the first way carrying it (scalar; the scan is short
-    // and exits on the first of at least one guaranteed match).
-    for (unsigned v = 0;; ++v) {
-        if (last_use[v] == min_use)
-            return v;
-    }
-}
-
-#endif // SEQPOINT_SIMD_PROBE_X86
-
-} // anonymous namespace
 
 double
 CacheStats::hitRate() const
@@ -124,78 +31,7 @@ CacheSim::CacheSim(uint64_t size_bytes, unsigned ways, unsigned line_bytes)
 
     lineShift = static_cast<unsigned>(std::countr_zero(line_bytes));
     sets = size_bytes / (static_cast<uint64_t>(line_bytes) * ways);
-    tags.assign(sets * ways, 0);
-    lastUse.assign(sets * ways, 0);
-    flags.assign(sets * ways, 0);
-    setOcc.assign(sets, 0);
-    setGen.assign(sets, 0);
-    summaries.assign(sets, SetSummary{});
-    sumWays.assign(sets * ways, 0);
-    warmScratch.assign(ways, 0);
-    mergeScratch.assign(ways, 0);
-    warmSlots.assign(sets * ways, 0);
-    // The cross-replay memo only serves geometries the warm tier
-    // itself serves (way indices must fit the summaries' byte
-    // storage).
-    if (ways <= 256)
-        warmTable.assign(kWarmTableSize, WarmMemoEntry{});
-    simdProbe = simdProbeSupported();
-}
-
-bool
-CacheSim::simdProbeSupported()
-{
-#ifdef SEQPOINT_SIMD_PROBE_X86
-    return __builtin_cpu_supports("avx2") != 0;
-#else
-    return false;
-#endif
-}
-
-void
-CacheSim::setProbeKernel(ProbeKernel kernel)
-{
-    panic_if(kernel == ProbeKernel::Simd && !simdProbeSupported(),
-             "setProbeKernel: vectorized probe unsupported on this host");
-    simdProbe = kernel == ProbeKernel::Auto ? simdProbeSupported()
-        : kernel == ProbeKernel::Simd;
-}
-
-int
-CacheSim::probeWay(std::size_t base, uint64_t tag) const
-{
-#ifdef SEQPOINT_SIMD_PROBE_X86
-    if (simdProbe && assoc >= 4)
-        return probeWayAvx2(&tags[base], &flags[base], assoc, tag);
-#endif
-    for (unsigned w = 0; w < assoc; ++w) {
-        std::size_t i = base + w;
-        if ((flags[i] & kValid) && tags[i] == tag)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-unsigned
-CacheSim::victimWay(std::size_t base) const
-{
-#ifdef SEQPOINT_SIMD_PROBE_X86
-    if (simdProbe && assoc >= 4)
-        return victimWayAvx2(&lastUse[base], assoc);
-#endif
-    // Invalid ways keep lastUse == 0 (valid lines are always >= 1),
-    // so a single first-minimum pass picks the first invalid way when
-    // one exists and the true-LRU way otherwise.
-    unsigned victim = 0;
-    uint64_t victim_use = lastUse[base];
-    for (unsigned w = 1; w < assoc; ++w) {
-        uint64_t use = lastUse[base + w];
-        if (use < victim_use) {
-            victim = w;
-            victim_use = use;
-        }
-    }
-    return victim;
+    lines.assign(sets * ways, Line{});
 }
 
 bool
@@ -207,15 +43,13 @@ CacheSim::access(uint64_t addr, bool write)
     uint64_t line_addr = addr >> lineShift;
     uint64_t set = line_addr % sets;
     uint64_t tag = line_addr / sets;
-    std::size_t base = static_cast<std::size_t>(set) * assoc;
+    Line *ways = &lines[set * assoc];
 
     // Probe for a hit.
     for (unsigned w = 0; w < assoc; ++w) {
-        std::size_t i = base + w;
-        if ((flags[i] & kValid) && tags[i] == tag) {
-            lastUse[i] = useClock;
-            if (write)
-                flags[i] |= kDirty;
+        if (ways[w].valid && ways[w].tag == tag) {
+            ways[w].lastUse = useClock;
+            ways[w].dirty |= write;
             ++stats_.hits;
             return true;
         }
@@ -227,807 +61,25 @@ CacheSim::access(uint64_t addr, bool write)
     // keep lastUse == 0 (valid lines are always >= 1), so a single
     // first-minimum pass picks the first invalid way when one exists
     // and the true-LRU way otherwise.
-    std::size_t victim = base;
-    uint64_t victim_use = (flags[base] & kValid) ? lastUse[base] : 0;
+    Line *victim = &ways[0];
     for (unsigned w = 1; w < assoc; ++w) {
-        std::size_t i = base + w;
-        uint64_t use = (flags[i] & kValid) ? lastUse[i] : 0;
-        if (use < victim_use) {
-            victim = i;
-            victim_use = use;
-        }
+        if (ways[w].lastUse < victim->lastUse)
+            victim = &ways[w];
     }
 
-    if (flags[victim] & kValid) {
+    if (victim->valid) {
         ++stats_.evictions;
-        if (flags[victim] & kDirty)
+        if (victim->dirty)
             ++stats_.writebacks;
-    } else {
-        ++setOcc[set];
-        ++validLines;
     }
-    ++setGen[set]; // residency changed: retire the set's summary
-    ++structGen;
-
-    tags[victim] = tag;
-    lastUse[victim] = useClock;
-    flags[victim] = static_cast<uint8_t>(kValid | (write ? kDirty : 0));
+    *victim = Line{tag, useClock, true, write};
     return false;
-}
-
-void
-CacheSim::accessBlock(const AccessTrace &trace, std::size_t begin,
-                      std::size_t end)
-{
-    panic_if(end > trace.size() || begin > end,
-             "accessBlock: bad range [%zu, %zu) of %zu", begin, end,
-             trace.size());
-
-    const uint64_t num_sets = sets;
-    const unsigned ways = assoc;
-    const unsigned shift = lineShift;
-
-    uint64_t clock = useClock;
-    uint64_t n_hits = 0, n_miss = 0, n_evict = 0, n_wb = 0;
-
-    for (std::size_t i = begin; i < end; ++i) {
-        uint64_t addr = trace.addr(i);
-        bool write = trace.isWrite(i);
-        ++clock;
-
-        uint64_t line_addr = addr >> shift;
-        uint64_t set = line_addr % num_sets;
-        uint64_t tag = line_addr / num_sets;
-        std::size_t base = static_cast<std::size_t>(set) * ways;
-
-        // Branchless probe: at most one valid way can carry the tag,
-        // so a full conditional-select scan finds it without early
-        // exits (no per-way branch misprediction on mixed streams).
-        std::size_t hit_way = static_cast<std::size_t>(-1);
-        for (unsigned w = 0; w < ways; ++w) {
-            std::size_t slot = base + w;
-            bool h = (flags[slot] & kValid) && tags[slot] == tag;
-            hit_way = h ? slot : hit_way;
-        }
-
-        if (hit_way != static_cast<std::size_t>(-1)) {
-            lastUse[hit_way] = clock;
-            flags[hit_way] = static_cast<uint8_t>(
-                flags[hit_way] | (write ? kDirty : 0));
-            ++n_hits;
-            continue;
-        }
-
-        ++n_miss;
-
-        // Single-pass victim selection (see access()): invalid ways
-        // present as lastUse 0 and therefore win the first-minimum
-        // scan over any valid way.
-        std::size_t victim = base;
-        uint64_t victim_use = (flags[base] & kValid) ? lastUse[base] : 0;
-        for (unsigned w = 1; w < ways; ++w) {
-            std::size_t slot = base + w;
-            uint64_t use = (flags[slot] & kValid) ? lastUse[slot] : 0;
-            bool better = use < victim_use;
-            victim = better ? slot : victim;
-            victim_use = better ? use : victim_use;
-        }
-
-        uint8_t vf = flags[victim];
-        if (vf & kValid) {
-            ++n_evict;
-            n_wb += (vf & kDirty) ? 1 : 0;
-        } else {
-            ++setOcc[set];
-            ++validLines;
-        }
-        ++setGen[set]; // residency changed: retire the set's summary
-    ++structGen;
-
-        tags[victim] = tag;
-        lastUse[victim] = clock;
-        flags[victim] = static_cast<uint8_t>(kValid |
-                                             (write ? kDirty : 0));
-    }
-
-    useClock = clock;
-    stats_.accesses += end - begin;
-    stats_.hits += n_hits;
-    stats_.misses += n_miss;
-    stats_.evictions += n_evict;
-    stats_.writebacks += n_wb;
-}
-
-void
-CacheSim::accessLineRun(uint64_t line_addr, uint64_t cnt, bool write)
-{
-    uint64_t set = line_addr % sets;
-    uint64_t tag = line_addr / sets;
-    std::size_t base = static_cast<std::size_t>(set) * assoc;
-
-    // Clock semantics match the oracle: access i of the run carries
-    // clock useClock + i + 1, and only the final value is observable
-    // (the line's accesses are consecutive, so intermediate clocks
-    // are never compared).
-    useClock += cnt;
-    stats_.accesses += cnt;
-
-    int hit_way = probeWay(base, tag);
-    if (hit_way >= 0) {
-        std::size_t i = base + static_cast<unsigned>(hit_way);
-        lastUse[i] = useClock;
-        if (write)
-            flags[i] |= kDirty;
-        stats_.hits += cnt;
-        return;
-    }
-
-    // Miss on the first access of the run; the remaining cnt-1
-    // accesses hit the freshly installed line.
-    ++stats_.misses;
-    stats_.hits += cnt - 1;
-
-    std::size_t victim = base + victimWay(base);
-
-    if (flags[victim] & kValid) {
-        ++stats_.evictions;
-        if (flags[victim] & kDirty)
-            ++stats_.writebacks;
-    } else {
-        ++setOcc[set];
-        ++validLines;
-    }
-    ++setGen[set]; // residency changed: retire the set's summary
-    ++structGen;
-
-    tags[victim] = tag;
-    lastUse[victim] = useClock;
-    flags[victim] = static_cast<uint8_t>(kValid | (write ? kDirty : 0));
-}
-
-void
-CacheSim::accessSegment(const SegDesc &seg)
-{
-    const uint64_t line = lineBytes;
-    if (seg.count == 0)
-        return;
-    ++stats_.tiers.lineRunSegments;
-
-    if (seg.stride == 0) {
-        accessLineRun(seg.firstAddr >> lineShift, seg.count,
-                      seg.write);
-        return;
-    }
-
-    if (seg.stride > 0 && static_cast<uint64_t>(seg.stride) < line &&
-        line % static_cast<uint64_t>(seg.stride) == 0) {
-        // Dividing sub-line stride (the generators' hot shape): after
-        // a possibly partial first line, every full line carries
-        // exactly line/stride accesses -- one division total instead
-        // of one per line run.
-        const uint64_t s = static_cast<uint64_t>(seg.stride);
-        const uint64_t per = line / s;
-        uint64_t addr = seg.firstAddr;
-        uint64_t line_addr = addr >> lineShift;
-        uint64_t first =
-            (((line_addr + 1) << lineShift) - addr + s - 1) / s;
-        uint64_t run = std::min(first, seg.count);
-        uint64_t i = 0;
-        for (;;) {
-            accessLineRun(line_addr, run, seg.write);
-            i += run;
-            if (i >= seg.count)
-                return;
-            ++line_addr;
-            run = std::min(per, seg.count - i);
-        }
-    }
-
-    uint64_t i = 0;
-    while (i < seg.count) {
-        uint64_t addr = seg.addr(i);
-        uint64_t line_addr = addr >> lineShift;
-        uint64_t run = 1;
-        if (seg.stride > 0) {
-            uint64_t s = static_cast<uint64_t>(seg.stride);
-            if (s < line) {
-                // Accesses until the next line boundary.
-                uint64_t line_end = (line_addr + 1) << lineShift;
-                run = (line_end - addr + s - 1) / s;
-                run = std::min(run, seg.count - i);
-            }
-        } else {
-            uint64_t s = static_cast<uint64_t>(-seg.stride);
-            if (s < line) {
-                // Accesses down to the current line's start.
-                uint64_t line_start = line_addr << lineShift;
-                run = (addr - line_start) / s + 1;
-                run = std::min(run, seg.count - i);
-            }
-        }
-        accessLineRun(line_addr, run, seg.write);
-        i += run;
-    }
-}
-
-bool
-CacheSim::segmentSetsCold(const SegDesc &seg) const
-{
-    if (validLines == 0)
-        return true;
-    return segmentSetsCold(seg, streamShape(seg, sets, lineBytes));
-}
-
-bool
-CacheSim::segmentSetsCold(const SegDesc &seg, const StreamShape &sh) const
-{
-    (void)seg;
-    if (validLines == 0)
-        return true;
-    uint64_t touched = std::min(sh.period, sh.distinct);
-    // Upper-bound accounting before walking the sets: every resident
-    // line outside the touched sets occupies one of their
-    // (sets - touched) * assoc ways, so more valid lines than that
-    // prove some touched set is occupied. In particular any segment
-    // touching every set fails in O(1) on a non-empty cache.
-    if (validLines > (sets - touched) * assoc)
-        return false;
-    for (uint64_t r = 0; r < touched; ++r) {
-        if (setOcc[(sh.firstLine + r * sh.q) % sets] != 0)
-            return false;
-    }
-    return true;
-}
-
-namespace {
-
-/**
- * Index of the last access to the t-th distinct line of an
- * applicable stream: the oracle stamps that access's clock into the
- * line's lastUse, and both closed-form tiers reproduce it.
- */
-uint64_t
-lastAccessIndex(const SegDesc &seg, const StreamShape &sh,
-                uint64_t line, uint64_t t)
-{
-    const uint64_t stride = static_cast<uint64_t>(seg.stride);
-    if (stride > line)
-        return t; // one access per line (exact line multiples)
-    if (stride == 0)
-        return seg.count - 1;
-    // Largest i with firstAddr + i*stride < (firstLine + t + 1)
-    // * line; clamped to the run's end.
-    uint64_t bound = (sh.firstLine + t + 1) * line - seg.firstAddr;
-    uint64_t i = (bound + stride - 1) / stride - 1;
-    return std::min<uint64_t>(i, seg.count - 1);
-}
-
-} // anonymous namespace
-
-void
-CacheSim::applyColdStream(const SegDesc &seg)
-{
-    panic_if(!analyticStreamApplicable(seg, lineBytes),
-             "applyColdStream: segment not applicable");
-    applyColdStream(seg, streamShape(seg, sets, lineBytes));
-}
-
-void
-CacheSim::applyColdStream(const SegDesc &seg, const StreamShape &sh)
-{
-    panic_if(!segmentSetsCold(seg, sh),
-             "applyColdStream: touched sets are not cold");
-
-    CacheStats s = analyticStreamStatsShaped(seg, sh, assoc);
-    stats_.accesses += s.accesses;
-    stats_.hits += s.hits;
-    stats_.misses += s.misses;
-    stats_.evictions += s.evictions;
-    stats_.writebacks += s.writebacks;
-    ++stats_.tiers.coldSegments;
-
-    const uint64_t clock0 = useClock;
-    useClock += seg.count;
-
-    // Install the surviving tail: a cold set fills ways 0, 1, ... in
-    // arrival order and then replaces round-robin (LRU == oldest
-    // arrival), so the j-th arrival into a set lives in way
-    // j mod assoc; only the last min(count, assoc) arrivals survive.
-    const uint8_t install_flags =
-        static_cast<uint8_t>(kValid | (seg.write ? kDirty : 0));
-    const uint64_t line = lineBytes;
-    uint64_t touched = std::min(sh.period, sh.distinct);
-    for (uint64_t r = 0; r < touched; ++r) {
-        uint64_t cnt = (sh.distinct - 1 - r) / sh.period + 1;
-        uint64_t surv = std::min<uint64_t>(cnt, assoc);
-        uint64_t set = (sh.firstLine + r * sh.q) % sets;
-        std::size_t base = static_cast<std::size_t>(set) * assoc;
-        for (uint64_t j = 0; j < surv; ++j) {
-            uint64_t arrival = cnt - 1 - j;
-            uint64_t t = r + arrival * sh.period;
-            uint64_t line_addr = sh.firstLine + t * sh.q;
-            std::size_t slot = base + arrival % assoc;
-            tags[slot] = line_addr / sets;
-            lastUse[slot] = clock0 + lastAccessIndex(seg, sh, line, t) + 1;
-            flags[slot] = install_flags;
-        }
-        setOcc[set] += static_cast<uint32_t>(surv);
-        validLines += surv;
-
-        // The set was empty, so its contents are now exactly the
-        // surviving arithmetic run -- seed the residency summary so a
-        // later re-walk of the stream warms up without probing. (The
-        // summaries store way indices as bytes; wider geometries just
-        // skip the warm tier.)
-        ++setGen[set];
-        ++structGen;
-        if (assoc <= 256) {
-            uint64_t first_surv = cnt - surv;
-            SetSummary &sum = summaries[set];
-            sum.base = sh.firstLine + (r + first_surv * sh.period) * sh.q;
-            sum.step = sh.q * sh.period;
-            sum.count = static_cast<uint32_t>(surv);
-            sum.gen = setGen[set];
-            uint8_t *row = &sumWays[base];
-            for (uint64_t j = 0; j < surv; ++j)
-                row[j] = static_cast<uint8_t>((first_surv + j) % assoc);
-        }
-    }
-}
-
-int64_t
-CacheSim::summaryOffset(uint64_t set, uint64_t first, uint64_t step,
-                        uint64_t cnt) const
-{
-    const SetSummary &sum = summaries[set];
-    if (sum.count == 0 || sum.gen != setGen[set])
-        return -1;
-    if (first < sum.base)
-        return -1;
-    if (cnt > 1 && sum.step != step)
-        return -1; // runs of 2+ lines must share the lattice step
-    const uint64_t sstep = sum.step;
-    const uint64_t d = first - sum.base;
-    uint64_t o;
-    if ((sstep & (sstep - 1)) == 0) {
-        // Power-of-two lattice (the common shape: the set count is a
-        // power of two and panel lattices inherit it): shift instead
-        // of dividing.
-        if (d & (sstep - 1))
-            return -1;
-        o = d >> std::countr_zero(sstep);
-    } else {
-        o = d / sstep;
-        if (o * sstep != d)
-            return -1;
-    }
-    if (o >= sum.count || cnt > sum.count - o)
-        return -1;
-    return static_cast<int64_t>(o);
-}
-
-bool
-CacheSim::probeAndRecordRun(uint64_t set, uint64_t first, uint64_t step,
-                            uint64_t cnt)
-{
-    if (cnt > assoc)
-        return false; // more lines than ways cannot all be resident
-    std::size_t base = static_cast<std::size_t>(set) * assoc;
-    for (uint64_t j = 0; j < cnt; ++j) {
-        int way = probeWay(base, (first + j * step) / sets);
-        if (way < 0)
-            return false;
-        warmScratch[j] = static_cast<uint8_t>(way);
-    }
-    recordSummaryRun(set, first, step, cnt, warmScratch.data());
-    return true;
-}
-
-void
-CacheSim::recordSummaryRun(uint64_t set, uint64_t first, uint64_t step,
-                           uint64_t cnt, const uint8_t *ways)
-{
-    SetSummary &sum = summaries[set];
-    const bool valid = sum.count > 0 && sum.gen == setGen[set];
-    uint8_t *row = &sumWays[static_cast<std::size_t>(set) * assoc];
-    if (valid) {
-        // Both runs were verified under the current generation, so
-        // merging them loses nothing: if they live on one lattice and
-        // their union is contiguous, coalesce (this is how the rows
-        // of a re-read panel accrete into one per-set run). A lone
-        // line has no intrinsic step and adopts the other run's.
-        uint64_t ebase = sum.base;
-        uint64_t estep = sum.step;
-        uint64_t ecount = sum.count;
-        uint64_t mstep = cnt == 1 && ecount > 1 ? estep : step;
-        bool step_ok = (ecount == 1 || estep == mstep) &&
-            (cnt == 1 || step == mstep);
-        uint64_t lo = std::min(ebase, first);
-        uint64_t span = std::max(ebase, first) - lo;
-        if (step_ok && span % mstep == 0) {
-            uint64_t eo = (ebase - lo) / mstep;
-            uint64_t no = (first - lo) / mstep;
-            // Union is an interval iff the runs overlap or touch.
-            if (no <= eo + ecount && eo <= no + cnt) {
-                uint64_t total = std::max(eo + ecount, no + cnt);
-                if (total <= assoc) {
-                    for (uint64_t i = 0; i < total; ++i) {
-                        mergeScratch[i] = i >= no && i - no < cnt
-                            ? ways[i - no] : row[i - eo];
-                    }
-                    sum.base = lo;
-                    sum.step = mstep;
-                    sum.count = static_cast<uint32_t>(total);
-                    sum.gen = setGen[set];
-                    std::copy_n(mergeScratch.data(),
-                                static_cast<std::size_t>(total), row);
-                    return;
-                }
-            }
-        }
-        // Incompatible runs: keep the longer one. Preferring the
-        // established run when it is longer stops a lone conflicting
-        // line from evicting a whole panel's summary (the lone
-        // segment re-probes next replay; the panel stays O(1)).
-        if (cnt < ecount)
-            return;
-    }
-    sum.base = first;
-    sum.step = step;
-    sum.count = static_cast<uint32_t>(cnt);
-    sum.gen = setGen[set];
-    std::copy_n(ways, static_cast<std::size_t>(cnt), row);
-}
-
-bool
-CacheSim::segmentSetsWarm(const SegDesc &seg)
-{
-    return segmentSetsWarm(seg, streamShape(seg, sets, lineBytes));
-}
-
-bool
-CacheSim::segmentSetsWarm(const SegDesc &seg, const StreamShape &sh)
-{
-    warmMemo = false;
-    // Cheap upper bounds first: the stream cannot be fully resident
-    // with fewer valid lines than it has distinct lines (and the way
-    // indices the summaries record must fit their byte storage).
-    if (validLines < sh.distinct || assoc > 256)
-        return false;
-    const uint64_t touched = std::min(sh.period, sh.distinct);
-    const uint64_t step = sh.q * sh.period;
-    for (uint64_t r = 0; r < touched; ++r) {
-        const uint64_t cnt = (sh.distinct - 1 - r) / sh.period + 1;
-        const uint64_t set = (sh.firstLine + r * sh.q) % sets;
-        if (setOcc[set] < cnt)
-            return false;
-        const uint64_t first = sh.firstLine + r * sh.q;
-        const std::size_t base = static_cast<std::size_t>(set) * assoc;
-        const int64_t o = summaryOffset(set, first, step, cnt);
-        const uint8_t *run;
-        if (o >= 0) {
-            run = &sumWays[base + static_cast<uint64_t>(o)];
-        } else {
-            if (!probeAndRecordRun(set, first, step, cnt))
-                return false;
-            // Memoize from the probe, not the merged summary: the
-            // merge may have preferred an incompatible longer run
-            // that does not cover this one.
-            run = warmScratch.data();
-        }
-        uint64_t t = r;
-        for (uint64_t j = 0; j < cnt; ++j, t += sh.period)
-            warmSlots[t] = static_cast<uint32_t>(base + run[j]);
-    }
-    // Every line verified resident: stash the slot-per-line mapping
-    // (indexed by distinct line) so the apply pass that immediately
-    // follows can stamp lastUse without re-deriving summary offsets.
-    // The clock stamp is the contract guard -- any intervening access
-    // bumps useClock and the memo is ignored.
-    warmMemoAddr = seg.firstAddr;
-    warmMemoStride = seg.stride;
-    warmMemoCount = seg.count;
-    warmMemoClock = useClock;
-    warmMemo = true;
-    return true;
-}
-
-void
-CacheSim::applyWarmStream(const SegDesc &seg)
-{
-    panic_if(!analyticStreamApplicable(seg, lineBytes),
-             "applyWarmStream: segment not applicable");
-    applyWarmStream(seg, streamShape(seg, sets, lineBytes));
-}
-
-void
-CacheSim::applyWarmStream(const SegDesc &seg, const StreamShape &sh)
-{
-    // Every access hits: statistics are pure arithmetic, and the
-    // only state the oracle would change is each line's lastUse (its
-    // last access's clock) plus dirty bits on writes -- written
-    // straight through the verified way mapping, no probes.
-    const uint64_t touched = std::min(sh.period, sh.distinct);
-    const uint64_t step = sh.q * sh.period;
-    const uint64_t clock0 = useClock;
-    const uint64_t line = lineBytes;
-    if (warmMemo && warmMemoClock == useClock &&
-        warmMemoAddr == seg.firstAddr &&
-        warmMemoStride == seg.stride && warmMemoCount == seg.count) {
-        // Fast path: segmentSetsWarm just verified this exact segment
-        // and nothing touched the cache since, so warmSlots holds
-        // every distinct line's slot in stream order.
-        stampWarmRun(seg, warmSlots.data(), sh.distinct);
-        recordWarmMemo(seg, sh.distinct);
-        return;
-    }
-    for (uint64_t r = 0; r < touched; ++r) {
-        const uint64_t cnt = (sh.distinct - 1 - r) / sh.period + 1;
-        const uint64_t set = (sh.firstLine + r * sh.q) % sets;
-        const uint64_t first = sh.firstLine + r * sh.q;
-        const std::size_t base = static_cast<std::size_t>(set) * assoc;
-        const int64_t o = summaryOffset(set, first, step, cnt);
-        if (o >= 0) {
-            const uint8_t *row =
-                &sumWays[base + static_cast<uint64_t>(o)];
-            for (uint64_t j = 0; j < cnt; ++j) {
-                const uint64_t t = r + j * sh.period;
-                const std::size_t slot = base + row[j];
-                warmSlots[t] = static_cast<uint32_t>(slot);
-                lastUse[slot] =
-                    clock0 + lastAccessIndex(seg, sh, line, t) + 1;
-                if (seg.write)
-                    flags[slot] |= kDirty;
-            }
-            continue;
-        }
-        // The set's summary vouches for a different (longer) run than
-        // this segment's -- the lines are still verified resident, so
-        // fall back to a probe per line for this set only.
-        for (uint64_t j = 0; j < cnt; ++j) {
-            int way = probeWay(base, (first + j * step) / sets);
-            panic_if(way < 0,
-                     "applyWarmStream: line not resident "
-                     "(call segmentSetsWarm first)");
-            const uint64_t t = r + j * sh.period;
-            const std::size_t slot =
-                base + static_cast<unsigned>(way);
-            warmSlots[t] = static_cast<uint32_t>(slot);
-            lastUse[slot] =
-                clock0 + lastAccessIndex(seg, sh, line, t) + 1;
-            if (seg.write)
-                flags[slot] |= kDirty;
-        }
-    }
-    useClock += seg.count;
-    stats_.accesses += seg.count;
-    stats_.hits += seg.count;
-    ++stats_.tiers.warmSegments;
-    recordWarmMemo(seg, sh.distinct);
-}
-
-std::size_t
-CacheSim::warmMemoSlot(const SegDesc &seg) const
-{
-    // Deterministic 64-bit mix of the segment identity, folded to the
-    // direct-mapped table's power-of-two size.
-    uint64_t x = seg.firstAddr * 0x9E3779B97F4A7C15ull;
-    x ^= static_cast<uint64_t>(seg.stride) +
-        0x9E3779B97F4A7C15ull * seg.count;
-    x ^= x >> 29;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 32;
-    return static_cast<std::size_t>(x) & (warmTable.size() - 1);
-}
-
-void
-CacheSim::stampWarmRun(const SegDesc &seg, const uint32_t *slots,
-                       uint64_t distinct)
-{
-    const uint64_t clock1 = useClock + 1;
-    const uint64_t line = lineBytes;
-    const uint64_t stride = static_cast<uint64_t>(seg.stride);
-    // Read replays leave the flags untouched (skipping the
-    // read-modify-write per line); writes OR the dirty bit in.
-    if (seg.write) {
-        for (uint64_t t = 0; t < distinct; ++t)
-            flags[slots[t]] |= kDirty;
-    }
-    if (stride >= line) {
-        // One access per line: line t's last (only) access is t.
-        for (uint64_t t = 0; t < distinct; ++t)
-            lastUse[slots[t]] = clock1 + t;
-    } else if (stride == 0) {
-        // A repeated address: one line, last touched by the final
-        // access.
-        lastUse[slots[0]] = clock1 + seg.count - 1;
-    } else {
-        // Sub-line stride: line t's last access is the largest i with
-        // firstAddr + i*stride < (firstLine + t + 1) * line, i.e.
-        // floor((bound_t - 1) / stride) with bound_t growing by one
-        // line per step -- kept as an incremental quotient/remainder
-        // pair, so the loop has no divisions.
-        const uint64_t first_line_end =
-            ((seg.firstAddr >> lineShift) + 1) << lineShift;
-        const uint64_t num = first_line_end - seg.firstAddr - 1;
-        const uint64_t last = seg.count - 1;
-        if ((stride & (stride - 1)) == 0) {
-            // Power-of-two stride (the common element walk) divides
-            // the power-of-two line exactly: the remainder never
-            // moves and the setup needs shifts only.
-            const unsigned ss =
-                static_cast<unsigned>(std::countr_zero(stride));
-            const uint64_t dl = line >> ss;
-            uint64_t fq = num >> ss;
-            for (uint64_t t = 0; t < distinct; ++t) {
-                lastUse[slots[t]] = clock1 + std::min(fq, last);
-                fq += dl;
-            }
-        } else {
-            const uint64_t dl = line / stride;
-            const uint64_t rl = line % stride;
-            uint64_t fq = num / stride;
-            uint64_t fr = num % stride;
-            for (uint64_t t = 0; t < distinct; ++t) {
-                lastUse[slots[t]] = clock1 + std::min(fq, last);
-                fq += dl;
-                fr += rl;
-                if (fr >= stride) {
-                    ++fq;
-                    fr -= stride;
-                }
-            }
-        }
-    }
-    useClock += seg.count;
-    stats_.accesses += seg.count;
-    stats_.hits += seg.count;
-    ++stats_.tiers.warmSegments;
-}
-
-void
-CacheSim::recordWarmMemo(const SegDesc &seg, uint64_t distinct)
-{
-    if (warmTable.empty() || distinct > kWarmArenaCap - kWarmHdrWords)
-        return;
-    if (warmArenaGen != structGen) {
-        // First record of a new structural epoch: everything in the
-        // memo described the old structure. Stale table entries are
-        // left in place -- the epoch bump invalidates them.
-        warmArena.clear();
-        warmCursor = 0;
-        warmArenaGen = structGen;
-        ++warmMemoEpoch;
-    }
-    if (warmArena.size() + kWarmHdrWords + distinct > kWarmArenaCap) {
-        // Arena exhausted (sustained churn within one epoch): retire
-        // the whole memo -- entries index into the arena.
-        warmArena.clear();
-        warmCursor = 0;
-        ++warmMemoEpoch;
-    }
-    const uint32_t rec_off = static_cast<uint32_t>(warmArena.size());
-    warmArena.resize(warmArena.size() + kWarmHdrWords + distinct);
-    uint32_t *rec = &warmArena[rec_off];
-    const uint64_t addr = seg.firstAddr;
-    const uint64_t stride = static_cast<uint64_t>(seg.stride);
-    const uint64_t count = seg.count;
-    std::memcpy(rec + 0, &addr, 8);
-    std::memcpy(rec + 2, &stride, 8);
-    std::memcpy(rec + 4, &count, 8);
-    rec[6] = static_cast<uint32_t>(distinct);
-    rec[7] = 0;
-    std::copy_n(warmSlots.data(), static_cast<std::size_t>(distinct),
-                rec + kWarmHdrWords);
-    WarmMemoEntry &e = warmTable[warmMemoSlot(seg)];
-    e.addr = seg.firstAddr;
-    e.stride = seg.stride;
-    e.count = seg.count;
-    e.epoch = warmMemoEpoch;
-    e.recOff = rec_off;
-    e.distinct = static_cast<uint32_t>(distinct);
-}
-
-bool
-CacheSim::replayWarmMemo(const SegDesc &seg)
-{
-    if (warmArenaGen != structGen || warmArena.empty())
-        return false;
-    // Sequential fast path: segment lists replay in the same order
-    // every round, so the next arena record usually is this segment.
-    if (warmCursor >= warmArena.size())
-        warmCursor = 0;
-    const uint32_t *rec = &warmArena[warmCursor];
-    uint64_t addr, stride, count;
-    std::memcpy(&addr, rec + 0, 8);
-    std::memcpy(&stride, rec + 2, 8);
-    std::memcpy(&count, rec + 4, 8);
-    if (addr == seg.firstAddr &&
-        stride == static_cast<uint64_t>(seg.stride) &&
-        count == seg.count) {
-        const uint32_t distinct = rec[6];
-        stampWarmRun(seg, rec + kWarmHdrWords, distinct);
-        warmCursor += kWarmHdrWords + distinct;
-        return true;
-    }
-    // Out of step (a new list, a skipped segment, or a hash-evicted
-    // duplicate): resync through the table. The epoch stamp rejects
-    // entries that survived a memo retirement -- their offsets index
-    // into a cleared arena.
-    const WarmMemoEntry &e = warmTable[warmMemoSlot(seg)];
-    if (e.epoch != warmMemoEpoch || e.count != seg.count ||
-        e.addr != seg.firstAddr || e.stride != seg.stride)
-        return false;
-    stampWarmRun(seg, &warmArena[e.recOff + kWarmHdrWords],
-                 e.distinct);
-    warmCursor = e.recOff + kWarmHdrWords + e.distinct;
-    return true;
-}
-
-CacheSetState
-CacheSim::snapshotState() const
-{
-    CacheSetState st;
-    st.sets = sets;
-    st.assoc = assoc;
-    st.lineBytes = lineBytes;
-    st.tags = tags;
-    st.lastUse = lastUse;
-    st.flags = flags;
-    st.useClock = useClock;
-    st.stats = stats_;
-    return st;
-}
-
-void
-CacheSim::restoreState(const CacheSetState &state)
-{
-    panic_if(state.sets != sets || state.assoc != assoc ||
-                 state.lineBytes != lineBytes,
-             "restoreState: geometry mismatch (%llu sets x %u ways x "
-             "%u B vs %llu x %u x %u)",
-             static_cast<unsigned long long>(state.sets), state.assoc,
-             state.lineBytes, static_cast<unsigned long long>(sets),
-             assoc, lineBytes);
-    panic_if(state.tags.size() != tags.size() ||
-                 state.lastUse.size() != lastUse.size() ||
-                 state.flags.size() != flags.size(),
-             "restoreState: corrupt state (%zu lines vs %zu)",
-             state.flags.size(), flags.size());
-    tags = state.tags;
-    lastUse = state.lastUse;
-    flags = state.flags;
-    useClock = state.useClock;
-    stats_ = state.stats;
-
-    // Rebuild the occupancy counters from the restored valid bits --
-    // they are derived state and must never drift from it. The
-    // residency summaries are retired wholesale (they described the
-    // pre-restore contents); the warm tier re-verifies on first use.
-    setOcc.assign(sets, 0);
-    validLines = 0;
-    for (std::size_t i = 0; i < flags.size(); ++i) {
-        if (flags[i] & kValid) {
-            ++setOcc[i / assoc];
-            ++validLines;
-        }
-    }
-    summaries.assign(sets, SetSummary{});
-    warmMemo = false;
-    ++structGen; // wholesale change: retire the cross-replay memo
 }
 
 void
 CacheSim::reset()
 {
-    tags.assign(tags.size(), 0);
-    lastUse.assign(lastUse.size(), 0);
-    flags.assign(flags.size(), 0);
-    setOcc.assign(sets, 0);
-    summaries.assign(sets, SetSummary{});
-    warmMemo = false;
-    ++structGen; // wholesale change: retire the cross-replay memo
-    validLines = 0;
+    lines.assign(lines.size(), Line{});
     useClock = 0;
     stats_ = CacheStats{};
 }

@@ -2,67 +2,19 @@
  * @file
  * Trace-driven set-associative cache simulator with LRU replacement.
  * Used to validate the analytical cache model's capacity power law and
- * available for detailed single-kernel studies.
- *
- * Storage is structure-of-arrays: tags, last-use clocks and
- * valid/dirty flags live in separate flat arrays indexed by
- * set * assoc + way, so the batched replay path streams through
- * contiguous memory instead of hopping across per-line structs.
- *
- * Four replay tiers produce bit-identical statistics and cache
- * state: the scalar access() reference oracle, the batched
- * accessBlock() scan over a materialized trace, and the
- * segment-descriptor tiers -- accessSegment() replays a stride run at
- * line-run granularity (one probe per distinct line instead of one
- * per access), applyColdStream() accounts a whole run in closed form
- * when every set it touches is empty (tracked by the per-set
- * occupancy counters that carry across segments), and
- * applyWarmStream() accounts a fully resident re-walk in closed form
- * (all hits; lastUse stamped arithmetically through the per-set
- * residency summaries, no tag probes on the steady state).
- *
- * The per-line probe inside accessSegment() is vectorized (AVX2)
- * when the host supports it, with a portable scalar fallback chosen
- * at runtime; both arms are bit-identical.
+ * available for detailed single-kernel studies. It is not on the
+ * timing path: kernel timing prices memory through the closed-form
+ * model in cache_model.hh.
  */
 
 #ifndef SEQPOINT_SIM_CACHE_SIM_HH
 #define SEQPOINT_SIM_CACHE_SIM_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace seqpoint {
 namespace sim {
-
-class AccessTrace;
-struct StreamShape;
-
-/**
- * Per-tier engagement counters for the segment-replay ladder: how
- * many segment replays were accounted by each engine tier. Every
- * segment replayed through a CacheSim accounts to exactly one tier.
- *
- * Tier choice is an engine decision, not simulation semantics -- two
- * engines replaying the same stream report identical CacheStats
- * (whose equality therefore ignores these counters) while engaging
- * different tiers.
- */
-struct ReplayTierCounters {
-    uint64_t coldSegments = 0;    ///< applyColdStream() closed form.
-    uint64_t warmSegments = 0;    ///< applyWarmStream() closed form.
-    uint64_t lineRunSegments = 0; ///< accessSegment() line runs.
-
-    /** @return Total segment replays accounted. */
-    uint64_t total() const
-    {
-        return coldSegments + warmSegments + lineRunSegments;
-    }
-
-    /** Field-wise equality (tier-coverage tests). */
-    bool operator==(const ReplayTierCounters &other) const = default;
-};
 
 /** Hit/miss statistics for a simulated cache. */
 struct CacheStats {
@@ -72,69 +24,11 @@ struct CacheStats {
     uint64_t evictions = 0;  ///< Lines evicted to make room.
     uint64_t writebacks = 0; ///< Dirty lines written back.
 
-    /** Segment-replay tier engagement (see ReplayTierCounters). */
-    ReplayTierCounters tiers;
-
     /** @return hits / accesses; 0 when no accesses. */
     double hitRate() const;
 
-    /**
-     * Semantic equality (used by the engine-identity tests): compares
-     * the simulation-visible fields only. The tier counters describe
-     * which engine tier did the accounting, which legitimately
-     * differs between bit-identical engines.
-     */
-    bool operator==(const CacheStats &other) const
-    {
-        return accesses == other.accesses && hits == other.hits &&
-            misses == other.misses && evictions == other.evictions &&
-            writebacks == other.writebacks;
-    }
-};
-
-/**
- * One segment descriptor: `count` accesses at
- * `firstAddr + i * stride` (i = 0..count-1), all with the same
- * read/write direction. The compact unit of the segment-descriptor
- * stream representation (access_gen.hh): a stride run, a repeated
- * address (stride 0), or a lone access (count 1).
- */
-struct SegDesc {
-    uint64_t firstAddr = 0; ///< Address of the first access.
-    int64_t stride = 0;     ///< Signed byte stride between accesses.
-    uint64_t count = 0;     ///< Number of accesses.
-    bool write = false;     ///< Uniform access direction.
-
-    /** @return Address of access i (i < count). */
-    uint64_t addr(uint64_t i) const
-    {
-        return firstAddr +
-            static_cast<uint64_t>(stride) * i; // wraps consistently
-    }
-
     /** Field-wise equality. */
-    bool operator==(const SegDesc &other) const = default;
-};
-
-/**
- * Frozen copy of a cache's full mutable state -- line arrays, use
- * clock and statistics. Snapshot/restore lets callers replay several
- * engines (or several continuations) from one warm starting point
- * without rebuilding it: snapshot once, restore before each run.
- */
-struct CacheSetState {
-    // Geometry the state was captured on; restoreState() refuses a
-    // cache whose geometry differs (tags/set mappings would be
-    // silently misinterpreted otherwise).
-    uint64_t sets = 0;      ///< Number of sets.
-    unsigned assoc = 0;     ///< Ways per set.
-    unsigned lineBytes = 0; ///< Line size.
-
-    std::vector<uint64_t> tags;    ///< Per-way tags.
-    std::vector<uint64_t> lastUse; ///< Per-way LRU clocks.
-    std::vector<uint8_t> flags;    ///< Per-way valid/dirty bits.
-    uint64_t useClock = 0;         ///< Global LRU clock.
-    CacheStats stats;              ///< Statistics at snapshot time.
+    bool operator==(const CacheStats &other) const = default;
 };
 
 /**
@@ -155,152 +49,13 @@ class CacheSim
     CacheSim(uint64_t size_bytes, unsigned assoc, unsigned line_bytes);
 
     /**
-     * Perform one access (the scalar reference oracle).
+     * Perform one access.
      *
      * @param addr Byte address.
      * @param write True for a store (marks the line dirty).
      * @return True on hit.
      */
     bool access(uint64_t addr, bool write);
-
-    /**
-     * Replay trace entries [begin, end) through the cache.
-     *
-     * The batched path probes and updates the SoA arrays with a
-     * branchless hit scan and single-pass victim selection; the
-     * resulting statistics and cache state are bit-identical to
-     * calling access() once per entry.
-     *
-     * @param trace Recorded access stream.
-     * @param begin First trace index to replay.
-     * @param end One past the last trace index to replay.
-     */
-    void accessBlock(const AccessTrace &trace, std::size_t begin,
-                     std::size_t end);
-
-    /**
-     * Replay one segment descriptor at line-run granularity.
-     *
-     * Within a stride run consecutive accesses to the same line are
-     * consecutive in time (addresses are monotone), so each distinct
-     * line costs one probe and its remaining accesses are accounted
-     * arithmetically as guaranteed hits. Bit-identical in statistics
-     * and state to access() per expanded entry, for any stride
-     * (positive, negative, zero, line-straddling).
-     *
-     * @param seg Segment to replay.
-     */
-    void accessSegment(const SegDesc &seg);
-
-    /**
-     * Account an entire streaming segment in closed form.
-     *
-     * Requires analyticStreamApplicable(seg, lineSize()) and
-     * segmentSetsCold(seg): line addresses advance by a constant
-     * non-negative step and every set the run touches is empty, so
-     * hits, misses, evictions and writebacks follow from arithmetic
-     * (cache_model.hh) and only the surviving tail of the stream --
-     * at most assoc lines per touched set -- is installed. O(min(
-     * distinct lines, cache lines)) instead of O(accesses);
-     * bit-identical in statistics and state to the scalar oracle.
-     *
-     * @param seg Applicable segment (panics otherwise).
-     */
-    void applyColdStream(const SegDesc &seg);
-
-    /**
-     * applyColdStream() with the segment's precomputed line shape --
-     * the replay ladder computes the shape once per segment and
-     * shares it between the tier tests and the accounting.
-     *
-     * @param seg Applicable segment (panics otherwise).
-     * @param sh streamShape(seg, numSets(), lineSize()).
-     */
-    void applyColdStream(const SegDesc &seg, const StreamShape &sh);
-
-    /**
-     * Whether every set `seg` touches is empty -- the piecewise
-     * engine's applicability test for applyColdStream(), answered
-     * from the per-set occupancy counters in O(touched sets).
-     *
-     * @param seg Candidate segment (must satisfy
-     *            analyticStreamApplicable()).
-     */
-    bool segmentSetsCold(const SegDesc &seg) const;
-
-    /** segmentSetsCold() with the segment's precomputed line shape. */
-    bool segmentSetsCold(const SegDesc &seg,
-                         const StreamShape &sh) const;
-
-    /**
-     * Whether every distinct line of `seg` is currently resident, so
-     * the whole segment replays as hits (the warm-tier applicability
-     * test). Answered from the generation-stamped per-set residency
-     * summaries in O(1) per touched set on the steady state; sets
-     * whose summary cannot vouch for the segment's lines are probed
-     * once and the verified run is recorded, so the next replay of
-     * the same shape skips the probes. Never changes statistics or
-     * simulation state -- only the summary side index.
-     *
-     * @param seg Candidate segment (must satisfy
-     *            analyticStreamApplicable()).
-     */
-    bool segmentSetsWarm(const SegDesc &seg);
-
-    /** segmentSetsWarm() with the segment's precomputed line shape. */
-    bool segmentSetsWarm(const SegDesc &seg, const StreamShape &sh);
-
-    /**
-     * Account an entire fully resident streaming segment in closed
-     * form: every access hits, so statistics are pure arithmetic and
-     * the per-line lastUse stamps (plus dirty bits for writes) are
-     * written directly through the residency summaries' recorded way
-     * mapping -- no tag probes, no LRU scans. Bit-identical in
-     * statistics and state to the scalar oracle.
-     *
-     * Requires analyticStreamApplicable(seg, lineSize()) and a
-     * preceding successful segmentSetsWarm(seg) with no intervening
-     * accesses (panics otherwise).
-     *
-     * @param seg Applicable, fully resident segment.
-     */
-    void applyWarmStream(const SegDesc &seg);
-
-    /**
-     * Steady-state warm fast path: if this exact segment was verified
-     * fully resident by an earlier warm replay and the cache's
-     * structure (which lines are resident, and in which ways) has not
-     * changed since -- tracked by a structural generation that counts
-     * installs, evictions and wholesale state changes, but not hits --
-     * then residency still holds, and the memoized slot list replays
-     * the segment as hits without shape math, probes or summary
-     * lookups. Bit-identical in statistics and state to
-     * segmentSetsWarm() + applyWarmStream().
-     *
-     * @param seg Candidate segment (must satisfy
-     *            analyticStreamApplicable()).
-     * @return True when the memo covered the segment and the replay
-     *         was applied; false (no state change) otherwise.
-     */
-    bool replayWarmMemo(const SegDesc &seg);
-
-    /** applyWarmStream() with the segment's precomputed line shape. */
-    void applyWarmStream(const SegDesc &seg, const StreamShape &sh);
-
-    /** @return True when no line is resident (freshly reset). */
-    bool coldCache() const { return validLines == 0; }
-
-    /** @return Snapshot of the full mutable state. */
-    CacheSetState snapshotState() const;
-
-    /**
-     * Restore a state captured by snapshotState() on a cache of the
-     * same geometry (panics on mismatch). Occupancy counters are
-     * rebuilt from the restored valid flags.
-     *
-     * @param state Snapshot to adopt.
-     */
-    void restoreState(const CacheSetState &state);
 
     /** Reset contents and statistics. */
     void reset();
@@ -320,210 +75,24 @@ class CacheSim
     /** @return Line size in bytes. */
     unsigned lineSize() const { return lineBytes; }
 
-    /**
-     * @return Structural generation: bumped by every install,
-     * eviction, reset and restore; unchanged by hits. Replay drivers
-     * use it to detect churn and back off the warm tier while the
-     * residency picture is still moving.
-     */
-    uint64_t structuralGen() const { return structGen; }
-
-    /**
-     * Probe-loop implementation choice. Auto resolves to the widest
-     * kernel the host supports at construction time; both arms are
-     * bit-identical in statistics and state.
-     */
-    enum class ProbeKernel {
-        Auto,   ///< Resolve at construction (default).
-        Scalar, ///< Portable scalar scan.
-        Simd,   ///< Vectorized scan (panics if unsupported).
+  private:
+    /** One cache line; lastUse is 0 exactly while the line is invalid. */
+    struct Line {
+        uint64_t tag = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
     };
 
-    /** @return True when the vectorized probe can run on this host. */
-    static bool simdProbeSupported();
-
-    /**
-     * Select the probe kernel (tests pin both arms explicitly; the
-     * default Auto picks the vectorized scan when supported).
-     *
-     * @param kernel Requested kernel (Simd panics if unsupported).
-     */
-    void setProbeKernel(ProbeKernel kernel);
-
-    /** @return The resolved probe kernel (never Auto). */
-    ProbeKernel probeKernel() const
-    {
-        return simdProbe ? ProbeKernel::Simd : ProbeKernel::Scalar;
-    }
-
-  private:
     uint64_t size;
     unsigned assoc;
     unsigned lineBytes;
     unsigned lineShift;
     uint64_t sets;
 
-    // Structure-of-arrays line storage, indexed set * assoc + way.
-    std::vector<uint64_t> tags;
-    std::vector<uint64_t> lastUse; ///< 0 for invalid lines.
-    std::vector<uint8_t> flags;    ///< Bit 0: valid, bit 1: dirty.
-
-    // Per-set occupancy (valid lines per set) and its total. Carried
-    // across segments so the piecewise engine can prove a run's sets
-    // cold without probing tags.
-    std::vector<uint32_t> setOcc;
-    uint64_t validLines = 0;
-
-    /**
-     * One set's residency summary: a verified arithmetic run of
-     * resident lines (base + j * step for j < count, line j in way
-     * sumWays[set * assoc + j]). count 0 means no summary.
-     */
-    struct SetSummary {
-        uint64_t gen = 0;   ///< Generation the run was verified under.
-        uint64_t base = 0;  ///< First line address of the run.
-        uint64_t step = 0;  ///< Lattice step between run lines.
-        uint32_t count = 0; ///< Lines in the run (0 = none).
-        uint32_t pad = 0;   ///< Keep the entry 32 bytes.
-    };
-
-    // Generation-stamped per-set residency summaries. setGen counts
-    // the set's installs and evictions; a summary speaks only for the
-    // generation it was verified against (gen == setGen), so any
-    // residency change silently retires it. Hits never bump the
-    // generation -- residency and way mapping are unchanged -- which
-    // is what keeps the warm-tier test O(1) per set across
-    // steady-state re-walks.
-    std::vector<uint64_t> setGen;
-    std::vector<SetSummary> summaries;
-    std::vector<uint8_t> sumWays;
-    std::vector<uint8_t> warmScratch; ///< Probe scratch (assoc ways).
-    std::vector<uint8_t> mergeScratch; ///< Merge scratch (assoc ways).
-
-    // Warm-pass memo: a successful segmentSetsWarm() resolves every
-    // line's slot anyway, so it records them (indexed by distinct
-    // line, in stream order) for the applyWarmStream() that follows,
-    // which then stamps without re-deriving the mapping. The memo is
-    // only trusted when the segment matches and the use clock is
-    // unchanged -- any intervening access advances the clock, falling
-    // back to the self-contained slow path.
-    std::vector<uint32_t> warmSlots;
-    uint64_t warmMemoAddr = 0;   ///< Memoed segment identity.
-    int64_t warmMemoStride = 0;  ///< Memoed segment identity.
-    uint64_t warmMemoCount = 0;  ///< Memoed segment identity.
-    uint64_t warmMemoClock = 0;  ///< useClock at verification time.
-    bool warmMemo = false;       ///< Memo holds a verified mapping.
-
-    /**
-     * One memoized warm replay in the direct-mapped resync table: the
-     * segment's identity and where its arena record lives. The table
-     * is never cleared -- an entry is live only while its epoch stamp
-     * matches warmMemoEpoch, so retiring the whole memo is a counter
-     * bump, not a 128 KiB memset (which would be paid per structural
-     * epoch and dominates replays that interleave installs with warm
-     * segments).
-     */
-    struct WarmMemoEntry {
-        uint64_t addr = 0;    ///< Segment identity: first address.
-        int64_t stride = 0;   ///< Segment identity: stride.
-        uint64_t count = 0;   ///< Segment identity: access count.
-        uint64_t epoch = 0;   ///< warmMemoEpoch at record time.
-        uint32_t recOff = 0;  ///< Record start index in warmArena.
-        uint32_t distinct = 0; ///< Distinct lines (slot count).
-    };
-
-    // Cross-replay warm memo. Residency depends only on cache
-    // structure, so a verified segment's per-line slot list stays
-    // valid -- across any number of replay rounds -- until structGen
-    // moves (installs, evictions, reset/restore); hits, including the
-    // warm stamps themselves, keep it live. Records live back to back
-    // in an append-only arena ([identity header, slots...]) in the
-    // order the segments were first verified, which is replay order;
-    // since segment lists replay in the same order every round, the
-    // steady state walks the arena sequentially with a cursor --
-    // header compare, stamp, advance; no hashing, no scattered
-    // lookups. A cursor mismatch resyncs through the direct-mapped
-    // table. A structGen change retires the memo wholesale on the
-    // next record (arena clear + epoch bump, both O(1)); the arena is
-    // bounded, overflow retires it the same way.
-    std::vector<WarmMemoEntry> warmTable;
-    std::vector<uint32_t> warmArena;
-    uint64_t warmArenaGen = 0;  ///< structGen the arena belongs to.
-    uint64_t warmMemoEpoch = 1; ///< Bumped on every memo retirement.
-    std::size_t warmCursor = 0; ///< Next sequential record offset.
-    uint64_t structGen = 0; ///< Bumped with every install/evict.
-
-    /// Resync table entries (direct-mapped, power of two).
-    static constexpr std::size_t kWarmTableSize = 4096;
-    /// Arena record header size in uint32 words: addr (2), stride
-    /// (2), count (2), distinct (1), pad (1).
-    static constexpr std::size_t kWarmHdrWords = 8;
-    /// Arena word budget; exceeding it retires the memo wholesale.
-    static constexpr std::size_t kWarmArenaCap = std::size_t(1) << 20;
-
-    static constexpr uint8_t kValid = 1;
-    static constexpr uint8_t kDirty = 2;
-
+    std::vector<Line> lines; ///< Indexed set * assoc + way.
     uint64_t useClock = 0;
     CacheStats stats_;
-    bool simdProbe = false; ///< Resolved probe-kernel choice.
-
-    /**
-     * Perform `cnt` consecutive accesses that all target `line_addr`:
-     * one probe, the rest guaranteed hits.
-     */
-    void accessLineRun(uint64_t line_addr, uint64_t cnt, bool write);
-
-    /**
-     * Find the way holding `tag` in the set at slot base `base`
-     * (probe only, no state change). @return Way index, or -1.
-     */
-    int probeWay(std::size_t base, uint64_t tag) const;
-
-    /**
-     * Pick the replacement way for the set at slot base `base`: the
-     * first invalid way, else true LRU (the first minimum of the
-     * per-way lastUse clocks; invalid ways present as clock 0).
-     */
-    unsigned victimWay(std::size_t base) const;
-
-    /**
-     * Offset of the run `first + j * step`, j < cnt, within the
-     * set's summary, or -1 when the summary cannot vouch for the
-     * run's residency.
-     */
-    int64_t summaryOffset(uint64_t set, uint64_t first, uint64_t step,
-                          uint64_t cnt) const;
-
-    /**
-     * Probe the cnt lines `first + j * step` in `set`; on full
-     * residency record (or merge) the verified run into the set's
-     * summary and return true.
-     */
-    bool probeAndRecordRun(uint64_t set, uint64_t first, uint64_t step,
-                           uint64_t cnt);
-
-    /**
-     * Install or extend the set's summary with a run verified under
-     * the current generation (ways[j] holds line first + j * step).
-     */
-    void recordSummaryRun(uint64_t set, uint64_t first, uint64_t step,
-                          uint64_t cnt, const uint8_t *ways);
-
-    /** Direct-mapped warmTable index for the segment's identity. */
-    std::size_t warmMemoSlot(const SegDesc &seg) const;
-
-    /**
-     * Stamp a verified fully resident segment through its per-line
-     * slot list: hit statistics in closed form, lastUse per distinct
-     * line from the stride-class closed forms (no divisions in the
-     * loop), dirty bits for writes.
-     */
-    void stampWarmRun(const SegDesc &seg, const uint32_t *slots,
-                      uint64_t distinct);
-
-    /** Memoize the verified segment's slot list (from warmSlots). */
-    void recordWarmMemo(const SegDesc &seg, uint64_t distinct);
 };
 
 } // namespace sim

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/units.hh"
 #include "sim/access_gen.hh"
 #include "sim/cache_model.hh"
 #include "sim/cache_sim.hh"
@@ -78,14 +79,12 @@ TEST(MemoryBreakdown, DisabledL2SendsTrafficToDram)
 
 /**
  * Cross-validation of the analytical capacity law against the
- * trace-driven simulator on a hot/cold access mix. At the exact
- * capacity == working-set boundary LRU churn from the cold stream
- * keeps the measured rate below the law's optimistic value, so the
- * validation asserts the physically meaningful structure: hit rate is
- * monotone in capacity, approaches the intrinsic reuse once capacity
- * comfortably exceeds the hot set, and collapses when capacity is a
- * small fraction of it. Away from the boundary the law also tracks
- * the measurement numerically.
+ * trace-driven simulator on a hot/cold access mix, at every capacity
+ * of the ablation table. LRU churn from the cold stream keeps the
+ * measured rate below the law's optimistic value up to the hot-set
+ * size (it tracks roughly 0.55x of the p = 1 law there), hit rate is
+ * monotone in capacity, and once capacity comfortably exceeds the
+ * hot set the measurement settles at the intrinsic reuse.
  */
 TEST(CacheModelValidation, PowerLawTracksSimulatorOnHotCold)
 {
@@ -93,34 +92,74 @@ TEST(CacheModelValidation, PowerLawTracksSimulatorOnHotCold)
     const uint64_t cold = mib(8);
     const double hot_frac = 0.6;
 
-    auto measure = [&](uint64_t cap_bytes) {
-        CacheSim cache(cap_bytes, 8, 64);
-        Rng rng(99);
-        return measureHitRate(cache, [&](const AccessSink &sink) {
-            genHotCold(200000, hot, cold, hot_frac, rng, sink);
-        });
-    };
-
-    // Monotone in capacity.
     double prev = -1.0;
     for (uint64_t cap_kib : {16, 32, 64, 128, 256, 512}) {
-        double m = measure(kib(cap_kib));
+        const uint64_t cap = kib(cap_kib);
+        CacheSim cache(cap, 8, 64);
+        Rng rng(99);
+        double m = measureHitRate(cache, [&](const AccessSink &sink) {
+            genHotCold(200000, hot, cold, hot_frac, rng, sink);
+        });
+
+        // Monotone in capacity.
         EXPECT_GE(m, prev - 0.02) << cap_kib;
         prev = m;
+
+        // At or below the hot set: a fixed fraction of the p = 1 law.
+        if (cap <= hot) {
+            double law = capacityHitFraction(hot_frac,
+                static_cast<double>(hot), static_cast<double>(cap), 1.0);
+            EXPECT_GE(m, 0.4 * law) << cap_kib;
+            EXPECT_LE(m, 1.0 * law) << cap_kib;
+        }
+
+        // At >= 4x the hot set: (nearly) all hot reuse is captured.
+        if (cap >= 4 * hot)
+            EXPECT_NEAR(m, hot_frac, 0.03) << cap_kib;
     }
+}
 
-    // Asymptote: 8x the hot set captures (nearly) all hot reuse.
-    double big = measure(kib(512));
-    EXPECT_NEAR(big, hot_frac, 0.08);
-
-    // Far below capacity the power law is the right order: at cap =
-    // hot/4, predicted = 0.6 * 0.25^p; measured should sit within a
-    // factor-2 band of the p = 1 prediction.
-    double small = measure(kib(16));
-    double predicted_small = capacityHitFraction(hot_frac,
-        static_cast<double>(hot), static_cast<double>(kib(16)), 1.0);
-    EXPECT_GT(small, predicted_small * 0.4);
-    EXPECT_LT(small, predicted_small * 2.5);
+/**
+ * Exact statistics of each generator's stream at the capacity
+ * ablation's parameters. They pin the access sequences themselves
+ * (element-granular GEMM panel walks, the hot/cold RNG draws), so
+ * any change to a generator shows up here even when the hit rate it
+ * feeds a table rounds to the same figure.
+ */
+TEST(CacheModelValidation, GeneratorStreamsArePinned)
+{
+    struct Golden {
+        uint64_t capKib;
+        CacheStats stream, gemm, hotcold;
+    };
+    const Golden goldens[] = {
+        // capacity, then {accesses, hits, misses, evictions,
+        // writebacks} for stream, blocked GEMM and hot/cold.
+        {16,
+         {65536, 0, 65536, 65280, 0},
+         {393216, 368640, 24576, 24320, 4032},
+         {100000, 8779, 91221, 90965, 0}},
+        {512,
+         {65536, 0, 65536, 57344, 0},
+         {393216, 384000, 9216, 1024, 512},
+         {100000, 61022, 38978, 30786, 0}},
+    };
+    for (const Golden &g : goldens) {
+        CacheSim cache(kib(g.capKib), 8, 64);
+        measureHitRate(cache, [](const AccessSink &sink) {
+            genStreaming(mib(4), 64, sink);
+        });
+        EXPECT_EQ(cache.stats(), g.stream) << g.capKib;
+        measureHitRate(cache, [](const AccessSink &sink) {
+            genBlockedGemm(256, 256, 256, 64, sink);
+        });
+        EXPECT_EQ(cache.stats(), g.gemm) << g.capKib;
+        Rng rng(99);
+        measureHitRate(cache, [&](const AccessSink &sink) {
+            genHotCold(100000, kib(64), mib(8), 0.6, rng, sink);
+        });
+        EXPECT_EQ(cache.stats(), g.hotcold) << g.capKib;
+    }
 }
 
 TEST(CacheModelValidation, StreamingHasNoReuse)
