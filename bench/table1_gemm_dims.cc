@@ -23,7 +23,7 @@ findGemm(const std::vector<sim::KernelDesc> &ks, const std::string &pfx)
 {
     for (const auto &k : ks)
         if (k.klass == sim::KernelClass::Gemm &&
-            k.name.rfind(pfx, 0) == 0)
+            k.name().rfind(pfx, 0) == 0)
             return &k;
     return nullptr;
 }

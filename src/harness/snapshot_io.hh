@@ -56,8 +56,14 @@ namespace harness {
  * v4: the tuner section (the last raw-encoded section) moved to the
  * packed shape-key-ordered varint/delta form
  * (nn::encodeAutotuneSection). v3 stores rebuild on first use.
+ *
+ * v5: byte layout identical to v4; bumped because Measured autotune
+ * probes no longer enter the device's timing cache, so a snapshot's
+ * timing section holds only kernels that really launched (the losing
+ * variants were ~80% of it). v4 stores rebuild on first use, which
+ * drops their probe entries.
  */
-constexpr uint32_t kSnapshotFormatVersion = 4;
+constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /**
  * Full identity of a snapshot: everything the snapshotted state is a

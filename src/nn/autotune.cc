@@ -10,17 +10,11 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 #include "nn/kernel_gen.hh"
+#include "sim/timing_model.hh"
 
 namespace seqpoint {
 namespace nn {
-
-std::string
-GemmVariant::suffix() const
-{
-    return csprintf("MT%ux%u_K%u", tileM, tileN, tileK);
-}
 
 const std::vector<GemmVariant> &
 gemmVariantMenu()
@@ -148,19 +142,24 @@ Autotuner::chooseHeuristic(int64_t m, int64_t n, int64_t k) const
 Autotuner::Entry
 Autotuner::chooseMeasured(int64_t m, int64_t n, int64_t k)
 {
+    // Probes go straight to the timing model, not through the device:
+    // the losing variants never launch for real, so they stay out of
+    // its timing cache (and out of every snapshot of it). A probe's
+    // repeat is 1, so its time is exactly what Gpu::execute() would
+    // report; the winner is timed again on its first real launch.
+    static const sim::KernelStem probe("autotune_probe");
     const auto &menu = gemmVariantMenu();
     double best_time = 0.0;
     double shape_cost = 0.0;
     const GemmVariant *best = nullptr;
 
     for (const GemmVariant &v : menu) {
-        sim::KernelDesc desc = gemmKernelForVariant("autotune_probe",
-                                                    m, n, k, v);
-        sim::KernelRecord rec = gpu->execute(desc);
-        shape_cost += rec.timeSec;
-        if (best == nullptr || rec.timeSec < best_time) {
+        double t = sim::timeKernel(gemmKernelForVariant(probe, m, n, k, v),
+                                   gpu->config()).timeSec;
+        shape_cost += t;
+        if (best == nullptr || t < best_time) {
             best = &v;
-            best_time = rec.timeSec;
+            best_time = t;
         }
     }
     return Entry{*best, shape_cost};

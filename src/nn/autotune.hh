@@ -5,7 +5,8 @@
  * the fastest (paper section IV-C2). The selected variant changes both
  * the kernel *name* (hence the unique-kernel analyses, Fig 5) and its
  * memory traffic, so tuning is a first-class part of the lowering
- * substrate.
+ * substrate. The variant's tile becomes the "_MT<M>x<N>_K<K>" suffix
+ * of KernelDesc::name().
  */
 
 #ifndef SEQPOINT_NN_AUTOTUNE_HH
@@ -13,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -30,9 +30,6 @@ struct GemmVariant {
     unsigned tileM = 64; ///< Output-tile rows.
     unsigned tileN = 64; ///< Output-tile columns.
     unsigned tileK = 16; ///< K-panel depth held in LDS.
-
-    /** @return Name suffix, e.g. "MT64x64_K16". */
-    std::string suffix() const;
 };
 
 /** @return The candidate variant menu (largest to smallest tiles). */
@@ -88,10 +85,11 @@ std::vector<AutotuneEntry> decodeAutotuneSection(ByteReader &r);
  * Shape -> variant cache with two selection policies.
  *
  * Heuristic mode picks by a traffic-plus-waste cost model (pure
- * function of shape). Measured mode times every candidate on the
- * bound device -- the expensive paper-style autotune -- and records
- * the accumulated tuning cost so callers can include or exclude it
- * from training-time accounts.
+ * function of shape). Measured mode times every candidate with the
+ * bound device's timing model -- the expensive paper-style autotune --
+ * and records the accumulated tuning cost so callers can include or
+ * exclude it from training-time accounts. Probes bypass the device's
+ * kernel-timing cache: only kernels that really launch are cached.
  *
  * select() is thread-safe so concurrent profiling tasks can share one
  * tuner. The tuning cost is stored per shape and summed in shape-key

@@ -9,14 +9,13 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/strutil.hh"
 #include "nn/autotune.hh"
 
 namespace seqpoint {
 namespace nn {
 
 sim::KernelDesc
-gemmKernelForVariant(const std::string &base, int64_t m, int64_t n,
+gemmKernelForVariant(sim::KernelStem stem, int64_t m, int64_t n,
                      int64_t k, const GemmVariant &variant)
 {
     panic_if(m <= 0 || n <= 0 || k <= 0, "gemm: non-positive dims");
@@ -28,7 +27,10 @@ gemmKernelForVariant(const std::string &base, int64_t m, int64_t n,
     double nb_n = std::ceil(dn / variant.tileN);
 
     sim::KernelDesc kd;
-    kd.name = base + "_" + variant.suffix();
+    kd.stem = stem;
+    kd.tileM = variant.tileM;
+    kd.tileN = variant.tileN;
+    kd.tileK = variant.tileK;
     kd.klass = sim::KernelClass::Gemm;
     kd.gemmM = m;
     kd.gemmN = n;
@@ -62,15 +64,15 @@ gemmKernelForVariant(const std::string &base, int64_t m, int64_t n,
 }
 
 sim::KernelDesc
-makeGemm(const std::string &base, int64_t m, int64_t n, int64_t k,
+makeGemm(sim::KernelStem stem, int64_t m, int64_t n, int64_t k,
          Autotuner &tuner)
 {
     const GemmVariant &v = tuner.select(m, n, k);
-    return gemmKernelForVariant(base, m, n, k, v);
+    return gemmKernelForVariant(stem, m, n, k, v);
 }
 
 sim::KernelDesc
-makeConv2d(const std::string &base, int64_t batch, int64_t in_c,
+makeConv2d(sim::KernelStem stem, int64_t batch, int64_t in_c,
            int64_t out_c, int64_t h, int64_t w, int64_t kh, int64_t kw,
            int64_t stride_h, int64_t stride_w, Autotuner &tuner)
 {
@@ -82,7 +84,7 @@ makeConv2d(const std::string &base, int64_t batch, int64_t in_c,
     int64_t k = in_c * kh * kw;
     int64_t n = batch * oh * ow;
 
-    sim::KernelDesc kd = makeGemm(base + "_igemm", m, n, k, tuner);
+    sim::KernelDesc kd = makeGemm(stem, m, n, k, tuner);
     kd.klass = sim::KernelClass::Gemm;
     // The im2col gather re-reads input rows kh*kw/stride times; fold
     // that into the request volume (implicit-GEMM kernels do the
@@ -95,7 +97,7 @@ makeConv2d(const std::string &base, int64_t batch, int64_t in_c,
 }
 
 sim::KernelDesc
-makeSoftmax(const std::string &base, int64_t rows, int64_t cols)
+makeSoftmax(sim::KernelStem stem, int64_t rows, int64_t cols)
 {
     panic_if(rows <= 0 || cols <= 0, "softmax: non-positive dims");
 
@@ -107,8 +109,8 @@ makeSoftmax(const std::string &base, int64_t rows, int64_t cols)
     double elems = static_cast<double>(rows) * static_cast<double>(cols);
 
     sim::KernelDesc kd;
-    kd.name = csprintf("%s_b%lld", base.c_str(),
-                       static_cast<long long>(block));
+    kd.stem = stem;
+    kd.softmaxBlock = static_cast<uint32_t>(block);
     kd.klass = sim::KernelClass::Softmax;
     kd.flops = elems * 6.0; // max, sub, exp(4)
     kd.bytesIn = elems * 4.0;
@@ -122,13 +124,13 @@ makeSoftmax(const std::string &base, int64_t rows, int64_t cols)
 }
 
 sim::KernelDesc
-makeBatchNorm(const std::string &base, int64_t elems)
+makeBatchNorm(sim::KernelStem stem, int64_t elems)
 {
     panic_if(elems <= 0, "batchnorm: non-positive size");
     double de = static_cast<double>(elems);
 
     sim::KernelDesc kd;
-    kd.name = base;
+    kd.stem = stem;
     kd.klass = sim::KernelClass::BatchNorm;
     kd.flops = de * 5.0; // mean, var, scale, shift
     kd.bytesIn = de * 8.0; // two passes over the data
@@ -142,7 +144,7 @@ makeBatchNorm(const std::string &base, int64_t elems)
 }
 
 sim::KernelDesc
-makeEmbeddingGather(const std::string &base, int64_t lookups,
+makeEmbeddingGather(sim::KernelStem stem, int64_t lookups,
                     int64_t embed_dim, int64_t vocab)
 {
     panic_if(lookups <= 0 || embed_dim <= 0 || vocab <= 0,
@@ -153,7 +155,7 @@ makeEmbeddingGather(const std::string &base, int64_t lookups,
     double table = static_cast<double>(vocab) * dim * 4.0;
 
     sim::KernelDesc kd;
-    kd.name = base;
+    kd.stem = stem;
     kd.klass = sim::KernelClass::Embedding;
     kd.flops = rows * dim * 0.5; // index math, copies
     kd.bytesIn = rows * dim * 4.0 + rows * 4.0;
@@ -169,13 +171,13 @@ makeEmbeddingGather(const std::string &base, int64_t lookups,
 }
 
 sim::KernelDesc
-makeTranspose(const std::string &base, int64_t elems)
+makeTranspose(sim::KernelStem stem, int64_t elems)
 {
     panic_if(elems <= 0, "transpose: non-positive size");
     double de = static_cast<double>(elems);
 
     sim::KernelDesc kd;
-    kd.name = base;
+    kd.stem = stem;
     kd.klass = sim::KernelClass::Transpose;
     kd.flops = 0.0;
     kd.bytesIn = de * 4.0;
@@ -189,10 +191,10 @@ makeTranspose(const std::string &base, int64_t elems)
 }
 
 sim::KernelDesc
-makeScalarOp(const std::string &base)
+makeScalarOp(sim::KernelStem stem)
 {
     sim::KernelDesc kd;
-    kd.name = base;
+    kd.stem = stem;
     kd.klass = sim::KernelClass::Scalar;
     kd.flops = 64.0;
     kd.bytesIn = 256.0;

@@ -3,14 +3,15 @@
  * Kernel generation helpers: lower individual tensor operations
  * (GEMM, implicit-GEMM convolution, softmax, batch-norm, embedding,
  * transpose) into sim::KernelDesc records with realistic FLOP and
- * memory-request volumes.
+ * memory-request volumes. Every builder takes an interned name stem
+ * and does no string work; variant suffixes (GEMM tile, softmax
+ * block) are recorded as descriptor fields for KernelDesc::name().
  */
 
 #ifndef SEQPOINT_NN_KERNEL_GEN_HH
 #define SEQPOINT_NN_KERNEL_GEN_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/kernel.hh"
 
@@ -27,33 +28,34 @@ struct GemmVariant;
  * re-read once per column block and B once per row block, after
  * register/LDS blocking inside a tile.
  *
- * @param base Logical operation name (e.g. "gemm_fc_fwd").
+ * @param stem Logical operation name (e.g. "fc1_fwd").
  * @param m Rows of A/C.
  * @param n Columns of B/C.
  * @param k Inner dimension.
  * @param variant Tiling choice.
  */
-sim::KernelDesc gemmKernelForVariant(const std::string &base, int64_t m,
+sim::KernelDesc gemmKernelForVariant(sim::KernelStem stem, int64_t m,
                                      int64_t n, int64_t k,
                                      const GemmVariant &variant);
 
 /**
  * Build a GEMM kernel using the autotuner's variant for the shape.
  *
- * @param base Logical operation name.
+ * @param stem Logical operation name.
  * @param m Rows of A/C.
  * @param n Columns of B/C.
  * @param k Inner dimension.
  * @param tuner Variant source (caches per shape).
  */
-sim::KernelDesc makeGemm(const std::string &base, int64_t m, int64_t n,
+sim::KernelDesc makeGemm(sim::KernelStem stem, int64_t m, int64_t n,
                          int64_t k, Autotuner &tuner);
 
 /**
  * Implicit-GEMM convolution: filters [out_c, in_c, kh, kw] over an
  * input [batch, in_c, h, w] with the given strides.
  *
- * @param base Logical operation name.
+ * @param stem Full operation name: by convention the layer's forward
+ *             stem plus "_igemm" (e.g. "conv1_fwd_igemm").
  * @param batch Batch size.
  * @param in_c Input channels.
  * @param out_c Output channels.
@@ -65,7 +67,7 @@ sim::KernelDesc makeGemm(const std::string &base, int64_t m, int64_t n,
  * @param stride_w Stride along w.
  * @param tuner Variant source.
  */
-sim::KernelDesc makeConv2d(const std::string &base, int64_t batch,
+sim::KernelDesc makeConv2d(sim::KernelStem stem, int64_t batch,
                            int64_t in_c, int64_t out_c, int64_t h,
                            int64_t w, int64_t kh, int64_t kw,
                            int64_t stride_h, int64_t stride_w,
@@ -75,26 +77,26 @@ sim::KernelDesc makeConv2d(const std::string &base, int64_t batch,
  * Fused softmax over `rows` rows of `cols` elements. The block-size
  * variant (chosen from cols) is part of the kernel name.
  */
-sim::KernelDesc makeSoftmax(const std::string &base, int64_t rows,
+sim::KernelDesc makeSoftmax(sim::KernelStem stem, int64_t rows,
                             int64_t cols);
 
 /** Batch-norm statistics + normalisation over `elems` elements. */
-sim::KernelDesc makeBatchNorm(const std::string &base, int64_t elems);
+sim::KernelDesc makeBatchNorm(sim::KernelStem stem, int64_t elems);
 
 /**
  * Embedding-table gather: `lookups` rows of `embed_dim` from a
  * `vocab`-row table. The table is the L2-visible working set, so
  * vocabulary size directly affects runtime (paper observation 6).
  */
-sim::KernelDesc makeEmbeddingGather(const std::string &base,
+sim::KernelDesc makeEmbeddingGather(sim::KernelStem stem,
                                     int64_t lookups, int64_t embed_dim,
                                     int64_t vocab);
 
 /** Layout-change kernel moving `elems` 4-byte elements. */
-sim::KernelDesc makeTranspose(const std::string &base, int64_t elems);
+sim::KernelDesc makeTranspose(sim::KernelStem stem, int64_t elems);
 
 /** Tiny scalar bookkeeping launch (optimizer counters, LR decay). */
-sim::KernelDesc makeScalarOp(const std::string &base);
+sim::KernelDesc makeScalarOp(sim::KernelStem stem);
 
 /** Conv output length for one spatial axis. */
 int64_t convOutLen(int64_t in_len, int64_t kernel, int64_t stride);

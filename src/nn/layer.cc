@@ -31,5 +31,11 @@ Layer::Layer(std::string name)
     panic_if(name_.empty(), "Layer: empty name");
 }
 
+sim::KernelStem
+Layer::opStem(const char *op) const
+{
+    return sim::KernelStem(name_ + "_" + op);
+}
+
 } // namespace nn
 } // namespace seqpoint

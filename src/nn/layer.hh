@@ -91,6 +91,15 @@ class Layer
     /** @return Trainable parameter count (0 for stateless layers). */
     virtual uint64_t paramCount() const = 0;
 
+  protected:
+    /**
+     * Intern the kernel-name stem "<name>_<op>". Layers call this at
+     * construction so lowering does no string work.
+     *
+     * @param op Operation suffix ("fwd", "bwd_data", ...).
+     */
+    sim::KernelStem opStem(const char *op) const;
+
   private:
     std::string name_;
 };

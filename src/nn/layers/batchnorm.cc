@@ -15,7 +15,8 @@ BatchNormLayer::BatchNormLayer(std::string name, int64_t features_per_step,
                                int64_t chans, TimeAxis time_axis,
                                int64_t fixed_steps)
     : Layer(std::move(name)), featuresPerStep(features_per_step),
-      channels(chans), axis(time_axis), fixedSteps(fixed_steps)
+      channels(chans), axis(time_axis), fixedSteps(fixed_steps),
+      fwdStem(opStem("fwd")), bwdStem(opStem("bwd"))
 {
     fatal_if(features_per_step <= 0 || chans <= 0,
              "BatchNormLayer: bad dimensions");
@@ -31,14 +32,14 @@ BatchNormLayer::elems(const LowerCtx &ctx) const
 void
 BatchNormLayer::lowerForward(LowerCtx &ctx) const
 {
-    ctx.emit(makeBatchNorm(name() + "_fwd", elems(ctx)));
+    ctx.emit(makeBatchNorm(fwdStem, elems(ctx)));
 }
 
 void
 BatchNormLayer::lowerBackward(LowerCtx &ctx) const
 {
     // Backward recomputes statistics gradients: ~1.5x forward traffic.
-    sim::KernelDesc kd = makeBatchNorm(name() + "_bwd", elems(ctx));
+    sim::KernelDesc kd = makeBatchNorm(bwdStem, elems(ctx));
     kd.bytesIn *= 1.5;
     kd.flops *= 1.5;
     ctx.emit(std::move(kd));

@@ -38,6 +38,8 @@ class BatchNormLayer : public Layer
     int64_t channels;
     TimeAxis axis;
     int64_t fixedSteps;
+    sim::KernelStem fwdStem; ///< "<name>_fwd".
+    sim::KernelStem bwdStem; ///< "<name>_bwd".
 
     int64_t elems(const LowerCtx &ctx) const;
 };

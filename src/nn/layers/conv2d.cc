@@ -19,7 +19,9 @@ Conv2dLayer::Conv2dLayer(std::string name, int64_t in_c, int64_t out_c,
     : Layer(std::move(name)), inC(in_c), outC(out_c), kh(kernel_h),
       kw(kernel_w),
       strideH(stride_h), strideW(stride_w), width(in_width), axis(time_axis),
-      timeExpansion(time_expansion), fixedHeight(fixed_height)
+      timeExpansion(time_expansion), fixedHeight(fixed_height),
+      fwdStem(opStem("fwd_igemm")), bwdDataStem(opStem("bwd_data")),
+      bwdWgradStem(opStem("bwd_wgrad"))
 {
     fatal_if(in_c <= 0 || out_c <= 0 || kernel_h <= 0 || kernel_w <= 0 ||
              stride_h <= 0 || stride_w <= 0 || in_width <= 0,
@@ -49,7 +51,7 @@ Conv2dLayer::outHeight(const LowerCtx &ctx) const
 void
 Conv2dLayer::lowerForward(LowerCtx &ctx) const
 {
-    ctx.emit(makeConv2d(name() + "_fwd", ctx.batch, inC, outC,
+    ctx.emit(makeConv2d(fwdStem, ctx.batch, inC, outC,
                         inHeight(ctx), width, kh, kw, strideH, strideW,
                         *ctx.tuner));
 }
@@ -63,9 +65,9 @@ Conv2dLayer::lowerBackward(LowerCtx &ctx) const
     int64_t k_dim = inC * kh * kw;
 
     // Data gradient: [K, M] x [M, N] spread back over the input.
-    ctx.emit(makeGemm(name() + "_bwd_data", k_dim, n, outC, *ctx.tuner));
+    ctx.emit(makeGemm(bwdDataStem, k_dim, n, outC, *ctx.tuner));
     // Weight gradient: [M, N] x [N, K].
-    ctx.emit(makeGemm(name() + "_bwd_wgrad", outC, k_dim, n, *ctx.tuner));
+    ctx.emit(makeGemm(bwdWgradStem, outC, k_dim, n, *ctx.tuner));
 }
 
 uint64_t

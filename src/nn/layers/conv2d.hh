@@ -63,6 +63,9 @@ class Conv2dLayer : public Layer
     TimeAxis axis;
     int64_t timeExpansion;
     int64_t fixedHeight;
+    sim::KernelStem fwdStem;      ///< "<name>_fwd_igemm".
+    sim::KernelStem bwdDataStem;  ///< "<name>_bwd_data".
+    sim::KernelStem bwdWgradStem; ///< "<name>_bwd_wgrad".
 
     int64_t inHeight(const LowerCtx &ctx) const;
 };

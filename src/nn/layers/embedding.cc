@@ -23,18 +23,21 @@ EmbeddingLayer::EmbeddingLayer(std::string name, int64_t vocab_size,
 void
 EmbeddingLayer::lowerForward(LowerCtx &ctx) const
 {
+    static const sim::KernelStem stem("embed_gather_fwd");
+
     int64_t lookups = static_cast<int64_t>(ctx.batch) * ctx.steps(axis);
-    ctx.emit(makeEmbeddingGather("embed_gather_fwd", lookups, dim, vocab));
+    ctx.emit(makeEmbeddingGather(stem, lookups, dim, vocab));
 }
 
 void
 EmbeddingLayer::lowerBackward(LowerCtx &ctx) const
 {
+    static const sim::KernelStem stem("embed_scatter_bwd");
+
     int64_t lookups = static_cast<int64_t>(ctx.batch) * ctx.steps(axis);
     // Scatter-add of gradients into the table: same traffic shape as
     // the gather plus a read-modify-write on the table rows.
-    sim::KernelDesc kd = makeEmbeddingGather("embed_scatter_bwd", lookups,
-                                             dim, vocab);
+    sim::KernelDesc kd = makeEmbeddingGather(stem, lookups, dim, vocab);
     kd.bytesOut *= 2.0; // read-modify-write
     ctx.emit(std::move(kd));
 }

@@ -19,7 +19,8 @@ FullyConnectedLayer::FullyConnectedLayer(std::string name, int64_t in_dim,
                                          int64_t out_dim, TimeAxis time_axis,
                                          int64_t fixed_steps)
     : Layer(std::move(name)), inDim(in_dim), outDim(out_dim), axis(time_axis),
-      fixedSteps(fixed_steps)
+      fixedSteps(fixed_steps), fwdStem(opStem("fwd")),
+      bwdDataStem(opStem("bwd_data")), bwdWgradStem(opStem("bwd_wgrad"))
 {
     fatal_if(in_dim <= 0 || out_dim <= 0,
              "FullyConnectedLayer: bad dimensions");
@@ -30,7 +31,7 @@ FullyConnectedLayer::lowerForward(LowerCtx &ctx) const
 {
     int64_t n = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeGemm(name() + "_fwd", outDim, n, inDim, *ctx.tuner));
+    ctx.emit(makeGemm(fwdStem, outDim, n, inDim, *ctx.tuner));
 }
 
 void
@@ -38,9 +39,9 @@ FullyConnectedLayer::lowerBackward(LowerCtx &ctx) const
 {
     int64_t n = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeGemm(name() + "_bwd_data", inDim, n, outDim,
+    ctx.emit(makeGemm(bwdDataStem, inDim, n, outDim,
                       *ctx.tuner));
-    ctx.emit(makeGemm(name() + "_bwd_wgrad", outDim, inDim, n,
+    ctx.emit(makeGemm(bwdWgradStem, outDim, inDim, n,
                       *ctx.tuner));
 }
 

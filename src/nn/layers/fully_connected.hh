@@ -41,6 +41,9 @@ class FullyConnectedLayer : public Layer
     int64_t outDim;
     TimeAxis axis;
     int64_t fixedSteps;
+    sim::KernelStem fwdStem;      ///< "<name>_fwd".
+    sim::KernelStem bwdDataStem;  ///< "<name>_bwd_data".
+    sim::KernelStem bwdWgradStem; ///< "<name>_bwd_wgrad".
 };
 
 } // namespace nn

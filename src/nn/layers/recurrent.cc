@@ -26,6 +26,14 @@ RecurrentLayer::RecurrentLayer(std::string name, CellType cell_type,
 {
     fatal_if(input_dim <= 0 || hidden_dim <= 0,
              "RecurrentLayer: bad dimensions");
+    const char *cell = cellName();
+    auto stem = [cell](const char *op) {
+        return sim::KernelStem(csprintf("%s_%s", cell, op));
+    };
+    stems = Stems{stem("wx_fwd"), stem("wh_fwd"), stem("cell_fwd"),
+                  stem("cell_bwd"), stem("wh_bwd_data"),
+                  stem("wx_bwd_data"), stem("wx_bwd_wgrad"),
+                  stem("wh_bwd_wgrad"), stem("concat_dirs")};
 }
 
 int64_t
@@ -45,22 +53,21 @@ RecurrentLayer::lowerDirectionForward(LowerCtx &ctx, int64_t steps) const
 {
     int64_t gates = gateCount(type);
     int64_t batch = ctx.batch;
-    const char *cell = cellName();
 
     // Input-side GEMM batched over all time steps:
     // [gates*H, inputDim] x [inputDim, B*T].
-    ctx.emit(makeGemm(csprintf("%s_wx_fwd", cell), gates * hidden,
+    ctx.emit(makeGemm(stems.wxFwd, gates * hidden,
                       batch * steps, inputDim, *ctx.tuner));
 
     // Recurrent GEMM, once per step: [gates*H, H] x [H, B].
-    sim::KernelDesc rec = makeGemm(csprintf("%s_wh_fwd", cell),
+    sim::KernelDesc rec = makeGemm(stems.whFwd,
                                    gates * hidden, batch, hidden,
                                    *ctx.tuner);
     rec.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(rec));
 
     // Fused gate math, once per step: sigmoids/tanh over B x gates*H.
-    sim::KernelDesc gate = sim::makeElementwise(csprintf("%s_cell_fwd", cell),
+    sim::KernelDesc gate = sim::makeElementwise(stems.cellFwd,
         static_cast<double>(batch * gates * hidden), 8.0, 3.0, 2.0);
     gate.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(gate));
@@ -71,16 +78,15 @@ RecurrentLayer::lowerDirectionBackward(LowerCtx &ctx, int64_t steps) const
 {
     int64_t gates = gateCount(type);
     int64_t batch = ctx.batch;
-    const char *cell = cellName();
 
     // Per-step gate backward (more operands than forward).
-    sim::KernelDesc gate = sim::makeElementwise(csprintf("%s_cell_bwd", cell),
+    sim::KernelDesc gate = sim::makeElementwise(stems.cellBwd,
         static_cast<double>(batch * gates * hidden), 10.0, 5.0, 3.0);
     gate.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(gate));
 
     // Per-step recurrent data gradient: [H, gates*H] x [gates*H, B].
-    sim::KernelDesc rec = makeGemm(csprintf("%s_wh_bwd_data", cell),
+    sim::KernelDesc rec = makeGemm(stems.whBwdData,
                                    hidden, batch, gates * hidden,
                                    *ctx.tuner);
     rec.repeat = static_cast<uint64_t>(steps);
@@ -88,15 +94,15 @@ RecurrentLayer::lowerDirectionBackward(LowerCtx &ctx, int64_t steps) const
 
     // Input data gradient batched over steps:
     // [inputDim, gates*H] x [gates*H, B*T].
-    ctx.emit(makeGemm(csprintf("%s_wx_bwd_data", cell), inputDim,
+    ctx.emit(makeGemm(stems.wxBwdData, inputDim,
                       batch * steps, gates * hidden, *ctx.tuner));
 
     // Weight gradients, reduced over B*T:
     // dWx: [gates*H, B*T] x [B*T, inputDim].
-    ctx.emit(makeGemm(csprintf("%s_wx_bwd_wgrad", cell), gates * hidden,
+    ctx.emit(makeGemm(stems.wxBwdWgrad, gates * hidden,
                       inputDim, batch * steps, *ctx.tuner));
     // dWh: [gates*H, B*T] x [B*T, H].
-    ctx.emit(makeGemm(csprintf("%s_wh_bwd_wgrad", cell), gates * hidden,
+    ctx.emit(makeGemm(stems.whBwdWgrad, gates * hidden,
                       hidden, batch * steps, *ctx.tuner));
 }
 
@@ -109,7 +115,7 @@ RecurrentLayer::lowerForward(LowerCtx &ctx) const
         lowerDirectionForward(ctx, steps);
     if (bidirectional) {
         // Concatenate the two directions' outputs.
-        ctx.emit(sim::makeMemcpy(csprintf("%s_concat_dirs", cellName()),
+        ctx.emit(sim::makeMemcpy(stems.concatDirs,
             static_cast<double>(ctx.batch) *
             static_cast<double>(steps) *
             static_cast<double>(2 * hidden) * 4.0));

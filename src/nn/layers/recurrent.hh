@@ -57,6 +57,20 @@ class RecurrentLayer : public Layer
     bool bidirectional;
     TimeAxis axis;
 
+    /** Kernel-name stems, "<cell>_<op>", interned at construction. */
+    struct Stems {
+        sim::KernelStem wxFwd;      ///< "<cell>_wx_fwd".
+        sim::KernelStem whFwd;      ///< "<cell>_wh_fwd".
+        sim::KernelStem cellFwd;    ///< "<cell>_cell_fwd".
+        sim::KernelStem cellBwd;    ///< "<cell>_cell_bwd".
+        sim::KernelStem whBwdData;  ///< "<cell>_wh_bwd_data".
+        sim::KernelStem wxBwdData;  ///< "<cell>_wx_bwd_data".
+        sim::KernelStem wxBwdWgrad; ///< "<cell>_wx_bwd_wgrad".
+        sim::KernelStem whBwdWgrad; ///< "<cell>_wh_bwd_wgrad".
+        sim::KernelStem concatDirs; ///< "<cell>_concat_dirs".
+    };
+    Stems stems;
+
     /** Emit one direction's forward kernels. */
     void lowerDirectionForward(LowerCtx &ctx, int64_t steps) const;
 

@@ -22,20 +22,24 @@ SoftmaxLossLayer::SoftmaxLossLayer(std::string name, int64_t class_count,
 void
 SoftmaxLossLayer::lowerForward(LowerCtx &ctx) const
 {
+    static const sim::KernelStem softmax("loss_softmax_fwd");
+    static const sim::KernelStem nll("loss_nll_reduce");
+
     int64_t rows = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeSoftmax("loss_softmax_fwd", rows, classes));
-    ctx.emit(sim::makeReduction("loss_nll_reduce",
-        static_cast<double>(rows)));
+    ctx.emit(makeSoftmax(softmax, rows, classes));
+    ctx.emit(sim::makeReduction(nll, static_cast<double>(rows)));
 }
 
 void
 SoftmaxLossLayer::lowerBackward(LowerCtx &ctx) const
 {
+    static const sim::KernelStem grad("loss_grad_bwd");
+
     int64_t rows = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
     // dLogits = p - onehot: one pass over the full probability matrix.
-    ctx.emit(sim::makeElementwise("loss_grad_bwd",
+    ctx.emit(sim::makeElementwise(grad,
         static_cast<double>(rows) * static_cast<double>(classes),
         1.0, 1.0, 1.0));
 }

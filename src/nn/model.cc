@@ -80,13 +80,17 @@ Model::lowerOptimizer(LowerCtx &ctx) const
     // Global gradient-norm reduction over all parameters, then one
     // fused update per parameterised layer, plus the scalar
     // bookkeeping launches frameworks emit each step.
+    static const sim::KernelStem grad_norm("opt_grad_norm");
+    static const sim::KernelStem lr_step("opt_lr_step");
+    static const sim::KernelStem sgd_update("opt_sgd_update");
+    static const sim::KernelStem step_count("opt_step_count");
+
     uint64_t params = paramCount();
     if (params == 0)
         return;
 
-    ctx.emit(sim::makeReduction("opt_grad_norm",
-        static_cast<double>(params)));
-    ctx.emit(makeScalarOp("opt_lr_step"));
+    ctx.emit(sim::makeReduction(grad_norm, static_cast<double>(params)));
+    ctx.emit(makeScalarOp(lr_step));
 
     for (const auto &l : layers) {
         uint64_t p = l->paramCount();
@@ -94,10 +98,10 @@ Model::lowerOptimizer(LowerCtx &ctx) const
             continue;
         // Momentum SGD: read param, grad, momentum; write param,
         // momentum.
-        ctx.emit(sim::makeElementwise("opt_sgd_update",
+        ctx.emit(sim::makeElementwise(sgd_update,
             static_cast<double>(p), 4.0, 3.0, 2.0));
     }
-    ctx.emit(makeScalarOp("opt_step_count"));
+    ctx.emit(makeScalarOp(step_count));
 }
 
 std::vector<sim::KernelDesc>

@@ -111,23 +111,12 @@ class Gpu
     KernelRecord execute(const KernelDesc &desc) const;
 
     /**
-     * Execute one kernel and fold it into an aggregate result
-     * without materialising a KernelRecord (no name copy, no record
-     * allocation). The accumulation order and arithmetic match
-     * execute() exactly, so aggregate results are bit-identical to
-     * the record-keeping path.
-     *
-     * @param desc Kernel descriptor.
-     * @param result Aggregate to accumulate into.
-     */
-    void accumulate(const KernelDesc &desc, ExecutionResult &result) const;
-
-    /**
      * Execute a sequence of kernels.
      *
-     * With keep_records == false the records-free accumulation path
-     * is used: no KernelRecord (and no kernel-name std::string) is
-     * constructed per launch, only the aggregates are updated.
+     * Every launch is folded into the aggregates in launch order;
+     * with keep_records a KernelRecord carrying the same scaled values
+     * (and the kernel's name()) is appended too, so the aggregates are
+     * bit-identical either way.
      *
      * @param kernels Launch-ordered kernel descriptors.
      * @param keep_records Retain per-kernel records (memory-heavy;
@@ -141,6 +130,13 @@ class Gpu
     GpuConfig cfg;
     bool cacheEnabled = true;
     mutable KernelTimingCache cache;
+
+    /**
+     * Time a kernel and scale its timeSec and counters to all
+     * `desc.repeat` launches -- the one scale step every execution
+     * path shares.
+     */
+    KernelTiming launchTiming(const KernelDesc &desc) const;
 };
 
 } // namespace sim

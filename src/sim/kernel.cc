@@ -5,8 +5,40 @@
 
 #include "sim/kernel.hh"
 
+#include <unordered_set>
+
+#include "common/mutex.hh"
+#include "common/strutil.hh"
+#include "common/thread_annotations.hh"
+
 namespace seqpoint {
 namespace sim {
+
+namespace {
+
+/** The process-wide stem table; node-based, so entries never move. */
+struct StemTable {
+    Mutex mu;
+    std::unordered_set<std::string> stems SEQ_GUARDED_BY(mu);
+};
+
+StemTable &
+stemTable()
+{
+    // Never destroyed: handles held in statics or by threads still
+    // running at exit stay valid.
+    static StemTable *table = new StemTable;
+    return *table;
+}
+
+} // anonymous namespace
+
+KernelStem::KernelStem(std::string_view stem_text)
+{
+    StemTable &table = stemTable();
+    MutexLock lock(table.mu);
+    text = &*table.stems.emplace(stem_text).first;
+}
 
 const char *
 kernelClassName(KernelClass klass)
@@ -25,6 +57,17 @@ kernelClassName(KernelClass klass)
     return "?";
 }
 
+std::string
+KernelDesc::name() const
+{
+    std::string out(stem.view());
+    if (tileM != 0)
+        out += csprintf("_MT%ux%u_K%u", tileM, tileN, tileK);
+    else if (softmaxBlock != 0)
+        out += csprintf("_b%u", softmaxBlock);
+    return out;
+}
+
 double
 KernelDesc::arithmeticIntensity() const
 {
@@ -33,12 +76,12 @@ KernelDesc::arithmeticIntensity() const
 }
 
 KernelDesc
-makeElementwise(const std::string &name, double elems,
+makeElementwise(KernelStem stem, double elems,
                 double flops_per_elem, double streams_in,
                 double streams_out)
 {
     KernelDesc k;
-    k.name = name;
+    k.stem = stem;
     k.klass = KernelClass::Elementwise;
     k.flops = elems * flops_per_elem;
     k.bytesIn = elems * 4.0 * streams_in;
@@ -54,10 +97,10 @@ makeElementwise(const std::string &name, double elems,
 }
 
 KernelDesc
-makeReduction(const std::string &name, double elems)
+makeReduction(KernelStem stem, double elems)
 {
     KernelDesc k;
-    k.name = name;
+    k.stem = stem;
     k.klass = KernelClass::Reduction;
     k.flops = elems;
     k.bytesIn = elems * 4.0;
@@ -71,10 +114,10 @@ makeReduction(const std::string &name, double elems)
 }
 
 KernelDesc
-makeMemcpy(const std::string &name, double bytes)
+makeMemcpy(KernelStem stem, double bytes)
 {
     KernelDesc k;
-    k.name = name;
+    k.stem = stem;
     k.klass = KernelClass::Memcpy;
     k.flops = 0.0;
     k.bytesIn = bytes;

@@ -3,9 +3,16 @@
  * Kernel descriptors: the interface between the NN lowering library and
  * the GPU timing model. A KernelDesc captures everything the simulator
  * needs -- operation class, FLOPs, global-memory request volumes,
- * working sets and available parallelism -- plus the mangled kernel
- * name (including the autotuned tile variant) used for the paper's
- * unique-kernel analyses (Figs 5 and 6).
+ * working sets and available parallelism -- plus a recipe for its
+ * mangled name, used by the paper's unique-kernel analyses (Figs 5
+ * and 6).
+ *
+ * Descriptors are name-free: lowering emits tens of thousands of them
+ * per query and the timing model never reads a name, so a descriptor
+ * carries an interned stem handle (KernelStem) plus its variant
+ * fields -- the GEMM tile or the softmax block -- and KernelDesc::name()
+ * builds the mangled string ("fc1_fwd_MT64x64_K16", "loss_softmax_fwd_b1024")
+ * only when a detailed record asks for it.
  */
 
 #ifndef SEQPOINT_SIM_KERNEL_HH
@@ -13,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace seqpoint {
 namespace sim {
@@ -37,6 +45,43 @@ const char *kernelClassName(KernelClass klass);
 constexpr unsigned numKernelClasses = 9;
 
 /**
+ * Interned kernel-name stem ("fc1_fwd", "lstm_wx_bwd_wgrad", ...).
+ *
+ * A stem is a handle into a process-wide, append-only intern table.
+ * Interning takes the table's lock, so it happens once per stem:
+ * layers intern the stems derived from their instance name at
+ * construction, and constant stems live in function-local statics.
+ * Copying, comparing and resolving a handle are pointer operations
+ * that take no lock -- interned text is immutable and never freed.
+ */
+class KernelStem
+{
+  public:
+    /** The empty stem. */
+    KernelStem() = default;
+
+    /**
+     * Intern a stem (thread-safe; equal texts share one entry).
+     *
+     * @param text Stem text.
+     */
+    explicit KernelStem(std::string_view text);
+
+    /** @return The stem text. */
+    std::string_view
+    view() const
+    {
+        return text ? std::string_view(*text) : std::string_view();
+    }
+
+    /** Handles are equal exactly when their texts are. */
+    bool operator==(const KernelStem &other) const = default;
+
+  private:
+    const std::string *text = nullptr;
+};
+
+/**
  * One GPU kernel launch as seen by the timing model.
  *
  * `bytesIn`/`bytesOut` are global-memory *request* volumes after
@@ -45,8 +90,19 @@ constexpr unsigned numKernelClasses = 9;
  * chip-wide hot set; the cache model turns these into hit fractions.
  */
 struct KernelDesc {
-    /** Mangled kernel name (includes tile-variant suffix). */
-    std::string name;
+    /** Interned name stem: the logical operation ("fc1_fwd"). */
+    KernelStem stem;
+
+    /**
+     * GEMM tile variant the name carries as "_MT<M>x<N>_K<K>"
+     * (all 0 when the kernel has no tile variant).
+     */
+    uint32_t tileM = 0;
+    uint32_t tileN = 0; ///< GEMM tile columns (see tileM).
+    uint32_t tileK = 0; ///< GEMM K-panel depth (see tileM).
+
+    /** Softmax block variant the name carries as "_b<block>" (0: none). */
+    uint32_t softmaxBlock = 0;
 
     /** Operation class. */
     KernelClass klass = KernelClass::Elementwise;
@@ -102,30 +158,37 @@ struct KernelDesc {
 
     /** @return Total bytes moved (loads + stores). */
     double totalBytes() const { return bytesIn + bytesOut; }
+
+    /**
+     * @return The mangled kernel name: the stem plus its tile or
+     *         block variant suffix. Built on every call; only the
+     *         detailed-record paths need it.
+     */
+    std::string name() const;
 };
 
 /**
  * Convenience builder for elementwise kernels.
  *
- * @param name Kernel name.
+ * @param stem Kernel name stem.
  * @param elems Number of elements processed.
  * @param flops_per_elem FLOPs per element.
  * @param streams_in Number of distinct input operands streamed.
  * @param streams_out Number of distinct output operands streamed.
  */
-KernelDesc makeElementwise(const std::string &name, double elems,
+KernelDesc makeElementwise(KernelStem stem, double elems,
                            double flops_per_elem, double streams_in,
                            double streams_out);
 
 /**
  * Convenience builder for reduction kernels over `elems` inputs.
  */
-KernelDesc makeReduction(const std::string &name, double elems);
+KernelDesc makeReduction(KernelStem stem, double elems);
 
 /**
  * Convenience builder for memcpy-like kernels moving `bytes` bytes.
  */
-KernelDesc makeMemcpy(const std::string &name, double bytes);
+KernelDesc makeMemcpy(KernelStem stem, double bytes);
 
 } // namespace sim
 } // namespace seqpoint

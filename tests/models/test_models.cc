@@ -24,7 +24,7 @@ findGemm(const std::vector<sim::KernelDesc> &ks, const std::string &pfx)
 {
     for (const auto &k : ks) {
         if (k.klass == sim::KernelClass::Gemm &&
-            k.name.rfind(pfx, 0) == 0) {
+            k.name().rfind(pfx, 0) == 0) {
             return &k;
         }
     }
@@ -130,7 +130,7 @@ TEST(Transformer, QuadraticAttentionScaling)
     auto flops_at = [&](int64_t sl) {
         double f = 0.0;
         for (const auto &k : m.lowerIteration(16, sl, tuner)) {
-            if (k.name.rfind("attn_score", 0) == 0)
+            if (k.name().rfind("attn_score", 0) == 0)
                 f += k.flops * static_cast<double>(k.repeat);
         }
         return f;

@@ -20,7 +20,9 @@ namespace {
 TEST(GemmVariant, SuffixFormat)
 {
     GemmVariant v{128, 64, 16};
-    EXPECT_EQ(v.suffix(), "MT128x64_K16");
+    sim::KernelDesc k =
+        gemmKernelForVariant(sim::KernelStem("fc_fwd"), 64, 64, 64, v);
+    EXPECT_EQ(k.name(), "fc_fwd_MT128x64_K16");
 }
 
 TEST(VariantMenu, NonEmptyAndOrdered)
@@ -82,14 +84,55 @@ TEST(Autotuner, MeasuredPicksFastestCandidate)
     sim::Gpu gpu(sim::GpuConfig::config1());
     Autotuner tuner(Autotuner::Mode::Measured, &gpu);
     const GemmVariant &chosen = tuner.select(2048, 2048, 512);
+    const sim::KernelStem probe("probe");
 
     double chosen_time = gpu.execute(
-        gemmKernelForVariant("probe", 2048, 2048, 512, chosen)).timeSec;
+        gemmKernelForVariant(probe, 2048, 2048, 512, chosen)).timeSec;
     for (const GemmVariant &v : gemmVariantMenu()) {
-        double t = gpu.execute(
-            gemmKernelForVariant("probe", 2048, 2048, 512, v)).timeSec;
-        EXPECT_LE(chosen_time, t + 1e-15) << v.suffix();
+        sim::KernelDesc k = gemmKernelForVariant(probe, 2048, 2048, 512, v);
+        EXPECT_LE(chosen_time, gpu.execute(k).timeSec + 1e-15) << k.name();
     }
+}
+
+TEST(Autotuner, MeasuredProbesBypassTheTimingCache)
+{
+    // Pinned shapes from the GNMT/DS2 lowering (classifier, recurrent
+    // and attention GEMMs) plus skinny and tiny edge cases. The
+    // variants and cost bits are those of probes executed on the
+    // device; probes that bypass its timing cache must match them.
+    struct Pinned {
+        int64_t m, n, k;
+        GemmVariant variant;
+    };
+    const Pinned shapes[] = {
+        {36549, 6016, 1024, {128, 64, 16}},
+        {1024, 576, 36549, {64, 32, 16}},
+        {4096, 64, 1024, {16, 16, 16}},
+        {4096, 64, 2048, {16, 16, 16}},
+        {1024, 64, 1024, {16, 16, 16}},
+        {29, 25728, 1600, {64, 64, 16}},
+        {32, 1030400, 451, {128, 128, 16}},
+        {37, 64, 1024, {16, 16, 16}},
+        {64, 64, 64, {16, 16, 16}},
+        {7, 3, 5, {64, 64, 16}},
+    };
+    const uint64_t cost_bits = 0x3febfc089d286fddULL;
+
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    Autotuner tuner(Autotuner::Mode::Measured, &gpu);
+    for (const Pinned &p : shapes) {
+        const GemmVariant &v = tuner.select(p.m, p.n, p.k);
+        EXPECT_TRUE(v.tileM == p.variant.tileM &&
+                    v.tileN == p.variant.tileN &&
+                    v.tileK == p.variant.tileK)
+            << p.m << "x" << p.n << "x" << p.k;
+    }
+    double cost = tuner.tuningCostSec();
+    uint64_t bits;
+    std::memcpy(&bits, &cost, sizeof(bits));
+    EXPECT_EQ(bits, cost_bits) << std::hex << bits;
+    EXPECT_EQ(gpu.uniqueKernelsTimed(), 0u);
+    EXPECT_EQ(gpu.timingCacheStats().lookups(), 0u);
 }
 
 TEST(Autotuner, ResetClearsCacheAndCost)

@@ -59,7 +59,7 @@ TEST(Model, LoweringIsDeterministic)
     auto b = m.lowerIteration(64, 37, t2);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].name, b[i].name);
+        EXPECT_EQ(a[i].name(), b[i].name());
         EXPECT_DOUBLE_EQ(a[i].flops, b[i].flops);
         EXPECT_EQ(a[i].repeat, b[i].repeat);
     }
@@ -73,7 +73,7 @@ TEST(Model, IterationIncludesOptimizerAndLoss)
 
     std::set<std::string> names;
     for (const auto &k : kernels)
-        names.insert(k.name);
+        names.insert(k.name());
     EXPECT_TRUE(names.count("opt_grad_norm"));
     EXPECT_TRUE(names.count("opt_sgd_update"));
     EXPECT_TRUE(names.count("loss_grad_bwd"));
@@ -87,8 +87,8 @@ TEST(Model, InferenceIsForwardOnly)
     auto infer = m.lowerInference(64, 10, tuner);
     EXPECT_LT(infer.size(), train.size());
     for (const auto &k : infer) {
-        EXPECT_EQ(k.name.find("bwd"), std::string::npos) << k.name;
-        EXPECT_EQ(k.name.find("opt_"), std::string::npos) << k.name;
+        EXPECT_EQ(k.name().find("bwd"), std::string::npos) << k.name();
+        EXPECT_EQ(k.name().find("opt_"), std::string::npos) << k.name();
     }
 }
 

@@ -45,7 +45,7 @@ TEST(CapacityHitFraction, MonotoneInCapacity)
 
 TEST(MemoryBreakdown, ConservesBytes)
 {
-    KernelDesc k = makeElementwise("ew", 1e6, 1.0, 2.0, 1.0);
+    KernelDesc k = makeElementwise(KernelStem("ew"), 1e6, 1.0, 2.0, 1.0);
     GpuConfig cfg = GpuConfig::config1();
     MemoryBreakdown mb = evalMemoryBreakdown(k, cfg);
     EXPECT_NEAR(mb.l1Bytes + mb.l2Bytes + mb.dramBytes,
@@ -54,7 +54,7 @@ TEST(MemoryBreakdown, ConservesBytes)
 
 TEST(MemoryBreakdown, DisabledL1SendsTrafficDown)
 {
-    KernelDesc k = makeElementwise("ew", 1e5, 1.0, 2.0, 1.0);
+    KernelDesc k = makeElementwise(KernelStem("ew"), 1e5, 1.0, 2.0, 1.0);
     k.reuseL1 = 0.5;
     k.workingSetL1 = 1000.0; // easily fits
 
@@ -70,7 +70,7 @@ TEST(MemoryBreakdown, DisabledL1SendsTrafficDown)
 
 TEST(MemoryBreakdown, DisabledL2SendsTrafficToDram)
 {
-    KernelDesc k = makeElementwise("ew", 1e5, 1.0, 2.0, 1.0);
+    KernelDesc k = makeElementwise(KernelStem("ew"), 1e5, 1.0, 2.0, 1.0);
     MemoryBreakdown no_l2 = evalMemoryBreakdown(k, GpuConfig::config5());
     EXPECT_DOUBLE_EQ(no_l2.l2Bytes, 0.0);
     EXPECT_GT(no_l2.dramBytes,

@@ -22,20 +22,20 @@ KernelDesc
 bigGemm()
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    return nn::makeGemm("t_gemm", 4096, 4096, 1024, tuner);
+    return nn::makeGemm(KernelStem("t_gemm"), 4096, 4096, 1024, tuner);
 }
 
 KernelDesc
 skinnyGemm()
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    return nn::makeGemm("t_skinny", 4096, 64, 1024, tuner);
+    return nn::makeGemm(KernelStem("t_skinny"), 4096, 64, 1024, tuner);
 }
 
 TEST(Occupancy, SmallLaunchUnderutilizes)
 {
     GpuConfig cfg = GpuConfig::config1();
-    KernelDesc tiny = makeElementwise("tiny", 64.0, 1.0, 1.0, 1.0);
+    KernelDesc tiny = makeElementwise(KernelStem("tiny"), 64.0, 1.0, 1.0, 1.0);
     Occupancy occ = computeOccupancy(tiny, cfg);
     EXPECT_LT(occ.utilization, 0.05);
     EXPECT_LE(occ.activeCus, 1.0);
@@ -44,7 +44,7 @@ TEST(Occupancy, SmallLaunchUnderutilizes)
 TEST(Occupancy, HugeLaunchSaturates)
 {
     GpuConfig cfg = GpuConfig::config1();
-    KernelDesc big = makeElementwise("big", 1e8, 1.0, 1.0, 1.0);
+    KernelDesc big = makeElementwise(KernelStem("big"), 1e8, 1.0, 1.0, 1.0);
     Occupancy occ = computeOccupancy(big, cfg);
     EXPECT_DOUBLE_EQ(occ.utilization, 1.0);
     EXPECT_DOUBLE_EQ(occ.activeCus, 64.0);
@@ -62,7 +62,7 @@ TEST(ComputeModel, GemmFasterPerFlopThanElementwise)
 {
     GpuConfig cfg = GpuConfig::config1();
     KernelDesc g = bigGemm();
-    KernelDesc e = makeElementwise("e", 1e8, 1.0, 1.0, 1.0);
+    KernelDesc e = makeElementwise(KernelStem("e"), 1e8, 1.0, 1.0, 1.0);
     // Normalise: time per FLOP.
     ComputeEstimate ge = estimateCompute(g, computeOccupancy(g, cfg),
                                          cfg);
@@ -74,8 +74,8 @@ TEST(ComputeModel, GemmFasterPerFlopThanElementwise)
 TEST(ComputeModel, ValuInstsScaleWithFlops)
 {
     GpuConfig cfg = GpuConfig::config1();
-    KernelDesc a = makeElementwise("a", 1e6, 2.0, 1.0, 1.0);
-    KernelDesc b = makeElementwise("b", 2e6, 2.0, 1.0, 1.0);
+    KernelDesc a = makeElementwise(KernelStem("a"), 1e6, 2.0, 1.0, 1.0);
+    KernelDesc b = makeElementwise(KernelStem("b"), 2e6, 2.0, 1.0, 1.0);
     ComputeEstimate ea = estimateCompute(a, computeOccupancy(a, cfg),
                                          cfg);
     ComputeEstimate eb = estimateCompute(b, computeOccupancy(b, cfg),
@@ -105,33 +105,33 @@ TEST(DramModel, WriteStallOnlyBeyondOverlap)
 TEST(Timing, HigherClockNeverSlower)
 {
     for (const KernelDesc &k : {bigGemm(), skinnyGemm(),
-             makeElementwise("e", 1e6, 2.0, 2.0, 1.0),
-             makeReduction("r", 1e6)}) {
+             makeElementwise(KernelStem("e"), 1e6, 2.0, 2.0, 1.0),
+             makeReduction(KernelStem("r"), 1e6)}) {
         KernelTiming fast = timeKernel(k, GpuConfig::config1());
         KernelTiming slow = timeKernel(k, GpuConfig::config2());
-        EXPECT_LE(fast.timeSec, slow.timeSec) << k.name;
+        EXPECT_LE(fast.timeSec, slow.timeSec) << k.name();
     }
 }
 
 TEST(Timing, MoreCusNeverSlower)
 {
     for (const KernelDesc &k : {bigGemm(), skinnyGemm(),
-             makeReduction("r", 1e7)}) {
+             makeReduction(KernelStem("r"), 1e7)}) {
         KernelTiming big = timeKernel(k, GpuConfig::config1());
         KernelTiming small = timeKernel(k, GpuConfig::config3());
-        EXPECT_LE(big.timeSec, small.timeSec) << k.name;
+        EXPECT_LE(big.timeSec, small.timeSec) << k.name();
     }
 }
 
 TEST(Timing, CachesNeverHurt)
 {
     for (const KernelDesc &k : {bigGemm(), skinnyGemm(),
-             makeElementwise("e", 1e7, 2.0, 2.0, 1.0)}) {
+             makeElementwise(KernelStem("e"), 1e7, 2.0, 2.0, 1.0)}) {
         KernelTiming base = timeKernel(k, GpuConfig::config1());
         KernelTiming no_l1 = timeKernel(k, GpuConfig::config4());
         KernelTiming no_l2 = timeKernel(k, GpuConfig::config5());
-        EXPECT_LE(base.timeSec, no_l1.timeSec) << k.name;
-        EXPECT_LE(base.timeSec, no_l2.timeSec) << k.name;
+        EXPECT_LE(base.timeSec, no_l1.timeSec) << k.name();
+        EXPECT_LE(base.timeSec, no_l2.timeSec) << k.name();
     }
 }
 
@@ -150,7 +150,7 @@ TEST(Timing, BigGemmScalesWithCusMoreThanSkinny)
 TEST(Timing, LaunchOverheadIsFloor)
 {
     GpuConfig cfg = GpuConfig::config1();
-    KernelDesc tiny = nn::makeScalarOp("nop");
+    KernelDesc tiny = nn::makeScalarOp(KernelStem("nop"));
     KernelTiming kt = timeKernel(tiny, cfg);
     EXPECT_GE(kt.timeSec, cfg.launchOverheadSec);
 }
@@ -158,7 +158,7 @@ TEST(Timing, LaunchOverheadIsFloor)
 TEST(Gpu, RepeatScalesTimeAndCounters)
 {
     Gpu gpu(GpuConfig::config1());
-    KernelDesc k = makeElementwise("e", 1e5, 2.0, 2.0, 1.0);
+    KernelDesc k = makeElementwise(KernelStem("e"), 1e5, 2.0, 2.0, 1.0);
     KernelRecord once = gpu.execute(k);
     k.repeat = 10;
     KernelRecord ten = gpu.execute(k);
@@ -171,8 +171,9 @@ TEST(Gpu, RepeatScalesTimeAndCounters)
 TEST(Gpu, ExecuteAllAggregates)
 {
     Gpu gpu(GpuConfig::config1());
-    std::vector<KernelDesc> ks{makeElementwise("a", 1e5, 1.0, 1.0, 1.0),
-                               makeReduction("b", 1e5)};
+    std::vector<KernelDesc> ks{
+        makeElementwise(KernelStem("a"), 1e5, 1.0, 1.0, 1.0),
+        makeReduction(KernelStem("b"), 1e5)};
     ExecutionResult res = gpu.executeAll(ks, true);
     EXPECT_EQ(res.records.size(), 2u);
     EXPECT_NEAR(res.totalSec,

@@ -16,10 +16,10 @@ namespace sim {
 namespace {
 
 KernelDesc
-testGemm(const std::string &name, int64_t m, int64_t n, int64_t k)
+testGemm(const char *name, int64_t m, int64_t n, int64_t k)
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    return nn::makeGemm(name, m, n, k, tuner);
+    return nn::makeGemm(KernelStem(name), m, n, k, tuner);
 }
 
 TEST(KernelSignature, IgnoresNameAndRepeat)
@@ -35,8 +35,8 @@ TEST(KernelSignature, IgnoresNameAndRepeat)
 
 TEST(KernelSignature, DistinguishesClasses)
 {
-    KernelDesc ew = makeElementwise("tanh", 1e6, 1.0, 1.0, 1.0);
-    KernelDesc red = makeReduction("loss_sum", 1e6);
+    KernelDesc ew = makeElementwise(KernelStem("tanh"), 1e6, 1.0, 1.0, 1.0);
+    KernelDesc red = makeReduction(KernelStem("loss_sum"), 1e6);
     EXPECT_FALSE(kernelSignature(ew) == kernelSignature(red));
 }
 
@@ -96,7 +96,7 @@ TEST(GpuTimingCache, ExecuteAllPopulatesAndHits)
     std::vector<KernelDesc> stream{
         testGemm("cell_fwd", 256, 64, 256),
         testGemm("cell_fwd_t2", 256, 64, 256),
-        makeElementwise("gate_math", 1e5, 4.0, 2.0, 1.0)};
+        makeElementwise(KernelStem("gate_math"), 1e5, 4.0, 2.0, 1.0)};
 
     ExecutionResult first = gpu.executeAll(stream);
     TimingCacheStats st = gpu.timingCacheStats();

@@ -101,7 +101,8 @@ main(int argc, char **argv)
 
     // fuzz_snapshot_load: the full payload plus every section.
     std::string payload = encodeSnapshotPayload(*snap);
-    ok &= writeSeed(root, "fuzz_snapshot_load", "payload_v4",
+    ok &= writeSeed(root, "fuzz_snapshot_load",
+                    "payload_v" + std::to_string(kSnapshotFormatVersion),
                     mode(0, payload));
     {
         ByteWriter w;
