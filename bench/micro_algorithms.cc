@@ -90,38 +90,6 @@ BM_KmeansSelector(benchmark::State &state)
 BENCHMARK(BM_KmeansSelector)->Arg(8)->Arg(16);
 
 void
-BM_KmeansFlatVsNested(benchmark::State &state)
-{
-    // Multi-dimensional weighted k-means on flat row-major storage;
-    // Arg(0)==1 goes through the nested-layout wrapper for contrast.
-    Rng rng(13);
-    const size_t n = 2000, dim = 8;
-    FlatMatrix pts(n, dim);
-    std::vector<double> w(n);
-    for (size_t i = 0; i < n; ++i) {
-        for (size_t d = 0; d < dim; ++d)
-            pts(i, d) = rng.uniformDouble();
-        w[i] = 1.0 + rng.uniformDouble();
-    }
-    core::KmeansOptions opts;
-    opts.k = 16;
-
-    bool nested = state.range(0) != 0;
-    auto nested_pts = pts.toNested();
-    for (auto _ : state) {
-        if (nested) {
-            auto res = core::kmeans(nested_pts, w, opts);
-            benchmark::DoNotOptimize(res);
-        } else {
-            auto res = core::kmeansFlat(pts, w, opts);
-            benchmark::DoNotOptimize(res);
-        }
-    }
-    state.SetLabel(nested ? "nested wrapper" : "flat");
-}
-BENCHMARK(BM_KmeansFlatVsNested)->Arg(0)->Arg(1);
-
-void
 BM_PriorSelector(benchmark::State &state)
 {
     auto epoch = syntheticEpoch(6000, 500);

@@ -23,14 +23,14 @@ namespace {
 void
 BM_TimeSingleKernel(benchmark::State &state)
 {
-    sim::Gpu gpu(sim::GpuConfig::config1(),
-                 /*enable_timing_cache=*/false);
+    // The timing model itself: what a timing-cache miss costs.
+    sim::GpuConfig cfg = sim::GpuConfig::config1();
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
     sim::KernelDesc k =
         nn::makeGemm(sim::KernelStem("bm"), 2048, 2048, 1024, tuner);
     for (auto _ : state) {
-        auto rec = gpu.execute(k);
-        benchmark::DoNotOptimize(rec);
+        auto kt = sim::timeKernel(k, cfg);
+        benchmark::DoNotOptimize(kt);
     }
 }
 BENCHMARK(BM_TimeSingleKernel);
@@ -64,22 +64,6 @@ BM_LowerGnmtIteration(benchmark::State &state)
     state.SetLabel("kernels per iteration vary with SL");
 }
 BENCHMARK(BM_LowerGnmtIteration)->Arg(20)->Arg(100)->Arg(200);
-
-void
-BM_SimulateDs2Iteration(benchmark::State &state)
-{
-    sim::Gpu gpu(sim::GpuConfig::config1(),
-                 /*enable_timing_cache=*/false);
-    nn::Model model = models::buildDs2();
-    nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    int64_t sl = state.range(0);
-    auto ks = model.lowerIteration(64, sl, tuner);
-    for (auto _ : state) {
-        auto res = gpu.executeAll(ks);
-        benchmark::DoNotOptimize(res);
-    }
-}
-BENCHMARK(BM_SimulateDs2Iteration)->Arg(100)->Arg(400);
 
 void
 BM_SimulateDs2IterationCached(benchmark::State &state)

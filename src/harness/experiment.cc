@@ -12,11 +12,9 @@ namespace harness {
 
 Experiment::ConfigState::ConfigState(const sim::GpuConfig &cfg,
                                      const nn::Model &model,
-                                     unsigned batch, bool timing_cache,
-                                     bool memoize)
-    : gpu(cfg, timing_cache),
-      tuner(nn::Autotuner::Mode::Measured, &gpu),
-      profiler(gpu, model, tuner, batch, memoize)
+                                     unsigned batch)
+    : gpu(cfg), tuner(nn::Autotuner::Mode::Measured, &gpu),
+      profiler(gpu, model, tuner, batch)
 {
 }
 
@@ -45,8 +43,7 @@ Experiment::state(const sim::GpuConfig &cfg)
             return *st;
     }
     states.push_back(
-        std::make_unique<ConfigState>(cfg, wl.model, wl.batchSize,
-                                      timingCache, memoizeProfiles));
+        std::make_unique<ConfigState>(cfg, wl.model, wl.batchSize));
     ConfigState &st = *states.back();
 
     // Seed the new state from the adopted snapshot covering exactly
@@ -57,8 +54,7 @@ Experiment::state(const sim::GpuConfig &cfg)
         if (!(seed->config == cfg))
             continue;
         st.tuner.seed(seed->tunerEntries);
-        if (st.gpu.timingCacheEnabled())
-            st.gpu.seedTimingCache(seed->timingEntries);
+        st.gpu.seedTimingCache(seed->timingEntries);
         st.profiler.seedTrainProfiles(seed->trainProfiles);
         st.profiler.seedInferProfiles(seed->inferProfiles);
         st.log = std::make_unique<prof::TrainLog>(seed->log);
@@ -70,47 +66,10 @@ Experiment::state(const sim::GpuConfig &cfg)
 }
 
 void
-Experiment::setTimingCacheEnabled(bool enable)
-{
-    timingCache = enable;
-    // Retrofit live states: cached timings are pure functions of the
-    // configuration, so flipping the cache never changes results.
-    for (const auto &st : states)
-        st->gpu.setTimingCacheEnabled(enable);
-}
-
-void
-Experiment::setMemoizeProfiles(bool enable)
-{
-    // A profiler's memoization mode is fixed at construction, so a
-    // change cannot retrofit existing per-config state. Failing loudly
-    // beats the historical silent no-op (set-after-query misuse).
-    panic_if(enable != memoizeProfiles && !states.empty(),
-             "Experiment::setMemoizeProfiles(%d) after %zu "
-             "configuration(s) were already queried with memoize=%d; "
-             "set profiling knobs before the first query",
-             enable, states.size(), memoizeProfiles);
-    // An adopted snapshot seeds profile memos, which need memoization
-    // (the same precondition seedFrom() itself checks).
-    panic_if(!enable && !seeds.empty(),
-             "Experiment::setMemoizeProfiles(false) after seedFrom(); "
-             "snapshot seeding requires profile memoization");
-    memoizeProfiles = enable;
-}
-
-void
 Experiment::warmIterProfiles(const sim::GpuConfig &cfg,
                              const std::vector<int64_t> &sls)
 {
-    if (!memoizeProfiles)
-        return;
     state(cfg).profiler.warmTrainProfiles(sls, profThreads);
-}
-
-sim::TimingCacheStats
-Experiment::timingCacheStats(const sim::GpuConfig &cfg)
-{
-    return state(cfg).gpu.timingCacheStats();
 }
 
 const prof::TrainLog &
@@ -123,7 +82,6 @@ Experiment::epochLog(const sim::GpuConfig &cfg)
         tc.policy = wl.policy;
         tc.seed = wl.seed;
         tc.evalCostMultiplier = wl.evalCostMultiplier;
-        tc.memoizeProfiles = st.profiler.memoizing();
         tc.profileThreads = profThreads;
         // Run through the per-config profiler: the epoch's unique-SL
         // profiles land in the same memo iterTime()/iterProfile()
@@ -255,9 +213,6 @@ Experiment::projectedThroughput(const core::SeqPointSet &sel,
 std::shared_ptr<const ModelSnapshot>
 Experiment::snapshot(const sim::GpuConfig &cfg)
 {
-    panic_if(!memoizeProfiles,
-             "Experiment::snapshot requires profile memoization");
-
     // Pay (or reuse) the full cold start first: epoch, per-SL
     // profiles, autotune, kernel timings and every selector's set
     // (warmed into the memo directly; buildAllSelections would
@@ -318,8 +273,6 @@ Experiment::seedFrom(std::shared_ptr<const ModelSnapshot> snap)
              "from this experiment's (workload '%s': dataset/batch/"
              "policy/seed/eval-cost/options must all match)",
              wl.name.c_str());
-    panic_if(!memoizeProfiles,
-             "Experiment::seedFrom requires profile memoization");
     // One snapshot per configuration: a second snapshot for an
     // already-adopted config would silently shadow the first.
     for (const auto &seed : seeds) {

@@ -70,24 +70,6 @@ class Experiment
     unsigned profileThreads() const { return profThreads; }
 
     /**
-     * Enable/disable the per-device kernel-timing cache. Existing
-     * per-configuration states are retrofitted (cached timings are
-     * pure functions of the configuration, so toggling mid-run never
-     * changes results, only whether lookups consult the cache).
-     */
-    void setTimingCacheEnabled(bool enable);
-
-    /**
-     * Enable/disable per-SL profile memoization. Memoization mode
-     * freezes into per-configuration state when the state is created,
-     * and a profiler cannot be re-modded after the fact -- changing
-     * the value once any configuration has been queried panics
-     * instead of silently not applying (re-asserting the current
-     * value stays allowed).
-     */
-    void setMemoizeProfiles(bool enable);
-
-    /**
      * Pre-profile a set of SLs on a configuration using the sweep
      * thread pool; later iterTime()/iterProfile() calls for those SLs
      * are memo hits. Results are bit-identical to serial profiling.
@@ -97,9 +79,6 @@ class Experiment
      */
     void warmIterProfiles(const sim::GpuConfig &cfg,
                           const std::vector<int64_t> &sls);
-
-    /** Kernel-timing-cache statistics for a configuration's device. */
-    sim::TimingCacheStats timingCacheStats(const sim::GpuConfig &cfg);
 
     /**
      * Full-epoch training log on a configuration (memoized).
@@ -211,8 +190,7 @@ class Experiment
      * adopt one snapshot per configuration -- e.g. every Table II
      * cold start a snapshot store already holds; adopting two
      * snapshots for the same configuration is a misuse panic, as is
-     * any workload/run-parameter mismatch or seeding with
-     * memoization disabled.
+     * any workload/run-parameter mismatch.
      *
      * @param snap Snapshot from Experiment::snapshot() (shared, not
      *             copied; null drops every adopted snapshot).
@@ -230,15 +208,13 @@ class Experiment
         std::map<core::SelectorKind, core::SeqPointSet> selections;
 
         ConfigState(const sim::GpuConfig &cfg, const nn::Model &model,
-                    unsigned batch, bool timing_cache, bool memoize);
+                    unsigned batch);
     };
 
     Workload wl;
     core::SeqPointOptions opts;
     unsigned profThreads =
         std::max(1u, std::thread::hardware_concurrency());
-    bool timingCache = true;
-    bool memoizeProfiles = true;
 
     /**
      * Per-configuration states, resolved by field-wise GpuConfig

@@ -62,8 +62,14 @@ namespace harness {
  * timing section holds only kernels that really launched (the losing
  * variants were ~80% of it). v4 stores rebuild on first use, which
  * drops their probe entries.
+ *
+ * v6: byte layout and field semantics identical to v5; bumped because
+ * the trainer source, which holds the TrainLog codec, lost its
+ * per-iteration and memoize-off paths, so the codec content pins had
+ * to be regenerated under the lint ratchet. v5 stores rebuild on
+ * first use.
  */
-constexpr uint32_t kSnapshotFormatVersion = 5;
+constexpr uint32_t kSnapshotFormatVersion = 6;
 
 /**
  * Full identity of a snapshot: everything the snapshotted state is a

@@ -14,10 +14,8 @@ namespace seqpoint {
 namespace prof {
 
 Profiler::Profiler(const sim::Gpu &gpu, const nn::Model &net,
-                   nn::Autotuner &shared_tuner, unsigned batch_size,
-                   bool memoize_profiles)
-    : gpu_(gpu), model(net), tuner(shared_tuner), batch(batch_size),
-      memoize(memoize_profiles)
+                   nn::Autotuner &shared_tuner, unsigned batch_size)
+    : gpu_(gpu), model(net), tuner(shared_tuner), batch(batch_size)
 {
     fatal_if(batch_size == 0, "Profiler: zero batch size");
 }
@@ -46,11 +44,6 @@ Profiler::computeProfile(int64_t seq_len, bool train) const
 const IterationProfile &
 Profiler::profileIteration(int64_t seq_len)
 {
-    if (!memoize) {
-        scratch = computeProfile(seq_len, /*train=*/true);
-        return scratch;
-    }
-
     auto it = trainCache.find(seq_len);
     if (it != trainCache.end())
         return it->second;
@@ -74,11 +67,6 @@ Profiler::profileIterationDetailed(int64_t seq_len) const
 const IterationProfile &
 Profiler::profileInference(int64_t seq_len)
 {
-    if (!memoize) {
-        scratch = computeProfile(seq_len, /*train=*/false);
-        return scratch;
-    }
-
     auto it = inferCache.find(seq_len);
     if (it != inferCache.end())
         return it->second;
@@ -94,8 +82,6 @@ Profiler::warmProfiles(const std::vector<int64_t> &sls, unsigned threads,
                        bool train,
                        std::map<int64_t, IterationProfile> &cache)
 {
-    fatal_if(!memoize, "Profiler: warm requires memoization");
-
     // Unique, ascending, not-yet-cached SLs.
     std::vector<int64_t> todo(sls);
     std::sort(todo.begin(), todo.end());
@@ -136,7 +122,6 @@ void
 Profiler::seedTrainProfiles(
     const std::map<int64_t, IterationProfile> &profiles)
 {
-    fatal_if(!memoize, "Profiler: seeding requires memoization");
     trainCache.insert(profiles.begin(), profiles.end());
 }
 
@@ -144,7 +129,6 @@ void
 Profiler::seedInferProfiles(
     const std::map<int64_t, IterationProfile> &profiles)
 {
-    fatal_if(!memoize, "Profiler: seeding requires memoization");
     inferCache.insert(profiles.begin(), profiles.end());
 }
 

@@ -37,19 +37,15 @@ class Profiler
      * @param model Network to lower.
      * @param tuner Autotuner shared across the run.
      * @param batch Batch size used for every iteration.
-     * @param memoize Memoize profiles per SL; disabling recovers the
-     *                re-simulate-every-iteration baseline the
-     *                profiling-speedup bench measures against.
      */
     Profiler(const sim::Gpu &gpu, const nn::Model &model,
-             nn::Autotuner &tuner, unsigned batch, bool memoize = true);
+             nn::Autotuner &tuner, unsigned batch);
 
     /**
      * Profile a training iteration at a sequence length (memoized).
      *
      * @param seq_len Sequence length.
-     * @return Aggregate profile (reference valid until the next call
-     *         when memoization is disabled, else until destruction).
+     * @return Aggregate profile (reference valid until destruction).
      */
     const IterationProfile &profileIteration(int64_t seq_len);
 
@@ -75,8 +71,6 @@ class Profiler
      * order, so the cache contents -- and every later
      * profileIteration() result -- are bit-identical to profiling the
      * same SLs serially.
-     *
-     * Requires memoization to be enabled.
      *
      * @param sls Sequence lengths (duplicates and cached SLs are
      *            skipped).
@@ -104,9 +98,8 @@ class Profiler
     /**
      * Pre-populate the training memo from profiles snapshotted on an
      * equally configured (device, model, batch) profiler. Existing
-     * entries win. Requires memoization; profiles are pure functions
-     * of SL, so a seeded memo serves results bit-identical to
-     * profiling from scratch.
+     * entries win. Profiles are pure functions of SL, so a seeded
+     * memo serves results bit-identical to profiling from scratch.
      *
      * @param profiles Entries from trainProfileSnapshot().
      */
@@ -126,9 +119,6 @@ class Profiler
     /** @return The configured batch size. */
     unsigned batchSize() const { return batch; }
 
-    /** @return True when per-SL memoization is enabled. */
-    bool memoizing() const { return memoize; }
-
     /** @return Number of memoized training profiles. */
     size_t cacheSize() const { return trainCache.size(); }
 
@@ -137,13 +127,9 @@ class Profiler
     const nn::Model &model;
     nn::Autotuner &tuner;
     unsigned batch;
-    bool memoize;
 
     std::map<int64_t, IterationProfile> trainCache;
     std::map<int64_t, IterationProfile> inferCache;
-
-    /** Scratch result for the non-memoizing mode. */
-    IterationProfile scratch;
 
     IterationProfile computeProfile(int64_t seq_len, bool train) const;
 

@@ -132,8 +132,6 @@ runTrainingEpoch(Profiler &profiler, const data::Dataset &dataset,
     fatal_if(profiler.batchSize() != cfg.batchSize,
              "runTrainingEpoch: profiler batch %u != config batch %u",
              profiler.batchSize(), cfg.batchSize);
-    fatal_if(profiler.memoizing() != cfg.memoizeProfiles,
-             "runTrainingEpoch: profiler/config memoization mismatch");
     fatal_if(profiler.autotuner().selectionMode() != cfg.tunerMode,
              "runTrainingEpoch: profiler/config autotuner-mode mismatch");
 
@@ -152,82 +150,54 @@ runTrainingEpoch(Profiler &profiler, const data::Dataset &dataset,
             data::BatchPolicy::Bucketed, rng);
     }
 
-    const bool memo = profiler.memoizing();
-    const bool replay = memo && cfg.uniqueSlReplay;
-
     // One-time autotune cost newly incurred by this epoch: with a
     // fresh profiler the delta is the tuner's whole cost, matching
     // the historical accounting.
     double tune_before = profiler.autotuner().tuningCostSec();
 
-    std::vector<int64_t> train_sls, eval_sls;
-    if (replay || (memo && cfg.profileThreads > 1)) {
-        // Fill the per-SL memo up front: each unique SL is profiled
-        // exactly once (in ascending order, on the sweep pool when
-        // profileThreads > 1). The assembly below then runs entirely
-        // out of the memo; because profiles are pure functions of SL
-        // the log is bit-identical to profiling in batch order.
-        train_sls = uniqueSls(batches);
-        profiler.warmTrainProfiles(train_sls, cfg.profileThreads);
-        if (do_eval) {
-            eval_sls = uniqueSls(eval_batches);
-            profiler.warmInferProfiles(eval_sls, cfg.profileThreads);
-        }
+    // Fill the per-SL memo up front: each unique SL is profiled
+    // exactly once (in ascending order, on the sweep pool when
+    // profileThreads > 1). The assembly below then runs entirely out
+    // of the memo; because profiles are pure functions of SL the log
+    // is bit-identical to profiling in batch order.
+    std::vector<int64_t> train_sls = uniqueSls(batches);
+    profiler.warmTrainProfiles(train_sls, cfg.profileThreads);
+    std::vector<int64_t> eval_sls;
+    if (do_eval) {
+        eval_sls = uniqueSls(eval_batches);
+        profiler.warmInferProfiles(eval_sls, cfg.profileThreads);
     }
 
     TrainLog log;
     log.iterations.reserve(batches.size());
 
-    if (replay) {
-        // Unique-SL epoch replay: resolve each unique SL's profile
-        // once into a flat table, then replay the SL schedule as
-        // table lookups. Accumulation visits the same values in the
-        // same (execution) order as the per-iteration path, so the
-        // totals are bit-identical.
-        // Resolving a profile is the expensive part when the memo is
-        // cold (each miss runs a full per-SL profile), so this is
-        // where a deadline firing mid-resolve must be noticed; the
-        // replay loops below are pure table lookups.
-        std::vector<const IterationProfile *> table(train_sls.size());
-        for (std::size_t i = 0; i < train_sls.size(); ++i) {
+    // Resolve each unique SL's profile once into a flat table, then
+    // replay the SL schedule as table lookups. Accumulation visits
+    // the values in execution order, so the totals match summing
+    // per-iteration profiles in batch order bit for bit. The resolve
+    // loops poll for cancellation; the replay loops are pure table
+    // lookups.
+    std::vector<const IterationProfile *> table(train_sls.size());
+    for (std::size_t i = 0; i < train_sls.size(); ++i) {
+        cancelCheckpoint("trainer.resolve");
+        table[i] = &profiler.profileIteration(train_sls[i]);
+    }
+
+    for (const data::Batch &b : batches) {
+        const IterationProfile &p = *table[slIndex(train_sls, b.seqLen)];
+        log.iterations.push_back(IterationLog{b.seqLen, p.timeSec});
+        log.trainSec += p.timeSec;
+        log.counters += p.counters;
+    }
+
+    if (do_eval) {
+        std::vector<const IterationProfile *> etab(eval_sls.size());
+        for (std::size_t i = 0; i < eval_sls.size(); ++i) {
             cancelCheckpoint("trainer.resolve");
-            table[i] = &profiler.profileIteration(train_sls[i]);
+            etab[i] = &profiler.profileInference(eval_sls[i]);
         }
-
-        for (const data::Batch &b : batches) {
-            const IterationProfile &p =
-                *table[slIndex(train_sls, b.seqLen)];
-            log.iterations.push_back(IterationLog{b.seqLen, p.timeSec});
-            log.trainSec += p.timeSec;
-            log.counters += p.counters;
-        }
-
-        if (do_eval) {
-            std::vector<const IterationProfile *> etab(eval_sls.size());
-            for (std::size_t i = 0; i < eval_sls.size(); ++i) {
-                cancelCheckpoint("trainer.resolve");
-                etab[i] = &profiler.profileInference(eval_sls[i]);
-            }
-            for (const data::Batch &b : eval_batches) {
-                const IterationProfile &p =
-                    *etab[slIndex(eval_sls, b.seqLen)];
-                log.evalSec += p.timeSec * cfg.evalCostMultiplier;
-            }
-        }
-    } else {
-        // Per-iteration profiling is the epoch's dominant cost, so
-        // this is where a deadline firing mid-epoch must be noticed.
-        for (const data::Batch &b : batches) {
-            cancelCheckpoint("trainer.batch");
-            const IterationProfile &p = profiler.profileIteration(b.seqLen);
-            log.iterations.push_back(IterationLog{b.seqLen, p.timeSec});
-            log.trainSec += p.timeSec;
-            log.counters += p.counters;
-        }
-
         for (const data::Batch &b : eval_batches) {
-            cancelCheckpoint("trainer.batch");
-            const IterationProfile &p = profiler.profileInference(b.seqLen);
+            const IterationProfile &p = *etab[slIndex(eval_sls, b.seqLen)];
             log.evalSec += p.timeSec * cfg.evalCostMultiplier;
         }
     }
@@ -241,8 +211,7 @@ runTrainingEpoch(const sim::Gpu &gpu, const nn::Model &model,
                  const data::Dataset &dataset, const TrainConfig &cfg)
 {
     nn::Autotuner tuner(cfg.tunerMode, &gpu);
-    Profiler profiler(gpu, model, tuner, cfg.batchSize,
-                      cfg.memoizeProfiles);
+    Profiler profiler(gpu, model, tuner, cfg.batchSize);
     return runTrainingEpoch(profiler, dataset, cfg);
 }
 

@@ -35,30 +35,12 @@ struct TrainConfig {
     uint64_t seed = 1;                      ///< Shuffle seed.
 
     /**
-     * Memoize per-SL profiles (the paper's observation 4). Disabling
-     * re-simulates every iteration from scratch -- the baseline the
-     * profiling-speedup bench compares against.
-     */
-    bool memoizeProfiles = true;
-
-    /**
-     * Threads for the per-SL profiling sweep. Values > 1 pre-profile
-     * the epoch's unique sequence lengths on a thread pool before the
+     * Threads for the per-SL profiling sweep. Values > 1 profile the
+     * epoch's unique sequence lengths on a thread pool before the
      * serial log assembly; the log is bit-identical to the serial
-     * path. Requires memoizeProfiles.
+     * path.
      */
     unsigned profileThreads = 1;
-
-    /**
-     * Unique-SL epoch replay (the paper's per-iteration redundancy
-     * argument applied to the epoch log): profile each unique SL
-     * once, then assemble the log by replaying the SL schedule as
-     * flat-table lookups, turning O(iterations x kernels) work into
-     * O(unique SLs x kernels) + O(iterations). Disabling recovers
-     * the per-iteration memo-probe path; the log is bit-identical
-     * either way. Requires memoizeProfiles.
-     */
-    bool uniqueSlReplay = true;
 };
 
 /** One logged training iteration. */
@@ -96,9 +78,9 @@ struct TrainLog {
 
     /**
      * Bit-exact equality of iteration logs, times and counters (the
-     * bench/test identity guard shared by the engine and scheduler
-     * comparisons). autotuneSec is deliberately excluded: persistent
-     * and snapshot-seeded engines legitimately account the one-time
+     * identity guard shared by the trainer, snapshot and scheduler
+     * tests). autotuneSec is deliberately excluded: persistent and
+     * snapshot-seeded profilers legitimately account the one-time
      * tuning cost to an earlier run.
      *
      * @param other Log to compare against.
@@ -139,6 +121,12 @@ std::vector<data::Batch> epochBatchSchedule(const data::Dataset &dataset,
 /**
  * Run one training epoch.
  *
+ * Each unique sequence length is profiled once and the log is
+ * assembled by replaying the SL schedule as table lookups: an
+ * iteration is a pure function of its SL (the paper's observation
+ * 4), so O(iterations x kernels) work becomes O(unique SLs x
+ * kernels) + O(iterations).
+ *
  * Constructs a fresh autotuner and profiler for the run, so every
  * call re-profiles its unique SLs from scratch (kernel timings still
  * come from the device's timing cache). Prefer the Profiler overload
@@ -167,7 +155,7 @@ TrainLog runTrainingEpoch(const sim::Gpu &gpu, const nn::Model &model,
  * the old accounting exactly).
  *
  * @param profiler Profiler bound to the device and model; its batch
- *                 size and memoization mode must match cfg.
+ *                 size and autotuner mode must match cfg.
  * @param dataset Dataset supplying sample sequence lengths.
  * @param cfg Training-run parameters.
  * @return The epoch log.

@@ -8,16 +8,14 @@
 namespace seqpoint {
 namespace sim {
 
-Gpu::Gpu(GpuConfig config, bool enable_timing_cache)
-    : cfg(std::move(config)), cacheEnabled(enable_timing_cache)
+Gpu::Gpu(GpuConfig config) : cfg(std::move(config))
 {
 }
 
 KernelTiming
 Gpu::launchTiming(const KernelDesc &desc) const
 {
-    KernelTiming kt = cacheEnabled ? cache.lookup(desc, cfg)
-                                   : timeKernel(desc, cfg);
+    KernelTiming kt = cache.lookup(desc, cfg);
     if (desc.repeat != 1) {
         double r = static_cast<double>(desc.repeat);
         kt.timeSec *= r;

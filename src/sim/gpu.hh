@@ -53,10 +53,9 @@ struct ExecutionResult {
  *
  * Each unique kernel signature is timed once per device and replayed
  * from the kernel-timing cache thereafter (the paper's Fig 5
- * unique-kernel observation applied to the simulator). The cache can
- * be disabled to recover the time-every-launch baseline; results are
- * bit-identical either way because the timing model is a pure
- * function of (signature, configuration).
+ * unique-kernel observation applied to the simulator). A replayed
+ * timing is bit-identical to timing the kernel afresh because the
+ * timing model is a pure function of (signature, configuration).
  */
 class Gpu
 {
@@ -65,18 +64,11 @@ class Gpu
      * Construct a device.
      *
      * @param cfg Hardware configuration (copied).
-     * @param enable_timing_cache Memoize per-signature kernel timings.
      */
-    explicit Gpu(GpuConfig cfg, bool enable_timing_cache = true);
+    explicit Gpu(GpuConfig cfg);
 
     /** @return The device configuration. */
     const GpuConfig &config() const { return cfg; }
-
-    /** Enable or disable the kernel-timing cache. */
-    void setTimingCacheEnabled(bool enable) { cacheEnabled = enable; }
-
-    /** @return True when the kernel-timing cache is in use. */
-    bool timingCacheEnabled() const { return cacheEnabled; }
 
     /** @return Kernel-timing-cache hit/miss statistics. */
     TimingCacheStats timingCacheStats() const { return cache.stats(); }
@@ -128,7 +120,6 @@ class Gpu
 
   private:
     GpuConfig cfg;
-    bool cacheEnabled = true;
     mutable KernelTimingCache cache;
 
     /**

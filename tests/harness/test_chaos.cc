@@ -156,6 +156,15 @@ TEST(Chaos, FaultStormSweepConvergesToCleanResults)
     EXPECT_LE(cell_fired, 2u);
     EXPECT_LE(read_fired, 2u);
 
+    // Every injected cell fault was absorbed by a retry: exactly the
+    // faulted cells took more than one attempt.
+    ASSERT_EQ(timings.size(), stormy.size());
+    uint64_t retried = 0;
+    for (const CellTiming &t : timings)
+        retried += t.outcome.attempts > 1;
+    EXPECT_GE(retried, 1u);
+    EXPECT_EQ(retried, cell_fired);
+
     FaultInjector::instance().reset();
     setQuietLogging(false);
 }

@@ -71,55 +71,6 @@ TEST(Experiment, SameNameDifferentParamsDoNotAliasState)
     EXPECT_NE(&exp.epochLog(fast), &exp.epochLog(slow));
 }
 
-TEST(ExperimentDeathTest, MemoizeToggleAfterQueryPanics)
-{
-    // Regression (set-after-query misuse): memoization mode freezes
-    // into per-config state at creation, so changing it after a query
-    // used to silently not apply. It must fail loudly instead.
-    Experiment exp(makeDs2Workload(31));
-    auto cfg = sim::GpuConfig::config1();
-    EXPECT_GT(exp.iterTime(cfg, 40), 0.0); // freezes memoizing state
-    EXPECT_DEATH(exp.setMemoizeProfiles(false), "setMemoizeProfiles");
-    // Re-asserting the value already in force is not a change.
-    exp.setMemoizeProfiles(true);
-    EXPECT_GT(exp.actualTrainSec(cfg), 0.0);
-}
-
-TEST(Experiment, MemoizeOffBeforeFirstQueryStillApplies)
-{
-    Experiment exp(makeDs2Workload(31));
-    exp.setMemoizeProfiles(false);
-    auto cfg = sim::GpuConfig::config1();
-    EXPECT_GT(exp.actualTrainSec(cfg), 0.0);
-}
-
-TEST(Experiment, TimingCacheToggleRetrofitsExistingStates)
-{
-    // Regression (set-after-query misuse): disabling the kernel-
-    // timing cache after a configuration was queried used to leave
-    // that configuration's device caching forever. The setter now
-    // retrofits live states: with the cache off, fresh profiling
-    // performs no lookups at all.
-    Experiment exp(makeDs2Workload(31));
-    auto cfg = sim::GpuConfig::config1();
-    EXPECT_GT(exp.iterTime(cfg, 40), 0.0); // creates the state
-    EXPECT_GT(exp.timingCacheStats(cfg).lookups(), 0u);
-
-    exp.setTimingCacheEnabled(false);
-    uint64_t before = exp.timingCacheStats(cfg).lookups();
-    double t_uncached = exp.iterTime(cfg, 60); // fresh SL, no cache
-    EXPECT_EQ(exp.timingCacheStats(cfg).lookups(), before);
-
-    exp.setTimingCacheEnabled(true);
-    exp.iterTime(cfg, 80); // fresh SL, cache consulted again
-    EXPECT_GT(exp.timingCacheStats(cfg).lookups(), before);
-
-    // Timings are pure functions of the configuration, so toggling
-    // never changes values.
-    Experiment fresh(makeDs2Workload(31));
-    EXPECT_EQ(t_uncached, fresh.iterTime(cfg, 60));
-}
-
 TEST(Experiment, SlStatsMemoizedAndEqualToRecompute)
 {
     // Regression: buildAllSelections used to recompute slStats from

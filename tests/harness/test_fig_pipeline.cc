@@ -231,13 +231,6 @@ TEST(ModelSnapshotDeathTest, MisuseFailsLoudly)
     // different run seed holds different results.
     Experiment variant(makeDs2Workload(31));
     EXPECT_DEATH(variant.seedFrom(snap), "parameters");
-
-    // Disabling memoization after adopting a snapshot would strand
-    // the seeded profile memos; it must fail at the misuse site, not
-    // deep inside the first query.
-    Experiment unmemo(makeDs2Workload());
-    unmemo.seedFrom(snap);
-    EXPECT_DEATH(unmemo.setMemoizeProfiles(false), "memoization");
 }
 
 } // anonymous namespace

@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for the unique-SL epoch-replay engine: the replayed log must
- * be bit-identical to the per-iteration path, the caller-owned
- * profiler overload must reuse profiles across epochs, and the
- * records-free execution path must match the record-keeping one.
+ * be bit-identical to profiling every batch in order, memoized or
+ * not, the caller-owned profiler overload must reuse profiles across
+ * epochs, and the records-free execution path must match the
+ * record-keeping one.
  */
 
 #include <gtest/gtest.h>
 
 #include "harness/workloads.hh"
 #include "profiler/trainer.hh"
+#include "reference_epoch.hh"
 
 namespace seqpoint {
 namespace prof {
@@ -20,24 +22,10 @@ void
 expectLogsIdentical(const TrainLog &a, const TrainLog &b,
                     bool compare_autotune = true)
 {
-    ASSERT_EQ(a.numIterations(), b.numIterations());
-    EXPECT_EQ(a.trainSec, b.trainSec);
-    EXPECT_EQ(a.evalSec, b.evalSec);
-    if (compare_autotune)
+    EXPECT_TRUE(a.identicalTo(b));
+    if (compare_autotune) {
         EXPECT_EQ(a.autotuneSec, b.autotuneSec);
-    for (size_t i = 0; i < a.iterations.size(); ++i) {
-        EXPECT_EQ(a.iterations[i].seqLen, b.iterations[i].seqLen);
-        EXPECT_EQ(a.iterations[i].timeSec, b.iterations[i].timeSec);
     }
-    EXPECT_EQ(a.counters.kernelsLaunched, b.counters.kernelsLaunched);
-    EXPECT_EQ(a.counters.valuInsts, b.counters.valuInsts);
-    EXPECT_EQ(a.counters.bytesLoaded, b.counters.bytesLoaded);
-    EXPECT_EQ(a.counters.bytesStored, b.counters.bytesStored);
-    EXPECT_EQ(a.counters.l1HitBytes, b.counters.l1HitBytes);
-    EXPECT_EQ(a.counters.l2HitBytes, b.counters.l2HitBytes);
-    EXPECT_EQ(a.counters.dramBytes, b.counters.dramBytes);
-    EXPECT_EQ(a.counters.busySec, b.counters.busySec);
-    EXPECT_EQ(a.counters.launchSec, b.counters.launchSec);
 }
 
 TrainConfig
@@ -54,13 +42,19 @@ gnmtConfig(const harness::Workload &wl)
 TEST(EpochReplay, ReplayBitIdenticalToPerIterationPath)
 {
     harness::Workload wl = harness::makeGnmtWorkload(11);
-    sim::Gpu gpu(sim::GpuConfig::config1());
     TrainConfig tc = gnmtConfig(wl);
 
-    tc.uniqueSlReplay = false;
-    TrainLog per_iter = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
+    // Reference: walk the schedule in batch order through a memoizing
+    // profiler, one profile per batch.
+    sim::Gpu ref_gpu(sim::GpuConfig::config1());
+    nn::Autotuner tuner(tc.tunerMode, &ref_gpu);
+    Profiler profiler(ref_gpu, wl.model, tuner, wl.batchSize);
+    TrainLog per_iter = referenceEpoch(
+        wl.dataset, tc, tuner,
+        [&](int64_t sl) { return profiler.profileIteration(sl); },
+        [&](int64_t sl) { return profiler.profileInference(sl); });
 
-    tc.uniqueSlReplay = true;
+    sim::Gpu gpu(sim::GpuConfig::config1());
     TrainLog replay = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
     expectLogsIdentical(per_iter, replay);
@@ -69,14 +63,12 @@ TEST(EpochReplay, ReplayBitIdenticalToPerIterationPath)
 TEST(EpochReplay, ReplayBitIdenticalToUnmemoizedBaseline)
 {
     harness::Workload wl = harness::makeDs2Workload(13);
-    sim::Gpu gpu(sim::GpuConfig::config1(), /*timing_cache=*/false);
     TrainConfig tc = gnmtConfig(wl);
 
-    tc.memoizeProfiles = false;
-    TrainLog baseline = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
+    TrainLog baseline = unmemoizedEpoch(wl.model, wl.dataset, tc,
+                                        sim::GpuConfig::config1());
 
-    tc.memoizeProfiles = true;
-    tc.uniqueSlReplay = true;
+    sim::Gpu gpu(sim::GpuConfig::config1());
     TrainLog replay = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
     expectLogsIdentical(baseline, replay);
@@ -161,11 +153,6 @@ TEST(EpochReplayDeath, ProfilerConfigMismatchesRejected)
     bad_batch.batchSize = wl.batchSize + 1;
     EXPECT_DEATH(runTrainingEpoch(profiler, wl.dataset, bad_batch),
                  "batch");
-
-    TrainConfig bad_memo = gnmtConfig(wl);
-    bad_memo.memoizeProfiles = false;
-    EXPECT_DEATH(runTrainingEpoch(profiler, wl.dataset, bad_memo),
-                 "memoization");
 
     // The profiler's tuner is Heuristic; the config default asks for
     // Measured, which the profiler overload cannot honor.

@@ -88,7 +88,6 @@ TEST(TimingCache, CachedTimingBitIdenticalToFresh)
 TEST(GpuTimingCache, ExecuteAllPopulatesAndHits)
 {
     Gpu gpu(GpuConfig::config1());
-    ASSERT_TRUE(gpu.timingCacheEnabled());
 
     // An RNN-ish stream: the same cell GEMM under two names plus one
     // distinct kernel. Two unique signatures -> one miss is saved on
@@ -116,24 +115,28 @@ TEST(GpuTimingCache, ExecuteAllPopulatesAndHits)
 
 TEST(GpuTimingCache, DisabledCacheMatchesEnabledBitForBit)
 {
+    // Every cached record equals timing its kernel afresh, scaled to
+    // the kernel's repeat count.
     GpuConfig cfg = GpuConfig::config1();
-    Gpu cached(cfg, /*enable_timing_cache=*/true);
-    Gpu uncached(cfg, /*enable_timing_cache=*/false);
-    EXPECT_FALSE(uncached.timingCacheEnabled());
+    Gpu gpu(cfg);
 
     std::vector<KernelDesc> stream;
-    for (int i = 0; i < 8; ++i)
+    for (int i = 0; i < 8; ++i) {
         stream.push_back(testGemm("g", 128 << (i % 3), 64, 512));
+        stream.back().repeat = 1 + i % 4;
+    }
 
-    ExecutionResult a = cached.executeAll(stream, true);
-    ExecutionResult b = uncached.executeAll(stream, true);
+    ExecutionResult res = gpu.executeAll(stream, true);
 
-    EXPECT_EQ(uncached.timingCacheStats().lookups(), 0u);
-    EXPECT_EQ(a.totalSec, b.totalSec);
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (size_t i = 0; i < a.records.size(); ++i) {
-        EXPECT_EQ(a.records[i].timeSec, b.records[i].timeSec);
-        EXPECT_EQ(a.records[i].memoryBound, b.records[i].memoryBound);
+    EXPECT_GT(gpu.timingCacheStats().hits, 0u);
+    ASSERT_EQ(res.records.size(), stream.size());
+    for (size_t i = 0; i < stream.size(); ++i) {
+        KernelTiming fresh = timeKernel(stream[i], cfg);
+        double r = static_cast<double>(stream[i].repeat);
+        fresh.counters *= r;
+        EXPECT_EQ(res.records[i].timeSec, fresh.timeSec * r);
+        EXPECT_EQ(res.records[i].memoryBound, fresh.memoryBound);
+        EXPECT_TRUE(res.records[i].counters == fresh.counters);
     }
 }
 

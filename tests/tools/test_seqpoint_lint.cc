@@ -136,7 +136,6 @@ TEST(LintFixtures, ViolationsTreeTripsEveryRule)
     EXPECT_TRUE(rules.count("checkpoint"));
     EXPECT_TRUE(rules.count("status-discard"));
     EXPECT_TRUE(rules.count("codec-pin"));
-    EXPECT_TRUE(rules.count("bench-gate"));
     EXPECT_TRUE(rules.count("error-code"));
     EXPECT_TRUE(rules.count("unordered-iter"));
     EXPECT_TRUE(rules.count("nondeterminism"));

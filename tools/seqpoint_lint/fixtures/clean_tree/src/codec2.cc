@@ -1,4 +1,4 @@
-// Fixture codec for rule 9 (fuzz-coverage): decodeWidget is called
+// Fixture codec for rule 8 (fuzz-coverage): decodeWidget is called
 // by the registered harness, decodeInternal is pinned.
 struct ByteReader;
 

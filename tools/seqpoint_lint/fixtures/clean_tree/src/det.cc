@@ -1,5 +1,5 @@
-// Fixture: rules 6 (unordered-iter), 7 (nondeterminism) and
-// 8 (float-reduce) satisfied via annotation, pin, allowlist and the
+// Fixture: rules 5 (unordered-iter), 6 (nondeterminism) and
+// 7 (float-reduce) satisfied via annotation, pin, allowlist and the
 // per-slot exemption.
 #include <unordered_map>
 

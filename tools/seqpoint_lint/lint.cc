@@ -741,65 +741,7 @@ ruleCodecPins(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 4: bench gates mirrored in CI.
-// ---------------------------------------------------------------
-
-bool
-ruleBenchGates(const Options &opts, std::vector<Violation> &out)
-{
-    std::string ci;
-    if (!readFile(fs::path(opts.root) / ".github/workflows/ci.yml",
-                  ci)) {
-        out.push_back({"config", ".github/workflows/ci.yml", 0,
-                       "cannot read the CI workflow"});
-        return false;
-    }
-
-    fs::path bench = fs::path(opts.root) / "bench";
-    std::error_code ec;
-    std::size_t markers = 0;
-    std::vector<fs::path> bench_files;
-    for (const auto &entry : fs::directory_iterator(bench, ec)) {
-        if (entry.path().extension() == ".cc")
-            bench_files.push_back(entry.path());
-    }
-    std::sort(bench_files.begin(), bench_files.end());
-    for (const fs::path &p : bench_files) {
-        std::string text;
-        if (!readFile(p, text))
-            continue;
-        std::string rel = fs::relative(p, opts.root).generic_string();
-        std::istringstream in(text);
-        std::string line;
-        int lineno = 0;
-        while (std::getline(in, line)) {
-            ++lineno;
-            std::size_t pos = line.find("BENCH_GATE:");
-            if (pos == std::string::npos)
-                continue;
-            ++markers;
-            std::istringstream keys(line.substr(pos + 11));
-            std::string key;
-            while (keys >> key) {
-                if (ci.find("\"" + key + "\"") != std::string::npos)
-                    continue;
-                out.push_back(
-                    {"bench-gate", rel, lineno,
-                     "gate key '" + key + "' is not checked by the "
-                     "CI bench guard (.github/workflows/ci.yml)"});
-            }
-        }
-    }
-    if (markers == 0) {
-        out.push_back({"bench-gate", "bench", 0,
-                       "no BENCH_GATE markers found: the gate "
-                       "registry must not be empty"});
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------
-// Rule 5: ErrorCode classification strings.
+// Rule 4: ErrorCode classification strings.
 // ---------------------------------------------------------------
 
 bool
@@ -861,7 +803,7 @@ ruleErrorCodes(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Shared helpers for rules 6-9.
+// Shared helpers for rules 5-8.
 // ---------------------------------------------------------------
 
 /** Whether `word` occurs in `text` with identifier boundaries. */
@@ -933,7 +875,7 @@ sourceFiles(const Options &opts)
 }
 
 // ---------------------------------------------------------------
-// Rule 6: unordered-container iteration on determinism-critical
+// Rule 5: unordered-container iteration on determinism-critical
 // paths.
 // ---------------------------------------------------------------
 
@@ -1050,7 +992,7 @@ ruleUnorderedIter(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 7: unseeded randomness / wall-clock in measured paths.
+// Rule 6: unseeded randomness / wall-clock in measured paths.
 // ---------------------------------------------------------------
 
 bool
@@ -1104,7 +1046,7 @@ ruleNondeterminism(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 8: float-reduction order in parallelFor lambdas.
+// Rule 7: float-reduction order in parallelFor lambdas.
 // ---------------------------------------------------------------
 
 /**
@@ -1223,7 +1165,7 @@ ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 9: fuzz-entry coverage of the snapshot codec.
+// Rule 8: fuzz-entry coverage of the snapshot codec.
 // ---------------------------------------------------------------
 
 /** One codec entry point that must be reachable from a harness. */
@@ -1365,7 +1307,6 @@ runLint(const Options &opts, std::vector<Violation> &out)
     ok &= ruleCheckpoint(opts, out);
     ok &= ruleStatusDiscard(opts, out);
     ok &= ruleCodecPins(opts, out);
-    ok &= ruleBenchGates(opts, out);
     ok &= ruleErrorCodes(opts, out);
     ok &= ruleUnorderedIter(opts, out);
     ok &= ruleNondeterminism(opts, out);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Repo-invariant linter for the SeqPoint tree. Nine rules, each a
+ * Repo-invariant linter for the SeqPoint tree. Eight rules, each a
  * cheap textual scan with an explicit, committed registry so that a
  * violation is a conscious decision, never a silent drift:
  *
@@ -12,24 +12,22 @@
  *      outside the committed allowlist.
  *   3. codec-pin   -- editing a serialization-codec file requires a
  *      kSnapshotFormatVersion bump (content hashes are pinned).
- *   4. bench-gate  -- every gate key a bench exports (BENCH_GATE
- *      markers) must be mirrored in the CI bench-guard script.
- *   5. error-code  -- every ErrorCode enumerator must have a
+ *   4. error-code  -- every ErrorCode enumerator must have a
  *      classification string in errorCodeName().
- *   6. unordered-iter -- loops over unordered containers in files on
+ *   5. unordered-iter -- loops over unordered containers in files on
  *      the determinism_paths.txt registry (serializers, exporters,
  *      BENCH assembly) need a 'seqlint:canonical-order' annotation
  *      (asserting the order is canonicalised downstream) or a pin.
- *   7. nondeterminism -- unseeded randomness and wall-clock reads
+ *   6. nondeterminism -- unseeded randomness and wall-clock reads
  *      (rand, random_device, steady_clock, ...) are banned in src/
  *      and bench/ outside the sanctioned common/rng.hh wrapper and
  *      the committed allowlist.
- *   8. float-reduce -- compound accumulation (+=, -=, *=) inside a
+ *   7. float-reduce -- compound accumulation (+=, -=, *=) inside a
  *      parallelFor lambda commits to the thread schedule's summation
  *      order; use parallelReduceSum, a per-slot write indexed by the
  *      lambda's index, a 'seqlint:deterministic-reduce' annotation,
  *      or a pin.
- *   9. fuzz-coverage -- every decode*() / ByteReader entry point in
+ *   8. fuzz-coverage -- every decode*() / ByteReader entry point in
  *      the fuzz_codec_files.txt registry must be exercised by a fuzz
  *      harness listed in fuzz_harnesses.txt (new codecs cannot ship
  *      unfuzzed).
@@ -37,7 +35,7 @@
  * The scans run on comment/string-stripped text, so commentary never
  * trips rules 1-2 and string contents never unbalance the brace
  * matcher; rule 3 strips comments only (string literals are codec
- * behaviour). Escape-hatch annotations (rules 6 and 8) are comments
+ * behaviour). Escape-hatch annotations (rules 5 and 7) are comments
  * and are matched against the raw text, on the flagged line or the
  * two lines above it. Config lives in the .txt registries next to
  * the linter under tools/seqpoint_lint/.
