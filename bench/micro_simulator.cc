@@ -26,8 +26,8 @@ BM_TimeSingleKernel(benchmark::State &state)
     // The timing model itself: what a timing-cache miss costs.
     sim::GpuConfig cfg = sim::GpuConfig::config1();
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    sim::KernelDesc k =
-        nn::makeGemm(sim::KernelStem("bm"), 2048, 2048, 1024, tuner);
+    sim::KernelDesc k = nn::resolveKernel(
+        nn::makeGemm(sim::KernelStem("bm"), 2048, 2048, 1024), tuner);
     for (auto _ : state) {
         auto kt = sim::timeKernel(k, cfg);
         benchmark::DoNotOptimize(kt);
@@ -42,8 +42,8 @@ BM_TimeSingleKernelCached(benchmark::State &state)
     // launch every execute() is a signature lookup + replay.
     sim::Gpu gpu(sim::GpuConfig::config1());
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    sim::KernelDesc k =
-        nn::makeGemm(sim::KernelStem("bm"), 2048, 2048, 1024, tuner);
+    sim::KernelDesc k = nn::resolveKernel(
+        nn::makeGemm(sim::KernelStem("bm"), 2048, 2048, 1024), tuner);
     for (auto _ : state) {
         auto rec = gpu.execute(k);
         benchmark::DoNotOptimize(rec);

@@ -64,35 +64,52 @@ gemmKernelForVariant(sim::KernelStem stem, int64_t m, int64_t n,
 }
 
 sim::KernelDesc
-makeGemm(sim::KernelStem stem, int64_t m, int64_t n, int64_t k,
-         Autotuner &tuner)
+makeGemm(sim::KernelStem stem, int64_t m, int64_t n, int64_t k)
 {
-    const GemmVariant &v = tuner.select(m, n, k);
-    return gemmKernelForVariant(stem, m, n, k, v);
+    panic_if(m <= 0 || n <= 0 || k <= 0, "gemm: non-positive dims");
+
+    sim::KernelDesc op;
+    op.stem = stem;
+    op.klass = sim::KernelClass::Gemm;
+    op.gemmM = m;
+    op.gemmN = n;
+    op.gemmK = k;
+    op.flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+        static_cast<double>(k);
+    return op;
 }
 
 sim::KernelDesc
 makeConv2d(sim::KernelStem stem, int64_t batch, int64_t in_c,
            int64_t out_c, int64_t h, int64_t w, int64_t kh, int64_t kw,
-           int64_t stride_h, int64_t stride_w, Autotuner &tuner)
+           int64_t stride_h, int64_t stride_w)
 {
     int64_t oh = convOutLen(h, kh, stride_h);
     int64_t ow = convOutLen(w, kw, stride_w);
 
     // Implicit GEMM: M = out_c, K = in_c*kh*kw, N = batch*oh*ow.
-    int64_t m = out_c;
-    int64_t k = in_c * kh * kw;
-    int64_t n = batch * oh * ow;
-
-    sim::KernelDesc kd = makeGemm(stem, m, n, k, tuner);
-    kd.klass = sim::KernelClass::Gemm;
+    sim::KernelDesc op = makeGemm(stem, out_c, batch * oh * ow,
+                                  in_c * kh * kw);
     // The im2col gather re-reads input rows kh*kw/stride times; fold
     // that into the request volume (implicit-GEMM kernels do the
     // gather inline).
     double overlap = static_cast<double>(kh * kw) /
         static_cast<double>(stride_h * stride_w);
-    kd.bytesIn += 4.0 * static_cast<double>(batch * in_c * h * w) *
+    op.bytesIn = 4.0 * static_cast<double>(batch * in_c * h * w) *
         std::max(1.0, 0.25 * overlap);
+    return op;
+}
+
+sim::KernelDesc
+resolveKernel(const sim::KernelDesc &op, Autotuner &tuner)
+{
+    if (op.klass != sim::KernelClass::Gemm || op.tileM != 0)
+        return op;
+    const GemmVariant &v = tuner.select(op.gemmM, op.gemmN, op.gemmK);
+    sim::KernelDesc kd = gemmKernelForVariant(op.stem, op.gemmM, op.gemmN,
+                                              op.gemmK, v);
+    kd.bytesIn += op.bytesIn;
+    kd.repeat = op.repeat;
     return kd;
 }
 

@@ -6,6 +6,12 @@
  * memory-request volumes. Every builder takes an interned name stem
  * and does no string work; variant suffixes (GEMM tile, softmax
  * block) are recorded as descriptor fields for KernelDesc::name().
+ *
+ * GEMM and convolution builders emit *unresolved* ops: the shape is
+ * fixed but the tile is not, because the winning tile depends on the
+ * device the autotuner measures on. resolveKernel() picks the tile
+ * and fills in the variant-dependent traffic, so a lowered iteration
+ * stays device-independent until it is resolved for one device.
  */
 
 #ifndef SEQPOINT_NN_KERNEL_GEN_HH
@@ -39,20 +45,23 @@ sim::KernelDesc gemmKernelForVariant(sim::KernelStem stem, int64_t m,
                                      const GemmVariant &variant);
 
 /**
- * Build a GEMM kernel using the autotuner's variant for the shape.
+ * An unresolved GEMM op: the shape and FLOPs, no tile yet (see
+ * resolveKernel()).
  *
  * @param stem Logical operation name.
  * @param m Rows of A/C.
  * @param n Columns of B/C.
  * @param k Inner dimension.
- * @param tuner Variant source (caches per shape).
  */
 sim::KernelDesc makeGemm(sim::KernelStem stem, int64_t m, int64_t n,
-                         int64_t k, Autotuner &tuner);
+                         int64_t k);
 
 /**
- * Implicit-GEMM convolution: filters [out_c, in_c, kh, kw] over an
- * input [batch, in_c, h, w] with the given strides.
+ * Implicit-GEMM convolution as an unresolved GEMM op: filters
+ * [out_c, in_c, kh, kw] over an input [batch, in_c, h, w] with the
+ * given strides. Until resolution, bytesIn holds only the im2col
+ * gather's extra request volume, which resolveKernel() adds to the
+ * chosen variant's blocked-GEMM traffic.
  *
  * @param stem Full operation name: by convention the layer's forward
  *             stem plus "_igemm" (e.g. "conv1_fwd_igemm").
@@ -65,13 +74,22 @@ sim::KernelDesc makeGemm(sim::KernelStem stem, int64_t m, int64_t n,
  * @param kw Kernel width.
  * @param stride_h Stride along h.
  * @param stride_w Stride along w.
- * @param tuner Variant source.
  */
 sim::KernelDesc makeConv2d(sim::KernelStem stem, int64_t batch,
                            int64_t in_c, int64_t out_c, int64_t h,
                            int64_t w, int64_t kh, int64_t kw,
-                           int64_t stride_h, int64_t stride_w,
-                           Autotuner &tuner);
+                           int64_t stride_h, int64_t stride_w);
+
+/**
+ * Resolve an op for a device: an unresolved GEMM gets the tuner's
+ * variant for its shape (keeping its stem, repeat and any extra
+ * request volume); every other descriptor is returned unchanged.
+ *
+ * @param op Descriptor from a builder in this file.
+ * @param tuner Variant source (caches per shape).
+ */
+sim::KernelDesc resolveKernel(const sim::KernelDesc &op,
+                              Autotuner &tuner);
 
 /**
  * Fused softmax over `rows` rows of `cols` elements. The block-size

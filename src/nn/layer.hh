@@ -3,7 +3,9 @@
  * Layer abstraction: each layer lowers itself into forward and
  * backward kernel sequences for a given (batch, sequence-length)
  * iteration. The per-iteration kernel stream is what the GPU
- * simulator executes and the profiler measures.
+ * simulator executes and the profiler measures. Lowering consults no
+ * device: GEMM-class kernels come out unresolved (nn/kernel_gen.hh),
+ * so a Model can lower each iteration once and resolve it per device.
  */
 
 #ifndef SEQPOINT_NN_LAYER_HH
@@ -17,8 +19,6 @@
 
 namespace seqpoint {
 namespace nn {
-
-class Autotuner;
 
 /**
  * Which sequence axis a layer's work scales with.
@@ -37,7 +37,6 @@ struct LowerCtx {
     unsigned batch = 64;  ///< Batch size (constant over a run).
     int64_t seqLen = 1;   ///< Source-side sequence length.
     int64_t tgtLen = 1;   ///< Target-side sequence length.
-    Autotuner *tuner = nullptr;              ///< Variant source.
     std::vector<sim::KernelDesc> *out = nullptr; ///< Kernel sink.
 
     /** Append a kernel to the stream. */

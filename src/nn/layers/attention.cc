@@ -33,18 +33,15 @@ AttentionLayer::lowerForward(LowerCtx &ctx) const
 
     // Key projection over all encoder states, once per iteration:
     // [H, H] x [H, B*T_src].
-    ctx.emit(makeGemm(keys, hidden, batch * t_keys, hidden,
-                      *ctx.tuner));
+    ctx.emit(makeGemm(keys, hidden, batch * t_keys, hidden));
 
     // Per decoder step: query projection [H, H] x [H, B].
-    sim::KernelDesc query = makeGemm(query_fwd, hidden, batch,
-                                     hidden, *ctx.tuner);
+    sim::KernelDesc query = makeGemm(query_fwd, hidden, batch, hidden);
     query.repeat = static_cast<uint64_t>(t_query);
     ctx.emit(std::move(query));
 
     // Per step: scores [T_src, H] x [H, B].
-    sim::KernelDesc score = makeGemm(score_fwd, t_keys, batch,
-                                     hidden, *ctx.tuner);
+    sim::KernelDesc score = makeGemm(score_fwd, t_keys, batch, hidden);
     score.repeat = static_cast<uint64_t>(t_query);
     ctx.emit(std::move(score));
 
@@ -54,8 +51,7 @@ AttentionLayer::lowerForward(LowerCtx &ctx) const
     ctx.emit(std::move(sm));
 
     // Per step: context vector [H, T_src] x [T_src, B].
-    sim::KernelDesc cvec = makeGemm(ctx_fwd, hidden, batch, t_keys,
-                                    *ctx.tuner);
+    sim::KernelDesc cvec = makeGemm(ctx_fwd, hidden, batch, t_keys);
     cvec.repeat = static_cast<uint64_t>(t_query);
     ctx.emit(std::move(cvec));
 }
@@ -75,13 +71,11 @@ AttentionLayer::lowerBackward(LowerCtx &ctx) const
     int64_t t_query = ctx.steps(queryAxis);
 
     // Per step: context backward produces grads for values and scores.
-    sim::KernelDesc d_val = makeGemm(ctx_bwd_val, t_keys, batch,
-                                     hidden, *ctx.tuner);
+    sim::KernelDesc d_val = makeGemm(ctx_bwd_val, t_keys, batch, hidden);
     d_val.repeat = static_cast<uint64_t>(t_query);
     ctx.emit(std::move(d_val));
 
-    sim::KernelDesc d_score = makeGemm(ctx_bwd_score, hidden,
-                                       batch, t_keys, *ctx.tuner);
+    sim::KernelDesc d_score = makeGemm(ctx_bwd_score, hidden, batch, t_keys);
     d_score.repeat = static_cast<uint64_t>(t_query);
     ctx.emit(std::move(d_score));
 
@@ -92,16 +86,13 @@ AttentionLayer::lowerBackward(LowerCtx &ctx) const
     ctx.emit(std::move(sm_bwd));
 
     // Per step: query gradient [H, H] x [H, B].
-    sim::KernelDesc d_query = makeGemm(query_bwd, hidden, batch,
-                                       hidden, *ctx.tuner);
+    sim::KernelDesc d_query = makeGemm(query_bwd, hidden, batch, hidden);
     d_query.repeat = static_cast<uint64_t>(t_query);
     ctx.emit(std::move(d_query));
 
     // Key projection gradients, once: data + weights.
-    ctx.emit(makeGemm(keys_bwd_data, hidden, batch * t_keys,
-                      hidden, *ctx.tuner));
-    ctx.emit(makeGemm(keys_bwd_wgrad, hidden, hidden,
-                      batch * t_keys, *ctx.tuner));
+    ctx.emit(makeGemm(keys_bwd_data, hidden, batch * t_keys, hidden));
+    ctx.emit(makeGemm(keys_bwd_wgrad, hidden, hidden, batch * t_keys));
 }
 
 uint64_t

@@ -52,8 +52,7 @@ void
 Conv2dLayer::lowerForward(LowerCtx &ctx) const
 {
     ctx.emit(makeConv2d(fwdStem, ctx.batch, inC, outC,
-                        inHeight(ctx), width, kh, kw, strideH, strideW,
-                        *ctx.tuner));
+                        inHeight(ctx), width, kh, kw, strideH, strideW));
 }
 
 void
@@ -65,9 +64,9 @@ Conv2dLayer::lowerBackward(LowerCtx &ctx) const
     int64_t k_dim = inC * kh * kw;
 
     // Data gradient: [K, M] x [M, N] spread back over the input.
-    ctx.emit(makeGemm(bwdDataStem, k_dim, n, outC, *ctx.tuner));
+    ctx.emit(makeGemm(bwdDataStem, k_dim, n, outC));
     // Weight gradient: [M, N] x [N, K].
-    ctx.emit(makeGemm(bwdWgradStem, outC, k_dim, n, *ctx.tuner));
+    ctx.emit(makeGemm(bwdWgradStem, outC, k_dim, n));
 }
 
 uint64_t

@@ -31,7 +31,7 @@ FullyConnectedLayer::lowerForward(LowerCtx &ctx) const
 {
     int64_t n = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeGemm(fwdStem, outDim, n, inDim, *ctx.tuner));
+    ctx.emit(makeGemm(fwdStem, outDim, n, inDim));
 }
 
 void
@@ -39,10 +39,8 @@ FullyConnectedLayer::lowerBackward(LowerCtx &ctx) const
 {
     int64_t n = static_cast<int64_t>(ctx.batch) *
         ctx.steps(axis, fixedSteps);
-    ctx.emit(makeGemm(bwdDataStem, inDim, n, outDim,
-                      *ctx.tuner));
-    ctx.emit(makeGemm(bwdWgradStem, outDim, inDim, n,
-                      *ctx.tuner));
+    ctx.emit(makeGemm(bwdDataStem, inDim, n, outDim));
+    ctx.emit(makeGemm(bwdWgradStem, outDim, inDim, n));
 }
 
 uint64_t

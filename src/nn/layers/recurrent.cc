@@ -56,13 +56,10 @@ RecurrentLayer::lowerDirectionForward(LowerCtx &ctx, int64_t steps) const
 
     // Input-side GEMM batched over all time steps:
     // [gates*H, inputDim] x [inputDim, B*T].
-    ctx.emit(makeGemm(stems.wxFwd, gates * hidden,
-                      batch * steps, inputDim, *ctx.tuner));
+    ctx.emit(makeGemm(stems.wxFwd, gates * hidden, batch * steps, inputDim));
 
     // Recurrent GEMM, once per step: [gates*H, H] x [H, B].
-    sim::KernelDesc rec = makeGemm(stems.whFwd,
-                                   gates * hidden, batch, hidden,
-                                   *ctx.tuner);
+    sim::KernelDesc rec = makeGemm(stems.whFwd, gates * hidden, batch, hidden);
     rec.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(rec));
 
@@ -87,23 +84,22 @@ RecurrentLayer::lowerDirectionBackward(LowerCtx &ctx, int64_t steps) const
 
     // Per-step recurrent data gradient: [H, gates*H] x [gates*H, B].
     sim::KernelDesc rec = makeGemm(stems.whBwdData,
-                                   hidden, batch, gates * hidden,
-                                   *ctx.tuner);
+                                   hidden, batch, gates * hidden);
     rec.repeat = static_cast<uint64_t>(steps);
     ctx.emit(std::move(rec));
 
     // Input data gradient batched over steps:
     // [inputDim, gates*H] x [gates*H, B*T].
     ctx.emit(makeGemm(stems.wxBwdData, inputDim,
-                      batch * steps, gates * hidden, *ctx.tuner));
+                      batch * steps, gates * hidden));
 
     // Weight gradients, reduced over B*T:
     // dWx: [gates*H, B*T] x [B*T, inputDim].
     ctx.emit(makeGemm(stems.wxBwdWgrad, gates * hidden,
-                      inputDim, batch * steps, *ctx.tuner));
+                      inputDim, batch * steps));
     // dWh: [gates*H, B*T] x [B*T, H].
     ctx.emit(makeGemm(stems.whBwdWgrad, gates * hidden,
-                      hidden, batch * steps, *ctx.tuner));
+                      hidden, batch * steps));
 }
 
 void

@@ -4,6 +4,14 @@
  * glue (loss backward ordering, optimizer update kernels, target-
  * length policy). Lowering a model for a (batch, sequence length)
  * pair yields the full kernel stream of one training iteration.
+ *
+ * An iteration is a pure function of its sequence length, and a run
+ * launches only a few thousand distinct kernels, so a Model lowers
+ * each (batch, SL, phase) once into a Program: launch-ordered
+ * (op id, repeat) steps over a per-model table of interned,
+ * unresolved ops. Programs are device-independent; each device's
+ * autotuner resolves them (lowerIteration(), or the Profiler's
+ * per-op timing table).
  */
 
 #ifndef SEQPOINT_NN_MODEL_HH
@@ -22,8 +30,25 @@ namespace nn {
 
 class Autotuner;
 
+/** One launch-ordered step of a Program (8 bytes). */
+struct ProgramStep {
+    uint32_t op = 0;     ///< Id in the model's op table (Model::op()).
+    uint32_t repeat = 1; ///< Back-to-back launches of the op.
+};
+
+/**
+ * One iteration lowered for a (batch, SL, phase): its launches in
+ * order, as steps over the model's interned ops.
+ */
+using Program = std::vector<ProgramStep>;
+
 /**
  * A trainable network as an ordered layer stack.
+ *
+ * Programs are memoized for the model's lifetime; program() and the
+ * lowering calls are thread-safe, so profilers on different devices
+ * may share one model concurrently. The layer stack and target-length
+ * policy are fixed once the first iteration has been lowered.
  */
 class Model
 {
@@ -34,6 +59,10 @@ class Model
      * @param name Model name ("GNMT", "DS2", ...).
      */
     explicit Model(std::string name);
+
+    ~Model();
+    Model(Model &&) noexcept;
+    Model &operator=(Model &&) noexcept;
 
     /** @return Model name. */
     const std::string &name() const { return name_; }
@@ -70,8 +99,31 @@ class Model
     int64_t targetLenFor(int64_t src_len) const;
 
     /**
+     * The memoized program of one iteration, lowered on first use.
+     *
+     * @param batch Batch size.
+     * @param seq_len Source sequence length of the iteration.
+     * @param train Full training iteration (forward pass in layer
+     *              order, backward pass in reverse order, optimizer
+     *              updates); false for a forward-only pass.
+     * @return The program (valid for the model's lifetime).
+     */
+    const Program &program(unsigned batch, int64_t seq_len,
+                           bool train) const;
+
+    /**
+     * Copy one interned op out of the op table. An op is an unresolved
+     * kernel descriptor with repeat 1; nn::resolveKernel() turns it
+     * into a launchable one for a device.
+     *
+     * @param id Op id from a program step.
+     */
+    sim::KernelDesc op(uint32_t id) const;
+
+    /**
      * Lower one full training iteration: forward pass in layer order,
-     * backward pass in reverse order, then optimizer updates.
+     * backward pass in reverse order, then optimizer updates. Resolves
+     * the memoized program through the tuner.
      *
      * @param batch Batch size.
      * @param seq_len Source sequence length of the iteration.
@@ -83,7 +135,7 @@ class Model
                                                 Autotuner &tuner) const;
 
     /**
-     * Lower a forward-only (inference) pass.
+     * Lower a forward-only (inference) pass; see lowerIteration().
      *
      * @param batch Batch size.
      * @param seq_len Source sequence length.
@@ -95,14 +147,25 @@ class Model
                                                 Autotuner &tuner) const;
 
   private:
+    struct ProgramMemo;
+
     std::string name_;
     std::vector<std::unique_ptr<Layer>> layers;
     double tgtRatio = 1.0;
+    std::unique_ptr<ProgramMemo> memo;
 
-    LowerCtx makeCtx(unsigned batch, int64_t seq_len, Autotuner &tuner,
-                     std::vector<sim::KernelDesc> *out) const;
+    /** Panic when the model has already been lowered. */
+    void checkMutable(const char *what) const;
+
+    /** Run the layers' lowering: one unresolved kernel per launch. */
+    std::vector<sim::KernelDesc> lowerKernels(unsigned batch,
+                                              int64_t seq_len,
+                                              bool train) const;
 
     void lowerOptimizer(LowerCtx &ctx) const;
+
+    std::vector<sim::KernelDesc> resolve(const Program &prog,
+                                         Autotuner &tuner) const;
 };
 
 } // namespace nn

@@ -6,9 +6,12 @@
 #include "profiler/profiler.hh"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/cancel.hh"
 #include "common/logging.hh"
+#include "common/thread_pool.hh"
+#include "nn/kernel_gen.hh"
 
 namespace seqpoint {
 namespace prof {
@@ -20,18 +23,67 @@ Profiler::Profiler(const sim::Gpu &gpu, const nn::Model &net,
     fatal_if(batch_size == 0, "Profiler: zero batch size");
 }
 
-IterationProfile
-Profiler::computeProfile(int64_t seq_len, bool train) const
+namespace {
+
+/**
+ * Run fn(0..n-1): serially, or fanned out on the process-wide pool
+ * capped at `threads`. Every caller's fn polls its own checkpoint.
+ */
+void
+forEachIndex(std::size_t n, unsigned threads,
+             const std::function<void(std::size_t)> &fn)
 {
-    std::vector<sim::KernelDesc> kernels = train
-        ? model.lowerIteration(batch, seq_len, tuner)
-        : model.lowerInference(batch, seq_len, tuner);
-    // Records-free execution: the aggregates accumulate in launch
-    // order with the same arithmetic as foldRecords over a recorded
-    // stream, so the profile is bit-identical to the detailed path
-    // without constructing a KernelRecord per launch.
-    sim::ExecutionResult res = gpu_.executeAll(kernels,
-                                               /*keep_records=*/false);
+    if (threads <= 1 || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    ThreadPool::shared().parallelFor(n, fn, threads);
+}
+
+} // anonymous namespace
+
+void
+Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
+                     unsigned threads)
+{
+    // The untimed ops, each once, in first-use order.
+    std::vector<uint32_t> fresh;
+    std::vector<bool> queued;
+    for (const nn::Program *prog : progs) {
+        cancelCheckpoint("profiler.resolve");
+        for (const nn::ProgramStep &step : *prog) {
+            if (step.op >= opTimings.size())
+                opTimings.resize(step.op + 1);
+            if (step.op >= queued.size())
+                queued.resize(opTimings.size());
+            if (opTimings[step.op] || queued[step.op])
+                continue;
+            queued[step.op] = true;
+            fresh.push_back(step.op);
+        }
+    }
+
+    // Each op is resolved exactly once per profiler, each into its own
+    // slot; the tuner and the timing cache are pure functions of the
+    // shape and the signature, so the slot contents do not depend on
+    // which thread fills them.
+    forEachIndex(fresh.size(), threads, [&](std::size_t i) {
+        cancelCheckpoint("profiler.resolve");
+        sim::KernelDesc kd = nn::resolveKernel(model.op(fresh[i]), tuner);
+        opTimings[fresh[i]] = OpTiming{gpu_.timing(kd), kd.klass};
+    });
+}
+
+IterationProfile
+Profiler::fold(int64_t seq_len, const nn::Program &prog) const
+{
+    sim::ExecutionResult res;
+    for (const nn::ProgramStep &step : prog) {
+        const OpTiming &op = *opTimings[step.op];
+        sim::KernelTiming kt = op.timing;
+        sim::accountLaunch(res, kt, op.klass, step.repeat);
+    }
     IterationProfile p;
     p.seqLen = seq_len;
     p.timeSec = res.totalSec;
@@ -42,16 +94,22 @@ Profiler::computeProfile(int64_t seq_len, bool train) const
 }
 
 const IterationProfile &
-Profiler::profileIteration(int64_t seq_len)
+Profiler::memoized(int64_t seq_len, bool train,
+                   std::map<int64_t, IterationProfile> &cache)
 {
-    auto it = trainCache.find(seq_len);
-    if (it != trainCache.end())
+    auto it = cache.find(seq_len);
+    if (it != cache.end())
         return it->second;
 
-    auto [pos, inserted] = trainCache.emplace(
-        seq_len, computeProfile(seq_len, /*train=*/true));
-    (void)inserted;
-    return pos->second;
+    const nn::Program &prog = model.program(batch, seq_len, train);
+    timeNewOps({&prog}, 1);
+    return cache.emplace(seq_len, fold(seq_len, prog)).first->second;
+}
+
+const IterationProfile &
+Profiler::profileIteration(int64_t seq_len)
+{
+    return memoized(seq_len, /*train=*/true, trainCache);
 }
 
 DetailedProfile
@@ -67,14 +125,7 @@ Profiler::profileIterationDetailed(int64_t seq_len) const
 const IterationProfile &
 Profiler::profileInference(int64_t seq_len)
 {
-    auto it = inferCache.find(seq_len);
-    if (it != inferCache.end())
-        return it->second;
-
-    auto [pos, inserted] = inferCache.emplace(
-        seq_len, computeProfile(seq_len, /*train=*/false));
-    (void)inserted;
-    return pos->second;
+    return memoized(seq_len, /*train=*/false, inferCache);
 }
 
 void
@@ -94,26 +145,25 @@ Profiler::warmProfiles(const std::vector<int64_t> &sls, unsigned threads,
     if (todo.empty())
         return;
 
-    if (threads <= 1 || todo.size() == 1) {
-        for (int64_t sl : todo) {
-            cancelCheckpoint("profiler.warm");
-            cache.emplace(sl, computeProfile(sl, train));
-        }
-        return;
-    }
-
-    // Fan out per SL on the process-wide pool (creating and joining a
-    // private pool per sweep dominated small sweeps), capped at the
-    // requested width, then insert in ascending-SL order so the memo
-    // ends up in the same state a serial sweep would produce. The
-    // checkpoint observes the caller's cancel token on every
-    // participant (parallelFor re-installs the scope), so a deadline
-    // firing mid-sweep abandons the remaining SLs promptly.
-    std::vector<IterationProfile> results(todo.size());
-    ThreadPool::shared().parallelFor(todo.size(), [&](std::size_t i) {
+    // Three phases, each fanned out per index: fetch (or lower) the
+    // programs, time the ops no earlier program used, then fold. The
+    // op table is only written in the middle phase, so the folds read
+    // it without locks. The checkpoints observe the caller's cancel
+    // token on every participant (parallelFor re-installs the scope),
+    // so a deadline firing mid-sweep abandons the remaining work
+    // promptly.
+    std::vector<const nn::Program *> progs(todo.size());
+    forEachIndex(todo.size(), threads, [&](std::size_t i) {
         cancelCheckpoint("profiler.warm");
-        results[i] = computeProfile(todo[i], train);
-    }, threads);
+        progs[i] = &model.program(batch, todo[i], train);
+    });
+    timeNewOps(progs, threads);
+    std::vector<IterationProfile> results(todo.size());
+    forEachIndex(todo.size(), threads, [&](std::size_t i) {
+        cancelCheckpoint("profiler.warm");
+        results[i] = fold(todo[i], *progs[i]);
+    });
+    // Insert in ascending-SL order, as a serial sweep would.
     for (std::size_t i = 0; i < todo.size(); ++i)
         cache.emplace(todo[i], std::move(results[i]));
 }

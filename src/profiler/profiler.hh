@@ -13,9 +13,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "nn/autotune.hh"
 #include "nn/model.hh"
 #include "profiler/iteration_profile.hh"
@@ -24,7 +24,19 @@
 namespace seqpoint {
 namespace prof {
 
-/** Measures training iterations of one model on one device. */
+/**
+ * Measures training iterations of one model on one device.
+ *
+ * A profile is a fold over the model's memoized program for the SL
+ * (nn::Model::program()), which is shared by every profiler of the
+ * model, so a second device re-lowers nothing. Each profiler resolves
+ * an op the first time one of its programs uses it -- the tuner picks
+ * the tile, one lookup in the device's timing cache gives the
+ * per-launch timing -- into a flat table indexed by op id, and folds
+ * programs out of that table with sim::accountLaunch(), the
+ * arithmetic Gpu::executeAll() uses. Profiles are therefore
+ * bit-identical to executing Model::lowerIteration() on the device.
+ */
 class Profiler
 {
   public:
@@ -66,8 +78,9 @@ class Profiler
     /**
      * Fill the training-profile memo for every SL in `sls`. With more
      * than one thread and more than one uncached SL, the per-SL
-     * simulations fan out on a thread pool (created only when there
-     * is work); the memo is then populated serially in ascending-SL
+     * lowering, the timing of new ops and the per-SL folds each fan
+     * out on the process-wide pool (ThreadPool::shared(), capped at
+     * `threads`); the memo is then populated serially in ascending-SL
      * order, so the cache contents -- and every later
      * profileIteration() result -- are bit-identical to profiling the
      * same SLs serially.
@@ -123,6 +136,12 @@ class Profiler
     size_t cacheSize() const { return trainCache.size(); }
 
   private:
+    /** One op's per-launch timing on this profiler's device. */
+    struct OpTiming {
+        sim::KernelTiming timing;  ///< Per-launch timing.
+        sim::KernelClass klass{};  ///< Class of the resolved kernel.
+    };
+
     const sim::Gpu &gpu_;
     const nn::Model &model;
     nn::Autotuner &tuner;
@@ -131,7 +150,18 @@ class Profiler
     std::map<int64_t, IterationProfile> trainCache;
     std::map<int64_t, IterationProfile> inferCache;
 
-    IterationProfile computeProfile(int64_t seq_len, bool train) const;
+    /** Indexed by op id; empty until a program of ours uses the op. */
+    std::vector<std::optional<OpTiming>> opTimings;
+
+    const IterationProfile &memoized(
+        int64_t seq_len, bool train,
+        std::map<int64_t, IterationProfile> &cache);
+
+    void timeNewOps(const std::vector<const nn::Program *> &progs,
+                    unsigned threads);
+
+    IterationProfile fold(int64_t seq_len,
+                          const nn::Program &prog) const;
 
     void warmProfiles(const std::vector<int64_t> &sls, unsigned threads,
                       bool train,

@@ -12,18 +12,6 @@ Gpu::Gpu(GpuConfig config) : cfg(std::move(config))
 {
 }
 
-KernelTiming
-Gpu::launchTiming(const KernelDesc &desc) const
-{
-    KernelTiming kt = cache.lookup(desc, cfg);
-    if (desc.repeat != 1) {
-        double r = static_cast<double>(desc.repeat);
-        kt.timeSec *= r;
-        kt.counters *= r;
-    }
-    return kt;
-}
-
 namespace {
 
 KernelRecord
@@ -38,7 +26,10 @@ makeRecord(const KernelDesc &desc, const KernelTiming &kt)
 KernelRecord
 Gpu::execute(const KernelDesc &desc) const
 {
-    return makeRecord(desc, launchTiming(desc));
+    ExecutionResult one;
+    KernelTiming kt = timing(desc);
+    accountLaunch(one, kt, desc.klass, desc.repeat);
+    return makeRecord(desc, kt);
 }
 
 ExecutionResult
@@ -49,11 +40,8 @@ Gpu::executeAll(const std::vector<KernelDesc> &kernels,
     if (keep_records)
         result.records.reserve(kernels.size());
     for (const KernelDesc &desc : kernels) {
-        KernelTiming kt = launchTiming(desc);
-        result.totalSec += kt.timeSec;
-        result.counters += kt.counters;
-        result.launches += desc.repeat;
-        result.classSec[static_cast<unsigned>(desc.klass)] += kt.timeSec;
+        KernelTiming kt = timing(desc);
+        accountLaunch(result, kt, desc.klass, desc.repeat);
         if (keep_records)
             result.records.push_back(makeRecord(desc, kt));
     }

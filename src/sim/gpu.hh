@@ -46,6 +46,34 @@ struct ExecutionResult {
 };
 
 /**
+ * Fold `repeat` back-to-back launches of one kernel into an aggregate:
+ * scale the per-launch timing to all of them, then add the time,
+ * counters, launch count and class time. Gpu::executeAll() and the
+ * profiler's op-id fold both account through this one function, so
+ * their summation order cannot drift apart.
+ *
+ * @param res Aggregate to add to.
+ * @param kt Per-launch timing of the kernel; scaled in place to all
+ *           `repeat` launches.
+ * @param klass The kernel's operation class.
+ * @param repeat Back-to-back launches.
+ */
+inline void
+accountLaunch(ExecutionResult &res, KernelTiming &kt, KernelClass klass,
+              uint64_t repeat)
+{
+    if (repeat != 1) {
+        double r = static_cast<double>(repeat);
+        kt.timeSec *= r;
+        kt.counters *= r;
+    }
+    res.totalSec += kt.timeSec;
+    res.counters += kt.counters;
+    res.launches += repeat;
+    res.classSec[static_cast<unsigned>(klass)] += kt.timeSec;
+}
+
+/**
  * A simulated GPU bound to one hardware configuration.
  *
  * Kernels execute back-to-back in launch order (the MI frameworks the
@@ -56,6 +84,12 @@ struct ExecutionResult {
  * unique-kernel observation applied to the simulator). A replayed
  * timing is bit-identical to timing the kernel afresh because the
  * timing model is a pure function of (signature, configuration).
+ *
+ * executeAll() looks every launch up in that cache. The profiler goes
+ * one step further: it times each interned op of a model's lowered
+ * programs once through timing(), keeps the result in a flat array
+ * indexed by op id, and folds programs with accountLaunch() -- the same
+ * arithmetic executeAll() uses, without a lookup per launch.
  */
 class Gpu
 {
@@ -95,6 +129,17 @@ class Gpu
     }
 
     /**
+     * Per-launch timing of a kernel through the timing cache; the
+     * descriptor's repeat count is ignored.
+     *
+     * @param desc Kernel descriptor.
+     */
+    KernelTiming timing(const KernelDesc &desc) const
+    {
+        return cache.lookup(desc, cfg);
+    }
+
+    /**
      * Execute one kernel.
      *
      * @param desc Kernel descriptor.
@@ -121,13 +166,6 @@ class Gpu
   private:
     GpuConfig cfg;
     mutable KernelTimingCache cache;
-
-    /**
-     * Time a kernel and scale its timeSec and counters to all
-     * `desc.repeat` launches -- the one scale step every execution
-     * path shares.
-     */
-    KernelTiming launchTiming(const KernelDesc &desc) const;
 };
 
 } // namespace sim

@@ -95,7 +95,9 @@ struct KernelDesc {
 
     /**
      * GEMM tile variant the name carries as "_MT<M>x<N>_K<K>"
-     * (all 0 when the kernel has no tile variant).
+     * (all 0 when the kernel has no tile variant). A Gemm-class
+     * descriptor with tileM == 0 is an unresolved op whose tile the
+     * autotuner has yet to choose (nn::resolveKernel()).
      */
     uint32_t tileM = 0;
     uint32_t tileN = 0; ///< GEMM tile columns (see tileM).

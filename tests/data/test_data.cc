@@ -167,6 +167,101 @@ TEST(Batching, MaxOfBatchRaisesIterationSl)
     EXPECT_GT(mean(iter_sls), percentile(samples, 90.0));
 }
 
+/**
+ * The schedule as a full sort builds it: order the samples (shuffle or
+ * std::sort), pad each full chunk to its longest sample, and shuffle
+ * the batch order for Bucketed.
+ */
+std::vector<Batch>
+referenceBatches(const std::vector<int64_t> &lens, unsigned batch_size,
+                 BatchPolicy policy, Rng &rng)
+{
+    std::vector<int64_t> ordered = lens;
+    if (policy == BatchPolicy::Shuffled)
+        rng.shuffle(ordered);
+    else
+        std::sort(ordered.begin(), ordered.end());
+    std::vector<Batch> batches;
+    for (size_t b = 0; b + batch_size <= ordered.size(); b += batch_size) {
+        batches.push_back(Batch{
+            *std::max_element(ordered.begin() + b,
+                              ordered.begin() + b + batch_size),
+            batch_size});
+    }
+    if (policy == BatchPolicy::Bucketed)
+        rng.shuffle(batches);
+    return batches;
+}
+
+/**
+ * makeEpochBatches() must return the reference's batches under every
+ * policy and leave its Rng where the reference leaves it: the trainer
+ * continues that Rng into the evaluation schedule.
+ */
+void
+expectMatchesReference(const std::vector<int64_t> &lens,
+                       unsigned batch_size)
+{
+    for (BatchPolicy policy : {BatchPolicy::Shuffled,
+                               BatchPolicy::SortedBySl,
+                               BatchPolicy::Bucketed}) {
+        Rng rng(17, 3), ref_rng(17, 3);
+        std::vector<Batch> got = makeEpochBatches(lens, batch_size,
+                                                  policy, rng);
+        std::vector<Batch> want = referenceBatches(lens, batch_size,
+                                                   policy, ref_rng);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].seqLen, want[i].seqLen)
+                << "policy " << static_cast<int>(policy) << " batch " << i;
+            ASSERT_EQ(got[i].size, want[i].size);
+        }
+        for (int draw = 0; draw < 4; ++draw)
+            EXPECT_EQ(rng.next64(), ref_rng.next64())
+                << "policy " << static_cast<int>(policy);
+    }
+}
+
+TEST(Batching, ScheduleMatchesSortReferenceOnSeededDatasets)
+{
+    Dataset iw = synthIwslt15(7);
+    expectMatchesReference(iw.trainLens, 64);
+    expectMatchesReference(iw.evalLens, 64);
+    Dataset ls = synthLibriSpeech100(7);
+    expectMatchesReference(ls.trainLens, 64);
+    expectMatchesReference(ls.evalLens, 32);
+}
+
+TEST(Batching, ScheduleMatchesSortReferenceOnEqualLengths)
+{
+    expectMatchesReference(std::vector<int64_t>(1000, 42), 64);
+    expectMatchesReference(std::vector<int64_t>(64, 1), 64);
+}
+
+TEST(Batching, ScheduleMatchesSortReferenceOnWideRanges)
+{
+    // Lengths spread up to ~2^40: a table indexed by length would need
+    // terabytes, so this only passes when memory follows the sample
+    // count, not the numeric range.
+    Rng gen(11);
+    std::vector<int64_t> wide;
+    for (int i = 0; i < 5000; ++i)
+        wide.push_back(gen.uniformInt(1, int64_t{1} << 40));
+    wide.push_back(int64_t{1} << 40);
+    expectMatchesReference(wide, 64);
+
+    // Spans either side of the sample count n, where counting over a
+    // dense table gives way to sorting a copy.
+    for (int64_t extra : {-1, 0, 1}) {
+        std::vector<int64_t> lens;
+        const int64_t n = 640;
+        for (int64_t i = 0; i < n; ++i)
+            lens.push_back(1 + (i * 7919) % n);
+        lens.back() = n + extra;
+        expectMatchesReference(lens, 64);
+    }
+}
+
 TEST(BatchingDeath, RejectsBadArguments)
 {
     Rng rng(1);

@@ -21,7 +21,8 @@ stem(const char *text)
 TEST(GemmGen, FlopsAndDims)
 {
     Autotuner tuner(Autotuner::Mode::Heuristic);
-    sim::KernelDesc k = makeGemm(stem("g"), 100, 200, 300, tuner);
+    sim::KernelDesc k =
+        resolveKernel(makeGemm(stem("g"), 100, 200, 300), tuner);
     EXPECT_DOUBLE_EQ(k.flops, 2.0 * 100 * 200 * 300);
     EXPECT_EQ(k.gemmM, 100);
     EXPECT_EQ(k.gemmN, 200);
@@ -32,7 +33,8 @@ TEST(GemmGen, FlopsAndDims)
 TEST(GemmGen, NameCarriesVariant)
 {
     Autotuner tuner(Autotuner::Mode::Heuristic);
-    sim::KernelDesc k = makeGemm(stem("fc_fwd"), 512, 512, 512, tuner);
+    sim::KernelDesc k =
+        resolveKernel(makeGemm(stem("fc_fwd"), 512, 512, 512), tuner);
     EXPECT_EQ(k.name().rfind("fc_fwd_MT", 0), 0u) << k.name();
 }
 
@@ -68,8 +70,10 @@ TEST(ConvGen, OutputLengths)
 TEST(ConvGen, ImplicitGemmShape)
 {
     Autotuner tuner(Autotuner::Mode::Heuristic);
-    sim::KernelDesc k = makeConv2d(stem("conv1_fwd_igemm"), 64, 1, 32, 200,
-                                   161, 11, 41, 2, 2, tuner);
+    sim::KernelDesc k = resolveKernel(
+        makeConv2d(stem("conv1_fwd_igemm"), 64, 1, 32, 200, 161, 11, 41,
+                   2, 2),
+        tuner);
     EXPECT_EQ(k.gemmM, 32);
     EXPECT_EQ(k.gemmK, 1 * 11 * 41);
     EXPECT_EQ(k.gemmN, 64 * 100 * 81);

@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "nn/autotune.hh"
 #include "nn/layer.hh"
 #include "nn/layers/attention.hh"
 #include "nn/layers/batchnorm.hh"
@@ -23,7 +22,6 @@ namespace nn {
 namespace {
 
 struct LowerFixture {
-    Autotuner tuner{Autotuner::Mode::Heuristic};
     std::vector<sim::KernelDesc> out;
 
     LowerCtx
@@ -33,7 +31,6 @@ struct LowerFixture {
         c.batch = batch;
         c.seqLen = sl;
         c.tgtLen = tgt;
-        c.tuner = &tuner;
         c.out = &out;
         return c;
     }

@@ -108,6 +108,42 @@ TEST(Model, LongerSequenceMoreWork)
     EXPECT_GT(total_flops(long_k), 2.0 * total_flops(short_k));
 }
 
+TEST(Model, ProgramsAreMemoizedOverSharedOps)
+{
+    Model m = tinyModel();
+    const Program &a = m.program(64, 37, true);
+    EXPECT_EQ(&a, &m.program(64, 37, true));
+    EXPECT_NE(&a, &m.program(64, 37, false));
+
+    // Ops are unresolved and interned once: the optimizer's updates do
+    // not depend on the SL, so two SLs' programs end on the same ops.
+    const Program &b = m.program(64, 12, true);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.back().op, b.back().op);
+    for (const ProgramStep &step : a) {
+        sim::KernelDesc op = m.op(step.op);
+        EXPECT_EQ(op.tileM, 0u);
+        EXPECT_EQ(op.repeat, 1u);
+    }
+
+    // Resolving the program reproduces the launch stream.
+    Autotuner tuner(Autotuner::Mode::Heuristic);
+    auto kernels = m.lowerIteration(64, 37, tuner);
+    ASSERT_EQ(kernels.size(), a.size());
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(kernels[i].repeat, a[i].repeat);
+}
+
+TEST(ModelDeath, RejectsMutationAfterLowering)
+{
+    Model m = tinyModel();
+    m.program(64, 10, false);
+    EXPECT_DEATH(m.setTargetLenRatio(0.5), "lowered");
+    EXPECT_DEATH(m.add(std::make_unique<FullyConnectedLayer>(
+                     "fc2", 29, 29, TimeAxis::Source)),
+                 "lowered");
+}
+
 TEST(ModelDeath, RejectsBadArguments)
 {
     Model m = tinyModel();

@@ -2,12 +2,15 @@
  * @file
  * Determinism tests for the parallel profiling sweep: the parallel,
  * memoized engine must produce byte-identical logs and profiles to
- * the serial path and to an unmemoized, uncached reference.
+ * the serial path and to an unmemoized, uncached reference, also when
+ * profilers on several devices share one model concurrently.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <thread>
 
 #include "nn/layers/fully_connected.hh"
 #include "nn/layers/recurrent.hh"
@@ -116,6 +119,81 @@ TEST(ParallelSweep, WarmedProfilesMatchOnDemandProfiles)
     // Warming is idempotent: everything is already cached.
     warmed.warmTrainProfiles(sls, 4);
     EXPECT_EQ(warmed.cacheSize(), 4u);
+}
+
+void
+expectProfilesBitIdentical(const std::map<int64_t, IterationProfile> &a,
+                           const std::map<int64_t, IterationProfile> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto &[sl, p] : a) {
+        const IterationProfile &q = b.at(sl);
+        EXPECT_EQ(p.seqLen, q.seqLen);
+        EXPECT_EQ(p.timeSec, q.timeSec) << "SL " << sl;
+        EXPECT_EQ(p.launches, q.launches) << "SL " << sl;
+        EXPECT_TRUE(p.counters == q.counters) << "SL " << sl;
+        EXPECT_EQ(p.classTimeSec, q.classTimeSec) << "SL " << sl;
+    }
+}
+
+/** A device, its Measured tuner and a profiler of one model on it. */
+struct DeviceRun {
+    sim::Gpu gpu;
+    nn::Autotuner tuner;
+    Profiler profiler;
+
+    DeviceRun(const sim::GpuConfig &cfg, const nn::Model &model)
+        : gpu(cfg), tuner(nn::Autotuner::Mode::Measured, &gpu),
+          profiler(gpu, model, tuner, 64)
+    {
+    }
+};
+
+TEST(ParallelSweep, ProfilersOnTwoDevicesShareOneModelConcurrently)
+{
+    // The profilers warm disjoint, interleaved SL slices in rounds, so
+    // while one interns the programs of its next slice the other
+    // copies, resolves and folds ops the first interned: lowering,
+    // interning, op copies and folds of the two run against each
+    // other. Every profile must equal a profiler that had a model to
+    // itself.
+    nn::Model shared = smallRnn();
+    constexpr int kRounds = 6;
+    constexpr int kSlice = 8;
+    auto slice = [](int side, int round) {
+        std::vector<int64_t> sls;
+        for (int j = 0; j < kSlice; ++j)
+            sls.push_back(1 + side + 2 * (kSlice * round + j));
+        return sls;
+    };
+    auto warm = [&slice](DeviceRun &run, int side, unsigned threads) {
+        for (int round = 0; round < kRounds; ++round) {
+            run.profiler.warmTrainProfiles(slice(side, round), threads);
+            run.profiler.warmInferProfiles(slice(side, round), threads);
+        }
+    };
+
+    const sim::GpuConfig cfgs[2] = {sim::GpuConfig::config1(),
+                                    sim::GpuConfig::config4()};
+    DeviceRun a(cfgs[0], shared), b(cfgs[1], shared);
+    std::thread ta(warm, std::ref(a), 0, 2u), tb(warm, std::ref(b), 1, 2u);
+    ta.join();
+    tb.join();
+
+    DeviceRun *runs[2] = {&a, &b};
+    for (int i = 0; i < 2; ++i) {
+        nn::Model own = smallRnn();
+        DeviceRun alone(cfgs[i], own);
+        warm(alone, i, 1);
+        expectProfilesBitIdentical(runs[i]->profiler.trainProfileSnapshot(),
+                                   alone.profiler.trainProfileSnapshot());
+        expectProfilesBitIdentical(runs[i]->profiler.inferProfileSnapshot(),
+                                   alone.profiler.inferProfileSnapshot());
+        EXPECT_EQ(runs[i]->tuner.tuningCostSec(),
+                  alone.tuner.tuningCostSec());
+        EXPECT_EQ(runs[i]->gpu.uniqueKernelsTimed(),
+                  alone.gpu.uniqueKernelsTimed());
+    }
 }
 
 } // anonymous namespace

@@ -22,14 +22,16 @@ KernelDesc
 bigGemm()
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    return nn::makeGemm(KernelStem("t_gemm"), 4096, 4096, 1024, tuner);
+    return nn::resolveKernel(
+        nn::makeGemm(KernelStem("t_gemm"), 4096, 4096, 1024), tuner);
 }
 
 KernelDesc
 skinnyGemm()
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    return nn::makeGemm(KernelStem("t_skinny"), 4096, 64, 1024, tuner);
+    return nn::resolveKernel(
+        nn::makeGemm(KernelStem("t_skinny"), 4096, 64, 1024), tuner);
 }
 
 TEST(Occupancy, SmallLaunchUnderutilizes)

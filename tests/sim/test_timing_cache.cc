@@ -19,7 +19,7 @@ KernelDesc
 testGemm(const char *name, int64_t m, int64_t n, int64_t k)
 {
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-    return nn::makeGemm(KernelStem(name), m, n, k, tuner);
+    return nn::resolveKernel(nn::makeGemm(KernelStem(name), m, n, k), tuner);
 }
 
 TEST(KernelSignature, IgnoresNameAndRepeat)
