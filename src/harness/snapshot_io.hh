@@ -68,8 +68,15 @@ namespace harness {
  * per-iteration and memoize-off paths, so the codec content pins had
  * to be regenerated under the lint ratchet. v5 stores rebuild on
  * first use.
+ *
+ * v7: byte layout and field semantics identical to v6; bumped because
+ * the tuner and counter sources, which hold the tuner-section and
+ * counter codecs, changed (Measured probes share per-tile L1 terms;
+ * counter arithmetic moved inline), so the codec content pins had to
+ * be regenerated under the lint ratchet. Every encoded probe cost and
+ * counter is bit-identical to v6's. v6 stores rebuild on first use.
  */
-constexpr uint32_t kSnapshotFormatVersion = 6;
+constexpr uint32_t kSnapshotFormatVersion = 7;
 
 /**
  * Full identity of a snapshot: everything the snapshotted state is a

@@ -35,6 +35,16 @@ Autotuner::Autotuner(Mode tune_mode, const sim::Gpu *device)
 {
     fatal_if(tune_mode == Mode::Measured && device == nullptr,
              "Measured autotune mode requires a device");
+    if (tune_mode != Mode::Measured)
+        return;
+    // A GEMM's per-CU working set and L1 reuse depend only on its
+    // tile, so each menu tile's L1 hit fraction on this device is the
+    // same for every shape: take it from the tile's own descriptor.
+    for (const GemmVariant &v : gemmVariantMenu()) {
+        tileL1Hit.push_back(sim::l1HitFraction(
+            gemmKernelForVariant(sim::KernelStem(), 1, 1, 1, v),
+            gpu->config()));
+    }
 }
 
 const GemmVariant &
@@ -140,25 +150,29 @@ Autotuner::chooseHeuristic(int64_t m, int64_t n, int64_t k) const
 }
 
 Autotuner::Entry
-Autotuner::chooseMeasured(int64_t m, int64_t n, int64_t k)
+Autotuner::chooseMeasured(int64_t m, int64_t n, int64_t k) const
 {
     // Probes go straight to the timing model, not through the device:
     // the losing variants never launch for real, so they stay out of
     // its timing cache (and out of every snapshot of it). A probe's
-    // repeat is 1, so its time is exactly what Gpu::execute() would
-    // report; the winner is timed again on its first real launch.
+    // repeat is 1, and kernelTimeSec() given the tile's L1 hit
+    // fraction is timeKernel()'s time, so each probe costs exactly
+    // what Gpu::execute() would report; the winner is timed again on
+    // its first real launch.
     static const sim::KernelStem probe("autotune_probe");
     const auto &menu = gemmVariantMenu();
+    const sim::GpuConfig &cfg = gpu->config();
     double best_time = 0.0;
     double shape_cost = 0.0;
     const GemmVariant *best = nullptr;
 
-    for (const GemmVariant &v : menu) {
-        double t = sim::timeKernel(gemmKernelForVariant(probe, m, n, k, v),
-                                   gpu->config()).timeSec;
+    for (size_t i = 0; i < menu.size(); ++i) {
+        double t = sim::kernelTimeSec(
+            gemmKernelForVariant(probe, m, n, k, menu[i]), cfg,
+            tileL1Hit[i]);
         shape_cost += t;
         if (best == nullptr || t < best_time) {
-            best = &v;
+            best = &menu[i];
             best_time = t;
         }
     }

@@ -90,6 +90,11 @@ std::vector<AutotuneEntry> decodeAutotuneSection(ByteReader &r);
  * and records the accumulated tuning cost so callers can include or
  * exclude it from training-time accounts. Probes bypass the device's
  * kernel-timing cache: only kernels that really launch are cached.
+ * They share per-tile device terms: a tile's L1 hit fraction depends
+ * only on the tile and the device, so the constructor computes it
+ * once per menu tile and every probe passes it to the one timing
+ * model (sim::kernelTimeSec(), the core of sim::timeKernel()). Each
+ * probe's time is bit-identical to timeKernel()'s.
  *
  * select() is thread-safe so concurrent profiling tasks can share one
  * tuner. The tuning cost is stored per shape and summed in shape-key
@@ -165,13 +170,16 @@ class Autotuner
 
     Mode mode;
     const sim::Gpu *gpu;
+    /** Measured mode: each menu tile's L1 hit fraction on `gpu`, in
+     *  menu order. Written only by the constructor. */
+    std::vector<double> tileL1Hit;
     mutable Mutex mu;
     /** Node-based map: returned variant references stay stable, so
      *  select() may hand them out after unlocking. */
     std::map<ShapeKey, Entry> cache SEQ_GUARDED_BY(mu);
 
     GemmVariant chooseHeuristic(int64_t m, int64_t n, int64_t k) const;
-    Entry chooseMeasured(int64_t m, int64_t n, int64_t k);
+    Entry chooseMeasured(int64_t m, int64_t n, int64_t k) const;
 };
 
 } // namespace nn

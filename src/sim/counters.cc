@@ -10,40 +10,6 @@
 namespace seqpoint {
 namespace sim {
 
-PerfCounters &
-PerfCounters::operator+=(const PerfCounters &other)
-{
-    kernelsLaunched += other.kernelsLaunched;
-    valuInsts += other.valuInsts;
-    saluInsts += other.saluInsts;
-    bytesLoaded += other.bytesLoaded;
-    bytesStored += other.bytesStored;
-    l1HitBytes += other.l1HitBytes;
-    l2HitBytes += other.l2HitBytes;
-    dramBytes += other.dramBytes;
-    writeStallSec += other.writeStallSec;
-    busySec += other.busySec;
-    launchSec += other.launchSec;
-    return *this;
-}
-
-PerfCounters &
-PerfCounters::operator*=(double factor)
-{
-    kernelsLaunched *= factor;
-    valuInsts *= factor;
-    saluInsts *= factor;
-    bytesLoaded *= factor;
-    bytesStored *= factor;
-    l1HitBytes *= factor;
-    l2HitBytes *= factor;
-    dramBytes *= factor;
-    writeStallSec *= factor;
-    busySec *= factor;
-    launchSec *= factor;
-    return *this;
-}
-
 std::string
 PerfCounters::summary() const
 {

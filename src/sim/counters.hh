@@ -41,8 +41,27 @@ struct PerfCounters {
      */
     bool operator==(const PerfCounters &other) const = default;
 
-    /** Accumulate another bundle into this one. */
-    PerfCounters &operator+=(const PerfCounters &other);
+    /**
+     * Accumulate another bundle into this one. Inline: the profiler's
+     * program folds and Gpu::executeAll() call it once per launch step
+     * (sim::accountLaunch()).
+     */
+    PerfCounters &
+    operator+=(const PerfCounters &other)
+    {
+        kernelsLaunched += other.kernelsLaunched;
+        valuInsts += other.valuInsts;
+        saluInsts += other.saluInsts;
+        bytesLoaded += other.bytesLoaded;
+        bytesStored += other.bytesStored;
+        l1HitBytes += other.l1HitBytes;
+        l2HitBytes += other.l2HitBytes;
+        dramBytes += other.dramBytes;
+        writeStallSec += other.writeStallSec;
+        busySec += other.busySec;
+        launchSec += other.launchSec;
+        return *this;
+    }
 
     /** @return Sum of two bundles. */
     friend PerfCounters operator+(PerfCounters a, const PerfCounters &b)
@@ -51,8 +70,23 @@ struct PerfCounters {
         return a;
     }
 
-    /** Scale all counters (used for weighted projections). */
-    PerfCounters &operator*=(double factor);
+    /** Scale all counters (weighted projections, repeated launches). */
+    PerfCounters &
+    operator*=(double factor)
+    {
+        kernelsLaunched *= factor;
+        valuInsts *= factor;
+        saluInsts *= factor;
+        bytesLoaded *= factor;
+        bytesStored *= factor;
+        l1HitBytes *= factor;
+        l2HitBytes *= factor;
+        dramBytes *= factor;
+        writeStallSec *= factor;
+        busySec *= factor;
+        launchSec *= factor;
+        return *this;
+    }
 
     /** @return Total wall time attributed to the kernels. */
     double totalSec() const { return busySec + launchSec; }

@@ -7,6 +7,8 @@
 #ifndef SEQPOINT_SIM_DRAM_MODEL_HH
 #define SEQPOINT_SIM_DRAM_MODEL_HH
 
+#include <algorithm>
+
 #include "sim/gpu_config.hh"
 #include "sim/kernel.hh"
 
@@ -30,7 +32,28 @@ struct DramService {
  * @param cfg Device configuration.
  * @return Effective bandwidth in bytes/s.
  */
-double effectiveDramBandwidth(KernelClass klass, const GpuConfig &cfg);
+inline double
+effectiveDramBandwidth(KernelClass klass, const GpuConfig &cfg)
+{
+    double eff = cfg.dramEfficiency;
+    switch (klass) {
+      case KernelClass::Embedding:
+        // Gather/scatter: poor row-buffer locality.
+        eff *= 0.45;
+        break;
+      case KernelClass::Transpose:
+        // One strided side.
+        eff *= 0.70;
+        break;
+      case KernelClass::Scalar:
+        // Latency-bound single accesses.
+        eff *= 0.20;
+        break;
+      default:
+        break;
+    }
+    return cfg.dramBandwidth * eff;
+}
 
 /**
  * Service read and write DRAM traffic for a kernel.
@@ -46,9 +69,23 @@ double effectiveDramBandwidth(KernelClass klass, const GpuConfig &cfg);
  *                    compute) during which write drain is free.
  * @param cfg Device configuration.
  */
-DramService serviceDram(KernelClass klass, double read_bytes,
-                        double write_bytes, double overlap_sec,
-                        const GpuConfig &cfg);
+inline DramService
+serviceDram(KernelClass klass, double read_bytes, double write_bytes,
+            double overlap_sec, const GpuConfig &cfg)
+{
+    DramService svc;
+    double bw = effectiveDramBandwidth(klass, cfg);
+    svc.readTimeSec = read_bytes / bw;
+
+    double drain_bw = cfg.dramBandwidth * cfg.writeDrainFraction;
+    svc.writeTimeSec = write_bytes / drain_bw;
+
+    // Drain overlaps with whatever else the kernel is doing; only the
+    // excess stalls the pipeline.
+    double cover = std::max(overlap_sec, svc.readTimeSec);
+    svc.writeStallSec = std::max(0.0, svc.writeTimeSec - cover);
+    return svc;
+}
 
 } // namespace sim
 } // namespace seqpoint

@@ -7,11 +7,20 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "common/rng.hh"
 #include "common/status.hh"
+#include "harness/experiment.hh"
+#include "harness/workloads.hh"
 #include "nn/autotune.hh"
 #include "nn/kernel_gen.hh"
 #include "sim/gpu.hh"
+#include "sim/timing_model.hh"
 
 namespace seqpoint {
 namespace nn {
@@ -133,6 +142,169 @@ TEST(Autotuner, MeasuredProbesBypassTheTimingCache)
     EXPECT_EQ(bits, cost_bits) << std::hex << bits;
     EXPECT_EQ(gpu.uniqueKernelsTimed(), 0u);
     EXPECT_EQ(gpu.timingCacheStats().lookups(), 0u);
+}
+
+/** @return The bit pattern of a double. */
+uint64_t
+bitsOf(double d)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+}
+
+bool
+sameVariant(const GemmVariant &a, const GemmVariant &b)
+{
+    return a.tileM == b.tileM && a.tileN == b.tileN && a.tileK == b.tileK;
+}
+
+/** A GEMM shape a model tunes. */
+using Shape = std::tuple<int64_t, int64_t, int64_t>;
+
+/**
+ * Every GEMM shape a workload's Experiment tunes on a configuration,
+ * in shape-key order: the tuner entries of its snapshot (epoch,
+ * selections and projections all paid).
+ */
+std::vector<AutotuneEntry>
+tunedEntries(const harness::WorkloadFactory &factory,
+             const sim::GpuConfig &cfg)
+{
+    harness::Experiment exp(factory());
+    return exp.snapshot(cfg)->tunerEntries;
+}
+
+/**
+ * The oracle a Measured tuner must reproduce bit for bit: the full
+ * timing model over the six menu tiles, first minimum wins, the six
+ * times summed in menu order.
+ */
+AutotuneEntry
+oracleEntry(int64_t m, int64_t n, int64_t k, const sim::GpuConfig &cfg)
+{
+    const sim::KernelStem probe("oracle_probe");
+    AutotuneEntry e{m, n, k, {}, 0.0};
+    double best = 0.0;
+    bool first = true;
+    for (const GemmVariant &v : gemmVariantMenu()) {
+        double t = sim::timeKernel(gemmKernelForVariant(probe, m, n, k, v),
+                                   cfg).timeSec;
+        e.costSec += t;
+        if (first || t < best) {
+            e.variant = v;
+            best = t;
+            first = false;
+        }
+    }
+    return e;
+}
+
+TEST(AutotunerDifferential, ModelShapesMatchTimeKernelOracle)
+{
+    // Every shape GNMT and DS2 tune at seed 23, on every Table II
+    // configuration (#4 has no L1, #5 no L2): the Experiment's own
+    // tuner and a fresh one must both pick the oracle's variant and
+    // record the oracle's cost bits.
+    const std::pair<const char *, harness::WorkloadFactory> workloads[] = {
+        {"GNMT", [] { return harness::makeGnmtWorkload(23); }},
+        {"DS2", [] { return harness::makeDs2Workload(23); }},
+    };
+    for (const auto &[name, factory] : workloads) {
+        for (const sim::GpuConfig &cfg : sim::GpuConfig::table2()) {
+            std::vector<AutotuneEntry> entries = tunedEntries(factory, cfg);
+            EXPECT_GT(entries.size(), 1000u) << name << " " << cfg.name;
+
+            sim::Gpu gpu(cfg);
+            Autotuner fresh(Autotuner::Mode::Measured, &gpu);
+            double oracle_total = 0.0;
+            size_t mismatches = 0;
+            for (const AutotuneEntry &e : entries) {
+                AutotuneEntry want = oracleEntry(e.m, e.n, e.k, cfg);
+                oracle_total += want.costSec;
+                const GemmVariant &got = fresh.select(e.m, e.n, e.k);
+                bool ok = sameVariant(e.variant, want.variant) &&
+                    bitsOf(e.costSec) == bitsOf(want.costSec) &&
+                    sameVariant(got, want.variant);
+                if (!ok && ++mismatches <= 5) {
+                    ADD_FAILURE() << name << " " << cfg.name << " " << e.m
+                                  << "x" << e.n << "x" << e.k;
+                }
+            }
+            EXPECT_EQ(mismatches, 0u) << name << " " << cfg.name;
+
+            // Shape-key order is the entries' order, so the fresh
+            // tuner's bill is the oracle's sum in that order.
+            EXPECT_EQ(bitsOf(fresh.tuningCostSec()), bitsOf(oracle_total))
+                << name << " " << cfg.name;
+            std::vector<AutotuneEntry> fresh_entries =
+                fresh.snapshotEntries();
+            ASSERT_EQ(fresh_entries.size(), entries.size());
+            for (size_t i = 0; i < entries.size(); ++i) {
+                EXPECT_EQ(bitsOf(fresh_entries[i].costSec),
+                          bitsOf(entries[i].costSec));
+            }
+        }
+    }
+}
+
+TEST(AutotunerConcurrency, RacingSelectsMatchSerialTuner)
+{
+    // Four threads tune the GNMT shape list on one shared Measured
+    // tuner, each in its own order. Whoever wins a shape's race, the
+    // entries, the bill and every returned variant equal a serial
+    // tuner's.
+    std::vector<Shape> shapes;
+    for (const AutotuneEntry &e :
+         tunedEntries([] { return harness::makeGnmtWorkload(23); },
+                      sim::GpuConfig::config1()))
+        shapes.emplace_back(e.m, e.n, e.k);
+    ASSERT_GT(shapes.size(), 1000u);
+
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    Autotuner serial(Autotuner::Mode::Measured, &gpu);
+    std::map<Shape, GemmVariant> want;
+    for (const auto &[m, n, k] : shapes)
+        want[Shape{m, n, k}] = serial.select(m, n, k);
+
+    Autotuner shared(Autotuner::Mode::Measured, &gpu);
+    constexpr unsigned kThreads = 4;
+    std::vector<std::vector<Shape>> orders(kThreads, shapes);
+    std::reverse(orders[1].begin(), orders[1].end());
+    for (unsigned t = 2; t < kThreads; ++t) {
+        Rng rng(100 + t);
+        rng.shuffle(orders[t]);
+    }
+    std::vector<std::vector<GemmVariant>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (const auto &[m, n, k] : orders[t])
+                got[t].push_back(shared.select(m, n, k));
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (unsigned t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), orders[t].size());
+        size_t mismatches = 0;
+        for (size_t i = 0; i < orders[t].size(); ++i)
+            mismatches += !sameVariant(got[t][i], want.at(orders[t][i]));
+        EXPECT_EQ(mismatches, 0u) << "thread " << t;
+    }
+    EXPECT_EQ(bitsOf(shared.tuningCostSec()), bitsOf(serial.tuningCostSec()));
+
+    std::vector<AutotuneEntry> a = shared.snapshotEntries();
+    std::vector<AutotuneEntry> b = serial.snapshotEntries();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_TRUE(a[i].m == b[i].m && a[i].n == b[i].n &&
+                    a[i].k == b[i].k &&
+                    sameVariant(a[i].variant, b[i].variant) &&
+                    bitsOf(a[i].costSec) == bitsOf(b[i].costSec))
+            << a[i].m << "x" << a[i].n << "x" << a[i].k;
+    }
 }
 
 TEST(Autotuner, ResetClearsCacheAndCost)

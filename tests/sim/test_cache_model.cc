@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "sim/access_gen.hh"
@@ -75,6 +78,108 @@ TEST(MemoryBreakdown, DisabledL2SendsTrafficToDram)
     EXPECT_DOUBLE_EQ(no_l2.l2Bytes, 0.0);
     EXPECT_GT(no_l2.dramBytes,
               evalMemoryBreakdown(k, GpuConfig::config1()).dramBytes);
+}
+
+/**
+ * The byte split with one capacityHitFraction() per reuse level: the
+ * L2 load fraction from reuseL2 and the store fraction from
+ * 0.5 * reuseL2, each decaying on its own.
+ */
+MemoryBreakdown
+separateFactorBreakdown(const KernelDesc &desc, const GpuConfig &cfg)
+{
+    double l1_cap = static_cast<double>(cfg.l1SizeBytes);
+    double l2_cap = static_cast<double>(cfg.l2SizeBytes);
+    double h1 = capacityHitFraction(desc.reuseL1, desc.workingSetL1, l1_cap);
+    double h2 = capacityHitFraction(desc.reuseL2, desc.workingSetL2, l2_cap);
+    double store_h2 = capacityHitFraction(0.5 * desc.reuseL2,
+                                          desc.workingSetL2, l2_cap);
+
+    double loads = desc.bytesIn;
+    double l1_load = loads * h1;
+    double l2_load = (loads - l1_load) * h2;
+    double dram_load = loads - l1_load - l2_load;
+    double l2_store = desc.bytesOut * store_h2;
+
+    MemoryBreakdown mb;
+    mb.l1Bytes = l1_load;
+    mb.l2Bytes = l2_load + l2_store;
+    mb.dramBytes = dram_load + (desc.bytesOut - l2_store);
+    mb.l1HitRate = loads > 0.0 ? h1 : 0.0;
+    mb.l2HitRate = h2;
+    return mb;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(MemoryBreakdown, SharedL2FactorMatchesSeparateFractionsBitwise)
+{
+    // One L2 decay factor serves loads (r * f) and stores
+    // ((0.5 * r) * f); each must equal its own capacityHitFraction().
+    // Working sets straddle L2 capacity on both sides and sit exactly
+    // on it; config #5 has no L2 and config #4 no L1.
+    const double l2_cap =
+        static_cast<double>(GpuConfig::config1().l2SizeBytes);
+    const double working_sets[] = {
+        1.0, 0.37 * l2_cap, std::nextafter(l2_cap, 0.0), l2_cap,
+        std::nextafter(l2_cap, 2.0 * l2_cap), 1.5 * l2_cap,
+        7.3 * l2_cap, 1e6 * l2_cap};
+    const double reuses[] = {0.0, 1.0, 0.82, 0.3, 4.9e-324};
+    const GpuConfig configs[] = {GpuConfig::config1(),
+                                 GpuConfig::config4(),
+                                 GpuConfig::config5()};
+
+    size_t checked = 0;
+    for (const GpuConfig &cfg : configs) {
+        for (double ws : working_sets) {
+            for (double r : reuses) {
+                KernelDesc k = makeElementwise(KernelStem("l2"), 3.1e5, 1.0,
+                                               2.0, 1.0);
+                k.bytesIn = 7.77e6;
+                k.bytesOut = 2.13e6;
+                k.reuseL1 = 0.35;
+                k.workingSetL1 = 12345.0;
+                k.reuseL2 = r;
+                k.workingSetL2 = ws;
+                MemoryBreakdown got = evalMemoryBreakdown(k, cfg);
+                MemoryBreakdown want = separateFactorBreakdown(k, cfg);
+                EXPECT_TRUE(sameBits(got.l1Bytes, want.l1Bytes) &&
+                            sameBits(got.l2Bytes, want.l2Bytes) &&
+                            sameBits(got.dramBytes, want.dramBytes) &&
+                            sameBits(got.l1HitRate, want.l1HitRate) &&
+                            sameBits(got.l2HitRate, want.l2HitRate))
+                    << cfg.name << " ws=" << ws << " reuseL2=" << r;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 3u * 8u * 5u);
+
+    // The L2 load and store paths really are live on config #1 above
+    // capacity, and dead on config #5.
+    KernelDesc k = makeElementwise(KernelStem("l2"), 1e5, 1.0, 2.0, 1.0);
+    k.reuseL2 = 1.0;
+    k.workingSetL2 = 4.0 * l2_cap;
+    EXPECT_GT(evalMemoryBreakdown(k, GpuConfig::config1()).l2Bytes, 0.0);
+    EXPECT_EQ(evalMemoryBreakdown(k, GpuConfig::config5()).l2Bytes, 0.0);
+}
+
+TEST(MemoryBreakdownDeath, OutOfRangeL2ReusePanics)
+{
+    KernelDesc k = makeElementwise(KernelStem("l2"), 1e5, 1.0, 2.0, 1.0);
+    k.reuseL2 = 1.5;
+    EXPECT_DEATH(evalMemoryBreakdown(k, GpuConfig::config1()),
+                 "reuse_max out of");
+    k.reuseL2 = -0.25;
+    EXPECT_DEATH(evalMemoryBreakdown(k, GpuConfig::config1()),
+                 "reuse_max out of");
+    // Even with no L2 to serve from, the range check holds.
+    EXPECT_DEATH(evalMemoryBreakdown(k, GpuConfig::config5()),
+                 "reuse_max out of");
 }
 
 /**
