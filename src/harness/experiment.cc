@@ -54,7 +54,6 @@ Experiment::state(const sim::GpuConfig &cfg)
         if (!(seed->config == cfg))
             continue;
         st.tuner.seed(seed->tunerEntries);
-        st.gpu.seedTimingCache(seed->timingEntries);
         st.profiler.seedTrainProfiles(seed->trainProfiles);
         st.profiler.seedInferProfiles(seed->inferProfiles);
         st.log = std::make_unique<prof::TrainLog>(seed->log);
@@ -236,7 +235,6 @@ Experiment::snapshot(const sim::GpuConfig &cfg)
     snap->evalCostMultiplier = wl.evalCostMultiplier;
     snap->opts = opts;
     snap->tunerEntries = st.tuner.snapshotEntries();
-    snap->timingEntries = st.gpu.timingCacheSnapshot();
     snap->trainProfiles = st.profiler.trainProfileSnapshot();
     snap->inferProfiles = st.profiler.inferProfileSnapshot();
     snap->log = *st.log;

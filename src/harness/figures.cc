@@ -219,9 +219,10 @@ runSensitivitySweepScheduled(const WorkloadFactory &make, int64_t sl_lo,
     // Lookup-only seeding: a sensitivity sweep profiles a handful of
     // SLs and must never pay an epoch it does not need, so cells only
     // adopt snapshots the registry already holds (typically from a
-    // sibling figure sweep) -- the autotune and kernel-timing caches
-    // plus any overlapping per-SL profiles come for free, and the
-    // swept SLs they miss are profiled as usual (bit-identically).
+    // sibling figure sweep) -- the autotune decisions plus any
+    // overlapping per-SL profiles come for free, and the swept SLs
+    // they miss are lowered and their kernels timed afresh on the
+    // cell's device (bit-identically).
     ExperimentScheduler::SnapshotProvider provider;
     if (registry) {
         provider = [registry](std::size_t, const sim::GpuConfig &cfg,

@@ -8,6 +8,11 @@
  * sweep can pay it once, freeze the result in a ModelSnapshot, and
  * hand the snapshot read-only to every cell that evaluates the same
  * pair -- seeded cells produce bit-identical results to cold ones.
+ *
+ * Kernel timings are not frozen: re-timing a kernel costs about as
+ * much as inserting a stored timing, so a seeded cell that profiles
+ * an SL its snapshot lacks times that SL's kernels afresh on its own
+ * device (bit-identically, since the timing model is pure).
  */
 
 #ifndef SEQPOINT_HARNESS_SNAPSHOT_HH
@@ -26,7 +31,6 @@
 #include "profiler/iteration_profile.hh"
 #include "profiler/trainer.hh"
 #include "sim/gpu_config.hh"
-#include "sim/timing_cache.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -34,8 +38,8 @@ namespace harness {
 /**
  * Immutable snapshot of one Experiment's fully warmed per-config
  * state: the lowered-and-executed per-SL iteration profiles, the
- * frozen autotune and kernel-timing caches they were produced with,
- * the epoch log, and the selector sets built on it.
+ * frozen autotune decisions they were produced with, the epoch log,
+ * and the selector sets built on it.
  *
  * Captured by Experiment::snapshot() and consumed by
  * Experiment::seedFrom() (directly or via ExperimentScheduler's
@@ -68,9 +72,6 @@ struct ModelSnapshot {
 
     /** Frozen autotune decisions (shape -> variant + probe cost). */
     std::vector<nn::AutotuneEntry> tunerEntries;
-
-    /** Frozen kernel-timing cache (signature -> timing). */
-    std::vector<sim::TimingCacheEntry> timingEntries;
 
     /** Per-SL training profiles (the digested lowered kernels). */
     std::map<int64_t, prof::IterationProfile> trainProfiles;

@@ -146,11 +146,6 @@ encodeSnapshotPayload(const ModelSnapshot &snap)
     // (format v4; v3 wrote the entries raw).
     nn::encodeAutotuneSection(w, snap.tunerEntries);
 
-    // The timing cache dominates the file; the compact section
-    // delta-codes it in canonical signature order (which also makes
-    // the payload independent of hash-map iteration order).
-    sim::encodeTimingSection(w, snap.timingEntries);
-
     encodeProfileMap(w, snap.trainProfiles);
     encodeProfileMap(w, snap.inferProfiles);
 
@@ -189,13 +184,10 @@ decodeSnapshotPayload(std::string_view payload, const std::string &what,
 
     snap.tunerEntries = nn::decodeAutotuneSection(r);
 
-    // The timing cache and the profile maps dominate decode time, so
-    // poll the cancel context between the heavy sections: a request
-    // whose deadline fires mid-decode unwinds here instead of holding
-    // its registry slot for the rest of the file.
-    cancelCheckpoint("snapshot.decode");
-    snap.timingEntries = sim::decodeTimingSection(r);
-
+    // The profile maps dominate decode time, so poll the cancel
+    // context around them: a request whose deadline fires mid-decode
+    // unwinds here instead of holding its registry slot for the rest
+    // of the file.
     cancelCheckpoint("snapshot.decode");
     snap.trainProfiles = decodeProfileMap(r);
     snap.inferProfiles = decodeProfileMap(r);

@@ -2,9 +2,10 @@
  * @file
  * Persistent ModelSnapshot serialization: a versioned, endian-stable
  * binary format that lets one process's cold start (model lowering,
- * autotune, kernel timing, the reference epoch and every selection)
- * seed another process bit-identically -- the checkpoint-reuse
- * discipline applied across bench binaries and CI runs.
+ * autotune, the per-SL profiles, the reference epoch and every
+ * selection) seed another process bit-identically -- the
+ * checkpoint-reuse discipline applied across bench binaries and CI
+ * runs.
  *
  * A snapshot file is only ever adopted whole: the header carries a
  * format magic, a format version and a payload checksum, and the
@@ -75,8 +76,15 @@ namespace harness {
  * counter arithmetic moved inline), so the codec content pins had to
  * be regenerated under the lint ratchet. Every encoded probe cost and
  * counter is bit-identical to v6's. v6 stores rebuild on first use.
+ *
+ * v8: the timing-cache section is gone; the tuner section is followed
+ * directly by the profile maps. A seeded Experiment re-times the few
+ * kernels it needs (as cheap as inserting stored timings, and
+ * bit-identical), so the section -- ~82% of a v7 file -- only cost
+ * encode, decode and memory. A v8 payload is its v7 payload with the
+ * timing section's bytes cut out. v7 stores rebuild on first use.
  */
-constexpr uint32_t kSnapshotFormatVersion = 7;
+constexpr uint32_t kSnapshotFormatVersion = 8;
 
 /**
  * Full identity of a snapshot: everything the snapshotted state is a

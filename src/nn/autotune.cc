@@ -154,11 +154,10 @@ Autotuner::chooseMeasured(int64_t m, int64_t n, int64_t k) const
 {
     // Probes go straight to the timing model, not through the device:
     // the losing variants never launch for real, so they stay out of
-    // its timing cache (and out of every snapshot of it). A probe's
-    // repeat is 1, and kernelTimeSec() given the tile's L1 hit
-    // fraction is timeKernel()'s time, so each probe costs exactly
-    // what Gpu::execute() would report; the winner is timed again on
-    // its first real launch.
+    // its timing cache. A probe's repeat is 1, and kernelTimeSec()
+    // given the tile's L1 hit fraction is timeKernel()'s time, so each
+    // probe costs exactly what Gpu::execute() would report; the winner
+    // is timed again on its first real launch.
     static const sim::KernelStem probe("autotune_probe");
     const auto &menu = gemmVariantMenu();
     const sim::GpuConfig &cfg = gpu->config();

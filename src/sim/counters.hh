@@ -104,28 +104,6 @@ void encodeCounters(ByteWriter &w, const PerfCounters &c);
 /** Decode a counter bundle written by encodeCounters(). */
 PerfCounters decodeCounters(ByteReader &r);
 
-/**
- * Serialize a counter bundle in the packed form: every field goes
- * through ByteWriter::f64Packed() against the corresponding field of
- * `prev` (an adjacent bundle in the containing section, or a
- * default-constructed one). Counter values are mostly exact integers
- * close to their neighbours', so the packed form is a fraction of
- * the raw 88 bytes while remaining bit-exact.
- *
- * @param w Destination stream.
- * @param c Bundle to serialize.
- * @param prev Delta base (pass the previous bundle of the section).
- */
-void encodeCountersPacked(ByteWriter &w, const PerfCounters &c,
-                          const PerfCounters &prev);
-
-/**
- * Decode a bundle written by encodeCountersPacked() with the same
- * `prev`.
- */
-PerfCounters decodeCountersPacked(ByteReader &r,
-                                  const PerfCounters &prev);
-
 } // namespace sim
 } // namespace seqpoint
 

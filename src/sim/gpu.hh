@@ -110,24 +110,6 @@ class Gpu
     /** @return Distinct kernel signatures timed so far. */
     size_t uniqueKernelsTimed() const { return cache.size(); }
 
-    /** Drop every cached timing and reset the statistics. */
-    void clearTimingCache() { cache.clear(); }
-
-    /** @return A copy of every cached kernel timing. */
-    std::vector<TimingCacheEntry> timingCacheSnapshot() const
-    {
-        return cache.snapshotEntries();
-    }
-
-    /**
-     * Seed the timing cache from a snapshot taken on a device with an
-     * equal configuration (see KernelTimingCache::seed()).
-     */
-    void seedTimingCache(const std::vector<TimingCacheEntry> &entries)
-    {
-        cache.seed(entries);
-    }
-
     /**
      * Per-launch timing of a kernel through the timing cache; the
      * descriptor's repeat count is ignored.

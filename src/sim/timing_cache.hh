@@ -8,6 +8,12 @@
  * dimensions and every descriptor field the timing model reads --
  * and replays the stored KernelTiming for every later launch with
  * the same signature.
+ *
+ * The cache lives and dies with its device: it is never persisted or
+ * copied between devices. Re-timing a kernel is about as cheap as
+ * inserting a stored timing, and timeKernel() is a pure function of
+ * (signature, configuration), so a process that needs a timing
+ * another process already computed simply computes it again.
  */
 
 #ifndef SEQPOINT_SIM_TIMING_CACHE_HH
@@ -15,9 +21,7 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
-#include "common/bytestream.hh"
 #include "common/mutex.hh"
 #include "common/thread_annotations.hh"
 #include "sim/kernel.hh"
@@ -79,52 +83,6 @@ struct TimingCacheStats {
 };
 
 /**
- * One frozen cache entry, exported for cross-instance sharing (the
- * harness's ModelSnapshot hands a sweep's cold-start timings to every
- * scheduler cell evaluating the same configuration).
- */
-struct TimingCacheEntry {
-    KernelSignature sig; ///< Canonical signature key.
-    KernelTiming timing; ///< Memoized per-launch timing.
-};
-
-/**
- * Serialize one frozen cache entry (snapshot store). All doubles are
- * written as IEEE-754 bit patterns, so decode is bit-identical and
- * a seeded cache serves exactly the timings the donor computed.
- */
-void encodeTimingCacheEntry(ByteWriter &w, const TimingCacheEntry &e);
-
-/**
- * Decode an entry written by encodeTimingCacheEntry(). An
- * out-of-range kernel class is a fatal error (corrupted artifact).
- */
-TimingCacheEntry decodeTimingCacheEntry(ByteReader &r);
-
-/**
- * Serialize a whole timing-cache section compactly (snapshot store,
- * where these entries are ~95% of the bytes). Entries are sorted
- * into a canonical signature order -- making the section independent
- * of hash-map iteration order -- and every field is delta-coded
- * against its neighbour through the packed varint forms
- * (bytestream.hh): adjacent signatures share most of their fields,
- * and simulator statistics are overwhelmingly exact integers, so the
- * section shrinks to a fraction of the fixed-width encoding while
- * staying bit-exact.
- *
- * @param w Destination stream.
- * @param entries Entries to serialize (order irrelevant).
- */
-void encodeTimingSection(ByteWriter &w,
-                         const std::vector<TimingCacheEntry> &entries);
-
-/**
- * Decode a section written by encodeTimingSection(). Entries come
- * back in the canonical order; any structural problem is fatal.
- */
-std::vector<TimingCacheEntry> decodeTimingSection(ByteReader &r);
-
-/**
  * Signature -> KernelTiming memo for one device configuration.
  *
  * Thread-safe: lookups from concurrent profiling tasks serialise on an
@@ -147,21 +105,6 @@ class KernelTimingCache
 
     /** @return Hit/miss counts so far. */
     TimingCacheStats stats() const;
-
-    /** @return A copy of every cached entry (order unspecified). */
-    std::vector<TimingCacheEntry> snapshotEntries() const;
-
-    /**
-     * Pre-populate from entries snapshotted on the SAME device
-     * configuration. Existing entries win; neither hits nor misses
-     * are counted. Because timeKernel() is a pure function of
-     * (signature, config), a seeded cache serves results
-     * bit-identical to a cold cache that computes them itself.
-     *
-     * @param entries Entries from snapshotEntries() of a cache bound
-     *                to an equal GpuConfig.
-     */
-    void seed(const std::vector<TimingCacheEntry> &entries);
 
     /** @return Distinct signatures cached. */
     std::size_t size() const;

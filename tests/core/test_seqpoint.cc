@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.hh"
 #include "common/logging.hh"
+#include "core/projection.hh"
 #include "core/seqpoint.hh"
 
 namespace seqpoint {
@@ -219,6 +223,65 @@ TEST(SeqPoint, ExactWhenBinsEqualUniqueCount)
     EXPECT_NEAR(fine.projectTotal(), s.actualTotal(),
                 1e-9 * s.actualTotal());
     EXPECT_LE(selectWithBins(s, 10).selfError, 0.05);
+}
+
+/** Bit pattern of a double, for exact (not ==) comparisons. */
+uint64_t
+bits(double d)
+{
+    return std::bit_cast<uint64_t>(d);
+}
+
+TEST(SeqPoint, SelectionAndProjectionIgnoreIterationOrder)
+{
+    // An epoch-like log: every iteration at one SL has the same time,
+    // as every profiler-made log does, and SLs recur 1-12 times.
+    Rng rng(60);
+    std::vector<IterationSample> samples;
+    int64_t sl = 8;
+    for (size_t i = 0; i < 120; ++i) {
+        sl += rng.uniformInt(1, 4);
+        double x = static_cast<double>(sl);
+        double t = 0.05 + 0.004 * x + 1e-6 * x * x;
+        for (int64_t f = rng.uniformInt(1, 12); f > 0; --f)
+            samples.push_back(IterationSample{sl, t});
+    }
+    auto target = [](int64_t s) {
+        return 0.02 + 0.003 * static_cast<double>(s);
+    };
+
+    SlStats ref = SlStats::fromIterations(samples);
+    SeqPointSet ref_sel = selectSeqPoints(ref);
+    double ref_proj = projectTrainingTime(ref_sel, target);
+    ASSERT_FALSE(ref_sel.usedAllUnique);
+
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        std::vector<IterationSample> shuffled = samples;
+        Rng(seed).shuffle(shuffled);
+
+        SlStats s = SlStats::fromIterations(shuffled);
+        ASSERT_EQ(s.uniqueCount(), ref.uniqueCount()) << seed;
+        for (size_t i = 0; i < s.uniqueCount(); ++i) {
+            const SlEntry &a = s.entries()[i], &b = ref.entries()[i];
+            EXPECT_EQ(a.seqLen, b.seqLen) << seed;
+            EXPECT_EQ(a.freq, b.freq) << seed;
+            EXPECT_EQ(bits(a.statValue), bits(b.statValue)) << seed;
+        }
+
+        SeqPointSet sel = selectSeqPoints(s);
+        ASSERT_EQ(sel.points.size(), ref_sel.points.size()) << seed;
+        for (size_t i = 0; i < sel.points.size(); ++i) {
+            const SeqPointRecord &a = sel.points[i];
+            const SeqPointRecord &b = ref_sel.points[i];
+            EXPECT_EQ(a.seqLen, b.seqLen) << seed;
+            EXPECT_EQ(bits(a.weight), bits(b.weight)) << seed;
+            EXPECT_EQ(bits(a.statValue), bits(b.statValue)) << seed;
+        }
+        EXPECT_EQ(sel.binsUsed, ref_sel.binsUsed) << seed;
+        EXPECT_EQ(bits(sel.selfError), bits(ref_sel.selfError)) << seed;
+        EXPECT_EQ(bits(projectTrainingTime(sel, target)), bits(ref_proj))
+            << seed;
+    }
 }
 
 TEST(SeqPointDeath, RejectsBadOptions)

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <string>
 
 #include "harness/figures.hh"
+#include "harness/snapshot_io.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -20,6 +24,15 @@ WorkloadFactory
 ds2()
 {
     return [] { return makeDs2Workload(); };
+}
+
+/** Bit-exact image of a profile (its snapshot encoding). */
+std::string
+profileBytes(const prof::IterationProfile &p)
+{
+    ByteWriter w;
+    prof::encodeIterationProfile(w, p);
+    return w.data();
 }
 
 TEST(FigurePipeline, ScheduledSweepByteIdenticalToSerialAnyThreads)
@@ -89,10 +102,13 @@ TEST(ModelSnapshot, SeededExperimentBitIdenticalToCold)
     // Freeze a fully warmed reference state.
     Experiment donor(makeDs2Workload());
     donor.setProfileThreads(1);
-    auto snap = donor.snapshot(cfg1);
+    // Seed through the on-disk payload codec, as a store-warmed
+    // process does: nothing beyond what the payload carries survives.
+    auto snap = std::make_shared<const ModelSnapshot>(
+        decodeSnapshotPayload(encodeSnapshotPayload(*donor.snapshot(cfg1)),
+                              "seeded-test"));
     EXPECT_EQ(snap->workload, "DS2");
-    EXPECT_FALSE(snap->trainProfiles.empty());
-    EXPECT_FALSE(snap->timingEntries.empty());
+    ASSERT_FALSE(snap->trainProfiles.empty());
     EXPECT_FALSE(snap->tunerEntries.empty());
     EXPECT_EQ(snap->selections.size(), 5u);
 
@@ -104,6 +120,34 @@ TEST(ModelSnapshot, SeededExperimentBitIdenticalToCold)
     seeded.seedFrom(snap);
     Experiment cold(makeDs2Workload());
     cold.setProfileThreads(1);
+
+    // The snapshot carries no kernel timings, so SLs it lacks (below
+    // and above the dataset's range) and every detailed profile are
+    // timed afresh on the seeded device -- still bit-identical.
+    int64_t lo = snap->trainProfiles.begin()->first - 1;
+    int64_t hi = snap->trainProfiles.rbegin()->first + 7;
+    ASSERT_GT(lo, 0);
+    for (int64_t sl : {lo, hi}) {
+        ASSERT_EQ(snap->trainProfiles.count(sl), 0u) << sl;
+        EXPECT_EQ(profileBytes(seeded.iterProfile(cfg1, sl)),
+                  profileBytes(cold.iterProfile(cfg1, sl)))
+            << sl;
+    }
+    for (int64_t sl : {lo, snap->trainProfiles.begin()->first, hi}) {
+        prof::DetailedProfile a = seeded.iterProfileDetailed(cfg1, sl);
+        prof::DetailedProfile b = cold.iterProfileDetailed(cfg1, sl);
+        EXPECT_EQ(profileBytes(a), profileBytes(b)) << sl;
+        EXPECT_EQ(a.launchesByKernel, b.launchesByKernel) << sl;
+        ASSERT_EQ(a.timeByKernel.size(), b.timeByKernel.size()) << sl;
+        for (auto ia = a.timeByKernel.begin(),
+                  ib = b.timeByKernel.begin();
+             ia != a.timeByKernel.end(); ++ia, ++ib) {
+            EXPECT_EQ(ia->first, ib->first);
+            EXPECT_EQ(std::bit_cast<uint64_t>(ia->second),
+                      std::bit_cast<uint64_t>(ib->second))
+                << ia->first;
+        }
+    }
 
     EXPECT_TRUE(seeded.epochLog(cfg1).identicalTo(cold.epochLog(cfg1)));
     EXPECT_TRUE(seeded.epochLog(cfg2).identicalTo(cold.epochLog(cfg2)));

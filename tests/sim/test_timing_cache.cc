@@ -155,83 +155,6 @@ TEST(GpuTimingCache, RepeatScalesFromOneCachedLaunch)
     EXPECT_DOUBLE_EQ(many.timeSec, 50.0 * once.timeSec);
 }
 
-TEST(TimingSection, CompactRoundTripIsBitExact)
-{
-    // Populate a cache with a spread of kernels and round-trip its
-    // snapshot through the compact varint/delta section.
-    Gpu gpu(GpuConfig::config1());
-    for (int64_t m : {256, 512, 1024})
-        for (int64_t k : {256, 384})
-            (void)gpu.execute(testGemm("g", m, 2 * m, k));
-
-    std::vector<TimingCacheEntry> entries =
-        gpu.timingCacheSnapshot();
-    ASSERT_GT(entries.size(), 3u);
-
-    ByteWriter w;
-    encodeTimingSection(w, entries);
-    ByteReader r(w.data(), "section");
-    std::vector<TimingCacheEntry> decoded = decodeTimingSection(r);
-    EXPECT_TRUE(r.done());
-    ASSERT_EQ(decoded.size(), entries.size());
-
-    // Bit-exact per entry: the decoded section re-encodes to the
-    // same bytes, and every original entry is found unchanged.
-    ByteWriter w2;
-    encodeTimingSection(w2, decoded);
-    EXPECT_EQ(w2.data(), w.data());
-    for (const TimingCacheEntry &e : entries) {
-        bool found = false;
-        for (const TimingCacheEntry &d : decoded) {
-            if (d.sig == e.sig) {
-                found = true;
-                EXPECT_DOUBLE_EQ(d.timing.timeSec, e.timing.timeSec);
-                EXPECT_EQ(d.timing.memoryBound, e.timing.memoryBound);
-                EXPECT_TRUE(d.timing.counters == e.timing.counters);
-            }
-        }
-        EXPECT_TRUE(found);
-    }
-}
-
-TEST(TimingSection, CanonicalOrderIsInputOrderIndependent)
-{
-    Gpu gpu(GpuConfig::config1());
-    for (int64_t m : {128, 320, 640})
-        (void)gpu.execute(testGemm("g", m, m, 256));
-    std::vector<TimingCacheEntry> entries =
-        gpu.timingCacheSnapshot();
-    ASSERT_GT(entries.size(), 1u);
-
-    std::vector<TimingCacheEntry> reversed(entries.rbegin(),
-                                           entries.rend());
-    ByteWriter a, b;
-    encodeTimingSection(a, entries);
-    encodeTimingSection(b, reversed);
-    EXPECT_EQ(a.data(), b.data());
-}
-
-TEST(TimingSection, CompactFormIsSmallerThanFixedWidth)
-{
-    Gpu gpu(GpuConfig::config1());
-    for (int64_t m : {256, 512, 1024, 2048})
-        for (int64_t k : {128, 256, 512})
-            (void)gpu.execute(testGemm("g", m, m, k));
-    std::vector<TimingCacheEntry> entries =
-        gpu.timingCacheSnapshot();
-
-    ByteWriter fixed;
-    for (const TimingCacheEntry &e : entries)
-        encodeTimingCacheEntry(fixed, e);
-    ByteWriter compact;
-    encodeTimingSection(compact, entries);
-    // The section dominates snapshot files, so the compact form must
-    // shrink it substantially: >= 1.5x even on this small synthetic
-    // set of deliberately diverse shapes (real per-config caches,
-    // hundreds of near-identical kernels apart, compress ~3x).
-    EXPECT_LT(3 * compact.size(), 2 * fixed.size());
-}
-
 } // anonymous namespace
 } // namespace sim
 } // namespace seqpoint

@@ -33,7 +33,6 @@
 #include "profiler/trainer.hh"
 #include "sim/counters.hh"
 #include "sim/gpu_config.hh"
-#include "sim/timing_cache.hh"
 
 namespace {
 
@@ -81,13 +80,10 @@ main(int argc, char **argv)
     auto full = donor.snapshot(sim::GpuConfig::config1());
 
     // Seeds only need to reach every coder branch, not carry the whole
-    // run: trim the bulky sections (a full DS2 timing cache alone is
-    // several MB) so the committed corpus stays small. The fuzzer
-    // mutates its way to larger shapes from here.
+    // run: trim the bulky sections so the committed corpus stays
+    // small. The fuzzer mutates its way to larger shapes from here.
     ModelSnapshot snapStorage = *full;
     ModelSnapshot *snap = &snapStorage;
-    if (snap->timingEntries.size() > 64)
-        snap->timingEntries.resize(64);
     if (snap->tunerEntries.size() > 16)
         snap->tunerEntries.resize(16);
     auto trimMap = [](auto &m) {
@@ -153,29 +149,11 @@ main(int argc, char **argv)
         ok &= writeSeed(root, "fuzz_snapshot_load", "autotune_section",
                         mode(8, w.data()));
     }
-
-    // fuzz_timing_section: the packed section and its pieces.
-    {
+    if (!snap->trainProfiles.empty()) {
         ByteWriter w;
-        sim::encodeTimingSection(w, snap->timingEntries);
-        ok &= writeSeed(root, "fuzz_timing_section", "section_v3",
-                        mode(0, w.data()));
-    }
-    if (!snap->timingEntries.empty()) {
-        const sim::TimingCacheEntry &e = snap->timingEntries.front();
-        ByteWriter w;
-        sim::encodeTimingCacheEntry(w, e);
-        ok &= writeSeed(root, "fuzz_timing_section", "entry",
-                        mode(1, w.data()));
-        ByteWriter wc;
-        sim::encodeCounters(wc, e.timing.counters);
-        ok &= writeSeed(root, "fuzz_timing_section", "counters",
-                        mode(2, wc.data()));
-        ByteWriter wp;
-        sim::encodeCountersPacked(wp, e.timing.counters,
-                                  sim::PerfCounters{});
-        ok &= writeSeed(root, "fuzz_timing_section", "counters_packed",
-                        mode(3, wp.data()));
+        sim::encodeCounters(w, snap->trainProfiles.begin()->second.counters);
+        ok &= writeSeed(root, "fuzz_snapshot_load", "counters",
+                        mode(9, w.data()));
     }
 
     // fuzz_bytestream: an op script touching every primitive. Each op

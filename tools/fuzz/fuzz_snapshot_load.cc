@@ -22,6 +22,7 @@
 #include "nn/autotune.hh"
 #include "profiler/iteration_profile.hh"
 #include "profiler/trainer.hh"
+#include "sim/counters.hh"
 #include "sim/gpu_config.hh"
 
 #include "fuzz_util.hh"
@@ -76,7 +77,7 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
     std::string_view payload(reinterpret_cast<const char *>(data) + 1,
                              size - 1);
     try {
-        switch (data[0] % 9) {
+        switch (data[0] % 10) {
           case 0:
             fuzzPayload(payload);
             break;
@@ -153,6 +154,15 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
                         [](ByteWriter &w,
                            const std::vector<nn::AutotuneEntry> &v) {
                             nn::encodeAutotuneSection(w, v);
+                        });
+            break;
+          case 9:
+            fuzzSection(payload, "fuzz-counters",
+                        [](ByteReader &r) {
+                            return sim::decodeCounters(r);
+                        },
+                        [](ByteWriter &w, const sim::PerfCounters &v) {
+                            sim::encodeCounters(w, v);
                         });
             break;
         }
