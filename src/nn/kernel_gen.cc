@@ -188,26 +188,6 @@ makeEmbeddingGather(sim::KernelStem stem, int64_t lookups,
 }
 
 sim::KernelDesc
-makeTranspose(sim::KernelStem stem, int64_t elems)
-{
-    panic_if(elems <= 0, "transpose: non-positive size");
-    double de = static_cast<double>(elems);
-
-    sim::KernelDesc kd;
-    kd.stem = stem;
-    kd.klass = sim::KernelClass::Transpose;
-    kd.flops = 0.0;
-    kd.bytesIn = de * 4.0;
-    kd.bytesOut = de * 4.0;
-    kd.workingSetL1 = 64.0 * 64.0 * 4.0; // tile staging
-    kd.workingSetL2 = de * 8.0;
-    kd.workItems = de;
-    kd.reuseL1 = 0.40; // tiled transpose reuses staged tiles
-    kd.reuseL2 = 0.20;
-    return kd;
-}
-
-sim::KernelDesc
 makeScalarOp(sim::KernelStem stem)
 {
     sim::KernelDesc kd;

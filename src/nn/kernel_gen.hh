@@ -110,9 +110,6 @@ sim::KernelDesc makeEmbeddingGather(sim::KernelStem stem,
                                     int64_t lookups, int64_t embed_dim,
                                     int64_t vocab);
 
-/** Layout-change kernel moving `elems` 4-byte elements. */
-sim::KernelDesc makeTranspose(sim::KernelStem stem, int64_t elems);
-
 /** Tiny scalar bookkeeping launch (optimizer counters, LR decay). */
 sim::KernelDesc makeScalarOp(sim::KernelStem stem);
 

@@ -10,9 +10,11 @@
 #include <cmath>
 #include <utility>
 
+#include "common/bytestream.hh"
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "harness/snapshot_io.hh"
+#include "sim/gpu_config.hh"
 
 namespace seqpoint {
 namespace service {
@@ -157,12 +159,15 @@ QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
     }
     const harness::WorkloadFactory &make = fit->second;
 
-    std::string entry_key =
-        req.workload + "\x1f" + req.config.signature();
+    // The length prefix keeps the key prefix-free: no two
+    // (workload, config) pairs encode to the same bytes.
+    ByteWriter entry_key;
+    entry_key.str(req.workload);
+    sim::encodeGpuConfig(entry_key, req.config);
     std::shared_ptr<WarmEntry> entry;
     {
         MutexLock lock(entriesMu);
-        std::shared_ptr<WarmEntry> &slot = entries[entry_key];
+        std::shared_ptr<WarmEntry> &slot = entries[entry_key.data()];
         if (!slot)
             slot = std::make_shared<WarmEntry>();
         entry = slot;
@@ -176,29 +181,29 @@ QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
     cancelCheckpoint("service.entry");
 
     if (!entry->exp) {
-        // Cold for this process: acquire the snapshot (single-flight
-        // in the registry; disk hit, or a build whose inner loops
-        // observe this request's cancel token) and stand up the warm
-        // Experiment seeded from it. A thrown cancellation leaves
-        // both the registry slot and this entry unset and reusable.
-        harness::SnapshotKey key;
-        {
-            harness::Workload identity = make();
-            key = harness::snapshotKeyFor(
-                identity, harness::Experiment::defaultOptions(),
-                req.config);
-        }
+        // Cold for this process: stand up the warm Experiment, whose
+        // workload also names the snapshot, then acquire that
+        // snapshot (single-flight in the registry; disk hit, or a
+        // build whose inner loops observe this request's cancel
+        // token) and seed from it. A build runs on its own Experiment
+        // that is then dropped: a seeded Experiment holds far less
+        // live memory than a cold-built one. A thrown cancellation
+        // leaves both the registry slot and this entry unset and
+        // reusable.
+        auto exp = std::make_unique<harness::Experiment>(make());
+        exp->setProfileThreads(std::max(1u, config_.profileThreads));
+        harness::SnapshotKey key = harness::snapshotKeyFor(
+            exp->workload(), exp->options(), req.config);
         bool built = false;
         auto snap = registry_.acquire(key, [&] {
             built = true;
-            harness::Experiment exp(make());
-            exp.setProfileThreads(std::max(1u, config_.profileThreads));
-            return exp.snapshot(req.config);
+            harness::Experiment cold(make());
+            cold.setProfileThreads(
+                std::max(1u, config_.profileThreads));
+            return cold.snapshot(req.config);
         });
         cold_build = built;
 
-        auto exp = std::make_unique<harness::Experiment>(make());
-        exp->setProfileThreads(std::max(1u, config_.profileThreads));
         exp->seedFrom(snap);
         entry->exp = std::move(exp);
     }

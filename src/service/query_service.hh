@@ -42,6 +42,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bounded_queue.hh"
@@ -219,11 +220,11 @@ class QueryService
 
   private:
     /**
-     * Warm per-(workload, config-signature) state: an Experiment
-     * seeded once from the pair's snapshot; later queries on the pair
-     * are memo hits. Experiment::seedFrom must precede the first
-     * per-config query, which is why the granularity is per pair, not
-     * per workload.
+     * Warm per-(workload, config) state: an Experiment seeded once
+     * from the pair's snapshot; later queries on the pair are memo
+     * hits. Experiment::seedFrom must precede the first per-config
+     * query, which is why the granularity is per pair, not per
+     * workload.
      */
     struct WarmEntry {
         Mutex mu;
@@ -269,12 +270,17 @@ class QueryService
     Mutex outstandingMu;
     std::set<PendingPtr> outstanding SEQ_GUARDED_BY(outstandingMu);
 
-    /** Warm entries, keyed workload + "\x1f" + config signature.
+    /** Warm entries, keyed by the length-prefixed workload name
+     *  followed by sim::encodeGpuConfig's byte image of the config
+     *  (IEEE bit patterns, name included), compared byte for byte.
+     *  Unlike GpuConfig::operator==, a NaN field still finds its own
+     *  entry, and -0.0 stays distinct from 0.0 as under signature();
+     *  unlike signature(), building the key formats nothing.
      *  Lock order: a WarmEntry::mu is taken after entriesMu is
      *  released and may be held across registry-slot acquisition
      *  (entry -> registry slot, never the reverse). */
     Mutex entriesMu;
-    std::map<std::string, std::shared_ptr<WarmEntry>> entries
+    std::unordered_map<std::string, std::shared_ptr<WarmEntry>> entries
         SEQ_GUARDED_BY(entriesMu);
 
     struct AtomicStats {

@@ -68,13 +68,6 @@ KernelDesc::name() const
     return out;
 }
 
-double
-KernelDesc::arithmeticIntensity() const
-{
-    double bytes = totalBytes();
-    return bytes > 0.0 ? flops / bytes : 0.0;
-}
-
 KernelDesc
 makeElementwise(KernelStem stem, double elems,
                 double flops_per_elem, double streams_in,

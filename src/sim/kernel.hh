@@ -155,9 +155,6 @@ struct KernelDesc {
     /** Fraction of L1 misses that hit in an unbounded L2. */
     double reuseL2 = 0.0;
 
-    /** @return flops / (bytesIn + bytesOut); 0 when no traffic. */
-    double arithmeticIntensity() const;
-
     /** @return Total bytes moved (loads + stores). */
     double totalBytes() const { return bytesIn + bytesOut; }
 

@@ -7,6 +7,10 @@
  * leave the service reusable, graceful drain (including persisting a
  * snapshot whose save a fault dropped), and a death-free chaos run
  * under the PR 6 fault storm.
+ *
+ * Warm entries are checked too: every config field keys its own
+ * entry, and concurrent warm hits on pre-warmed pairs answer as
+ * their pre-warm queries did.
  */
 
 #include <gtest/gtest.h>
@@ -381,6 +385,131 @@ TEST(QueryService, ChaosUnderLoadIsDeathFree)
     EXPECT_EQ(unclassified.load(), 0u);
     EXPECT_EQ(svc.stats().stuckReports, 0u);
     fs::remove_all(dir, ec);
+}
+
+TEST(QueryService, EveryConfigFieldKeysItsOwnEntry)
+{
+    // One config per GpuConfig field (the name included), each
+    // differing from the base in that field only, plus a -0.0 / 0.0
+    // pair that operator== calls equal but signature() keeps apart.
+    const sim::GpuConfig base = sim::GpuConfig::config1();
+    std::vector<sim::GpuConfig> variants;
+    auto vary = [&](auto mutate) {
+        sim::GpuConfig c = base;
+        mutate(c);
+        variants.push_back(c);
+    };
+    vary([](sim::GpuConfig &c) { c.name = "config#1b"; });
+    vary([](sim::GpuConfig &c) { c.gclkHz *= 1.25; });
+    vary([](sim::GpuConfig &c) { c.numCus = 32; });
+    vary([](sim::GpuConfig &c) { c.simdsPerCu = 2; });
+    vary([](sim::GpuConfig &c) { c.lanesPerSimd = 32; });
+    vary([](sim::GpuConfig &c) { c.maxWavesPerCu = 20; });
+    vary([](sim::GpuConfig &c) { c.waveSize = 32; });
+    vary([](sim::GpuConfig &c) { c.l1SizeBytes *= 2; });
+    vary([](sim::GpuConfig &c) { c.l1Assoc = 8; });
+    vary([](sim::GpuConfig &c) { c.l2SizeBytes *= 2; });
+    vary([](sim::GpuConfig &c) { c.l2Assoc = 8; });
+    vary([](sim::GpuConfig &c) { c.lineBytes = 128; });
+    vary([](sim::GpuConfig &c) { c.l1BytesPerCycle *= 0.5; });
+    vary([](sim::GpuConfig &c) { c.l2BytesPerCycle *= 0.5; });
+    vary([](sim::GpuConfig &c) { c.dramBandwidth *= 1.25; });
+    vary([](sim::GpuConfig &c) { c.dramEfficiency = 0.7; });
+    vary([](sim::GpuConfig &c) { c.launchOverheadSec *= 2.0; });
+    vary([](sim::GpuConfig &c) { c.writeDrainFraction = 0.6; });
+    vary([](sim::GpuConfig &c) { c.launchOverheadSec = 0.0; });
+    vary([](sim::GpuConfig &c) { c.launchOverheadSec = -0.0; });
+    ASSERT_TRUE(variants[variants.size() - 2] == variants.back());
+
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    QueryService svc(cfg);
+    svc.registerWorkload("CNN",
+                         [] { return harness::makeCnnWorkload(); });
+    svc.start();
+
+    auto ask = [&](const sim::GpuConfig &c) {
+        QueryRequest req;
+        req.workload = "CNN";
+        req.config = c;
+        return svc.query(req);
+    };
+    ASSERT_TRUE(ask(base).coldBuild);
+
+    uint64_t builds = 1;
+    for (const sim::GpuConfig &c : variants) {
+        SCOPED_TRACE(c.signature());
+        QueryAnswer want = directAnswer(harness::makeCnnWorkload(), c);
+        QueryResult first = ask(c);
+        ASSERT_TRUE(first.status.ok()) << first.status.toString();
+        EXPECT_TRUE(first.coldBuild);
+        EXPECT_EQ(svc.registry().stats().builds, ++builds);
+        EXPECT_TRUE(answersMatch(first.answer, want));
+
+        QueryResult again = ask(c);
+        ASSERT_TRUE(again.status.ok()) << again.status.toString();
+        EXPECT_FALSE(again.coldBuild);
+        EXPECT_EQ(svc.registry().stats().builds, builds);
+        EXPECT_TRUE(answersMatch(again.answer, want));
+    }
+    EXPECT_FALSE(ask(base).coldBuild);
+    EXPECT_EQ(svc.stats().coldBuilds, variants.size() + 1);
+    EXPECT_EQ(svc.stats().warmHits, variants.size() + 1);
+}
+
+TEST(QueryService, ConcurrentWarmHitsMatchPrewarmedAnswers)
+{
+    ServiceConfig cfg;
+    cfg.workers = 4;
+    QueryService svc(cfg);
+    svc.registerWorkload("CNN",
+                         [] { return harness::makeCnnWorkload(); });
+    svc.registerWorkload("DS2",
+                         [] { return harness::makeDs2Workload(); });
+    svc.start();
+
+    std::vector<QueryRequest> pairs;
+    for (const char *wl : {"CNN", "DS2"}) {
+        for (const sim::GpuConfig &c : sim::GpuConfig::table2()) {
+            QueryRequest req;
+            req.workload = wl;
+            req.config = c;
+            pairs.push_back(req);
+        }
+    }
+    std::vector<QueryAnswer> prewarm;
+    for (const QueryRequest &req : pairs) {
+        QueryResult r = svc.query(req);
+        ASSERT_TRUE(r.status.ok()) << r.status.toString();
+        ASSERT_TRUE(r.coldBuild);
+        prewarm.push_back(r.answer);
+    }
+
+    // Four clients hammer every warm pair at once; each answer must
+    // be the pair's pre-warm answer and none may rebuild.
+    const unsigned clients = 4, per_client = 1000;
+    std::atomic<unsigned> mismatched{0};
+    std::vector<std::thread> threads;
+    for (unsigned c = 0; c < clients; ++c) {
+        threads.emplace_back([&, c] {
+            for (unsigned i = 0; i < per_client; ++i) {
+                std::size_t k = (c * 3 + i) % pairs.size();
+                QueryResult r = svc.query(pairs[k]);
+                if (!r.status.ok() || r.coldBuild ||
+                    !answersMatch(r.answer, prewarm[k]))
+                    mismatched++;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(mismatched.load(), 0u);
+    ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.warmHits, uint64_t{clients} * per_client);
+    EXPECT_EQ(stats.coldBuilds, pairs.size());
+    EXPECT_EQ(svc.registry().stats().builds, pairs.size());
+    svc.drain();
 }
 
 } // anonymous namespace
