@@ -33,7 +33,11 @@ Rng::next32()
 uint64_t
 Rng::next64()
 {
-    return (static_cast<uint64_t>(next32()) << 32) | next32();
+    // Two statements, so the high word is drawn first on every
+    // compiler (the operands of | are unsequenced).
+    uint64_t hi = next32();
+    uint64_t lo = next32();
+    return (hi << 32) | lo;
 }
 
 int64_t

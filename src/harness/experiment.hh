@@ -217,16 +217,20 @@ class Experiment
         std::max(1u, std::thread::hardware_concurrency());
 
     /**
-     * Per-configuration states, resolved by field-wise GpuConfig
-     * equality (a handful of configs per experiment; the linear scan
-     * is cheaper than formatting a signature key per lookup, and the
-     * name alone would alias differently-parameterised configs).
+     * Per-configuration states, resolved by bit-for-bit equality of
+     * every GpuConfig field (a handful of configs per experiment; the
+     * linear scan is cheaper than formatting a signature key per
+     * lookup, and the name alone would alias differently-parameterised
+     * configs). Bit equality, not operator==, so that a NaN field
+     * matches itself and -0.0 stays apart from 0.0, as in the query
+     * service's warm key.
      */
     std::vector<std::unique_ptr<ConfigState>> states;
 
     /**
      * Shared cold-start states adopted via seedFrom(), at most one
-     * per configuration (resolved by GpuConfig equality in state()).
+     * per configuration (resolved by the same bit equality in
+     * state()).
      */
     std::vector<std::shared_ptr<const ModelSnapshot>> seeds;
 

@@ -89,7 +89,7 @@ std::vector<AutotuneEntry> decodeAutotuneSection(ByteReader &r);
  * bound device's timing model -- the expensive paper-style autotune --
  * and records the accumulated tuning cost so callers can include or
  * exclude it from training-time accounts. Probes bypass the device's
- * kernel-timing cache: only kernels that really launch are cached.
+ * kernel-timing cache, as the profiler's op timings do.
  * They share per-tile device terms: a tile's L1 hit fraction depends
  * only on the tile and the device, so the constructor computes it
  * once per menu tile and every probe passes it to the one timing

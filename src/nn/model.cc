@@ -251,6 +251,13 @@ Model::op(uint32_t id) const
     return memo->ops[id];
 }
 
+uint32_t
+Model::opCount() const
+{
+    MutexLock lock(memo->mu);
+    return static_cast<uint32_t>(memo->ops.size());
+}
+
 std::vector<sim::KernelDesc>
 Model::resolve(const Program &prog, Autotuner &tuner) const
 {

@@ -121,6 +121,13 @@ class Model
     sim::KernelDesc op(uint32_t id) const;
 
     /**
+     * @return The number of ops interned so far. Ids are dense and
+     *         only ever appended, so every step of a program already
+     *         returned by program() has an op id below this count.
+     */
+    uint32_t opCount() const;
+
+    /**
      * Lower one full training iteration: forward pass in layer order,
      * backward pass in reverse order, then optimizer updates. Resolves
      * the memoized program through the tuner.

@@ -12,6 +12,7 @@
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "nn/kernel_gen.hh"
+#include "sim/timing_model.hh"
 
 namespace seqpoint {
 namespace prof {
@@ -47,16 +48,22 @@ void
 Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
                      unsigned threads)
 {
+    // Every op of a fetched program is interned already, so one resize
+    // per call covers them all: a first sweep allocates the table at
+    // its full size instead of doubling it through every new op id.
+    // The slack keeps the few ops a later call interns (an epoch's
+    // inference programs add a handful) from copying the whole table.
+    const uint32_t ops = model.opCount();
+    if (ops > opTimings.capacity())
+        opTimings.reserve(ops + ops / 8);
+    opTimings.resize(ops);
+
     // The untimed ops, each once, in first-use order.
     std::vector<uint32_t> fresh;
-    std::vector<bool> queued;
+    std::vector<bool> queued(opTimings.size());
     for (const nn::Program *prog : progs) {
         cancelCheckpoint("profiler.resolve");
         for (const nn::ProgramStep &step : *prog) {
-            if (step.op >= opTimings.size())
-                opTimings.resize(step.op + 1);
-            if (step.op >= queued.size())
-                queued.resize(opTimings.size());
             if (opTimings[step.op] || queued[step.op])
                 continue;
             queued[step.op] = true;
@@ -64,14 +71,17 @@ Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
         }
     }
 
-    // Each op is resolved exactly once per profiler, each into its own
-    // slot; the tuner and the timing cache are pure functions of the
-    // shape and the signature, so the slot contents do not depend on
-    // which thread fills them.
+    // Each op is resolved and timed exactly once per profiler, each
+    // into its own slot, straight from the timing model: this table is
+    // the profiler's only per-device timing memo, so a device's timing
+    // cache would only add a lookup per op. The tuner and the timing
+    // model are pure functions of the shape and the descriptor, so the
+    // slot contents do not depend on which thread fills them.
     forEachIndex(fresh.size(), threads, [&](std::size_t i) {
         cancelCheckpoint("profiler.resolve");
         sim::KernelDesc kd = nn::resolveKernel(model.op(fresh[i]), tuner);
-        opTimings[fresh[i]] = OpTiming{gpu_.timing(kd), kd.klass};
+        opTimings[fresh[i]] =
+            OpTiming{sim::timeKernel(kd, gpu_.config()), kd.klass};
     });
 }
 

@@ -31,11 +31,14 @@ namespace prof {
  * (nn::Model::program()), which is shared by every profiler of the
  * model, so a second device re-lowers nothing. Each profiler resolves
  * an op the first time one of its programs uses it -- the tuner picks
- * the tile, one lookup in the device's timing cache gives the
+ * the tile, sim::timeKernel() on the device's configuration gives the
  * per-launch timing -- into a flat table indexed by op id, and folds
  * programs out of that table with sim::accountLaunch(), the
- * arithmetic Gpu::executeAll() uses. Profiles are therefore
- * bit-identical to executing Model::lowerIteration() on the device.
+ * arithmetic Gpu::executeAll() uses. That table is the profiler's
+ * only per-device timing memo: the device's timing cache serves
+ * Gpu::execute()/executeAll() alone. Profiles are bit-identical to
+ * executing Model::lowerIteration() on the device, because a cache
+ * hit returns exactly what timeKernel() computes.
  */
 class Profiler
 {

@@ -128,10 +128,10 @@ std::vector<data::Batch> epochBatchSchedule(const data::Dataset &dataset,
  * kernels) + O(iterations).
  *
  * Constructs a fresh autotuner and profiler for the run, so every
- * call re-profiles its unique SLs from scratch (kernel timings still
- * come from the device's timing cache). Prefer the Profiler overload
- * when running several epochs or sharing profiles with other
- * queries.
+ * call re-tunes and re-times each op and re-profiles its unique SLs
+ * from scratch (the device's timing cache is not consulted). Prefer
+ * the Profiler overload when running several epochs or sharing
+ * profiles with other queries.
  *
  * @param gpu Device to run on.
  * @param model Network to train.

@@ -79,17 +79,19 @@ accountLaunch(ExecutionResult &res, KernelTiming &kt, KernelClass klass,
  * Kernels execute back-to-back in launch order (the MI frameworks the
  * paper profiles submit to a single in-order stream).
  *
- * Each unique kernel signature is timed once per device and replayed
- * from the kernel-timing cache thereafter (the paper's Fig 5
- * unique-kernel observation applied to the simulator). A replayed
- * timing is bit-identical to timing the kernel afresh because the
- * timing model is a pure function of (signature, configuration).
+ * execute() and executeAll() time each unique kernel signature once
+ * per device and replay it from the kernel-timing cache thereafter
+ * (the paper's Fig 5 unique-kernel observation applied to the
+ * simulator). A replayed timing is bit-identical to timing the kernel
+ * afresh because the timing model is a pure function of (signature,
+ * configuration).
  *
- * executeAll() looks every launch up in that cache. The profiler goes
- * one step further: it times each interned op of a model's lowered
- * programs once through timing(), keeps the result in a flat array
- * indexed by op id, and folds programs with accountLaunch() -- the same
- * arithmetic executeAll() uses, without a lookup per launch.
+ * The profiler does not go through that cache: it times each interned
+ * op of a model's lowered programs once per device straight from the
+ * timing model (timeKernel() on config()), keeps the result in a flat
+ * array indexed by op id, and folds programs with accountLaunch() --
+ * the same arithmetic executeAll() uses, without a lookup per launch
+ * or per op.
  */
 class Gpu
 {
@@ -109,17 +111,6 @@ class Gpu
 
     /** @return Distinct kernel signatures timed so far. */
     size_t uniqueKernelsTimed() const { return cache.size(); }
-
-    /**
-     * Per-launch timing of a kernel through the timing cache; the
-     * descriptor's repeat count is ignored.
-     *
-     * @param desc Kernel descriptor.
-     */
-    KernelTiming timing(const KernelDesc &desc) const
-    {
-        return cache.lookup(desc, cfg);
-    }
 
     /**
      * Execute one kernel.
@@ -148,6 +139,17 @@ class Gpu
   private:
     GpuConfig cfg;
     mutable KernelTimingCache cache;
+
+    /**
+     * Per-launch timing of a kernel through the timing cache; the
+     * descriptor's repeat count is ignored.
+     *
+     * @param desc Kernel descriptor.
+     */
+    KernelTiming timing(const KernelDesc &desc) const
+    {
+        return cache.lookup(desc, cfg);
+    }
 };
 
 } // namespace sim

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
+#include <vector>
+
 #include "common/stats_math.hh"
 #include "harness/experiment.hh"
 
@@ -69,6 +73,54 @@ TEST(Experiment, SameNameDifferentParamsDoNotAliasState)
 
     // And the logs are distinct memo entries, not one shared state.
     EXPECT_NE(&exp.epochLog(fast), &exp.epochLog(slow));
+}
+
+TEST(Experiment, EveryConfigFieldResolvesItsOwnState)
+{
+    // States match bit for bit: a change to any one field (the name
+    // included) is a new state, -0.0 and 0.0 are two states, and a
+    // NaN field finds the state it made.
+    Experiment exp(makeCnnWorkload());
+    const sim::GpuConfig base = sim::GpuConfig::config1();
+    std::vector<sim::GpuConfig> variants;
+    auto vary = [&](auto mutate) {
+        sim::GpuConfig c = base;
+        mutate(c);
+        variants.push_back(c);
+    };
+    vary([](sim::GpuConfig &c) { c.name = "config#1b"; });
+    vary([](sim::GpuConfig &c) { c.gclkHz *= 1.25; });
+    vary([](sim::GpuConfig &c) { c.numCus = 32; });
+    vary([](sim::GpuConfig &c) { c.simdsPerCu = 2; });
+    vary([](sim::GpuConfig &c) { c.lanesPerSimd = 32; });
+    vary([](sim::GpuConfig &c) { c.maxWavesPerCu = 20; });
+    vary([](sim::GpuConfig &c) { c.waveSize = 32; });
+    vary([](sim::GpuConfig &c) { c.l1SizeBytes *= 2; });
+    vary([](sim::GpuConfig &c) { c.l1Assoc = 8; });
+    vary([](sim::GpuConfig &c) { c.l2SizeBytes *= 2; });
+    vary([](sim::GpuConfig &c) { c.l2Assoc = 8; });
+    vary([](sim::GpuConfig &c) { c.lineBytes = 128; });
+    vary([](sim::GpuConfig &c) { c.l1BytesPerCycle *= 0.5; });
+    vary([](sim::GpuConfig &c) { c.l2BytesPerCycle *= 0.5; });
+    vary([](sim::GpuConfig &c) { c.dramBandwidth *= 1.25; });
+    vary([](sim::GpuConfig &c) { c.dramEfficiency = 0.7; });
+    vary([](sim::GpuConfig &c) { c.launchOverheadSec *= 2.0; });
+    vary([](sim::GpuConfig &c) { c.writeDrainFraction = 0.6; });
+    vary([](sim::GpuConfig &c) { c.launchOverheadSec = 0.0; });
+    vary([](sim::GpuConfig &c) { c.launchOverheadSec = -0.0; });
+    vary([](sim::GpuConfig &c) {
+        c.writeDrainFraction = std::numeric_limits<double>::quiet_NaN();
+    });
+
+    const prof::TrainLog *base_log = &exp.epochLog(base);
+    std::set<const prof::TrainLog *> logs{base_log};
+    for (const sim::GpuConfig &c : variants) {
+        SCOPED_TRACE(c.signature());
+        const prof::TrainLog *log = &exp.epochLog(c);
+        EXPECT_TRUE(logs.insert(log).second);
+        EXPECT_EQ(&exp.epochLog(sim::GpuConfig(c)), log);
+    }
+    EXPECT_EQ(&exp.epochLog(base), base_log);
 }
 
 TEST(Experiment, SlStatsMemoizedAndEqualToRecompute)

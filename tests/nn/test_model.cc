@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -120,6 +121,13 @@ TEST(Model, ProgramsAreMemoizedOverSharedOps)
     const Program &b = m.program(64, 12, true);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(a.back().op, b.back().op);
+    // Op ids are dense: every step's id is below the interned count,
+    // and the highest id is used.
+    uint32_t max_op = 0;
+    for (const Program *prog : {&a, &b, &m.program(64, 37, false)})
+        for (const ProgramStep &step : *prog)
+            max_op = std::max(max_op, step.op);
+    EXPECT_EQ(m.opCount(), max_op + 1);
     for (const ProgramStep &step : a) {
         sim::KernelDesc op = m.op(step.op);
         EXPECT_EQ(op.tileM, 0u);

@@ -87,7 +87,7 @@ TEST(Profiler, DetailedMatchesAggregate)
     ProfFixture f;
     DetailedProfile d = f.profiler.profileIterationDetailed(33);
     const IterationProfile &p = f.profiler.profileIteration(33);
-    EXPECT_NEAR(d.timeSec, p.timeSec, 1e-12);
+    EXPECT_EQ(d.timeSec, p.timeSec);
     EXPECT_EQ(d.launches, p.launches);
     // Kernel-level times sum to the total.
     double sum = 0.0;

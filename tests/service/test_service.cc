@@ -9,16 +9,19 @@
  * under the PR 6 fault storm.
  *
  * Warm entries are checked too: every config field keys its own
- * entry, and concurrent warm hits on pre-warmed pairs answer as
- * their pre-warm queries did.
+ * entry, a NaN-valued config builds once and then answers warm, and
+ * concurrent warm hits on pre-warmed pairs answer as their pre-warm
+ * queries did.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -455,6 +458,41 @@ TEST(QueryService, EveryConfigFieldKeysItsOwnEntry)
     EXPECT_FALSE(ask(base).coldBuild);
     EXPECT_EQ(svc.stats().coldBuilds, variants.size() + 1);
     EXPECT_EQ(svc.stats().warmHits, variants.size() + 1);
+}
+
+TEST(QueryService, NanConfigBuildsOnceAndAnswersWarm)
+{
+    // A NaN field never equals itself under operator==; the service
+    // and the Experiments behind it must still resolve the config to
+    // one warm entry and one per-configuration state.
+    sim::GpuConfig nan_cfg = sim::GpuConfig::config1();
+    nan_cfg.writeDrainFraction = std::numeric_limits<double>::quiet_NaN();
+
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    QueryService svc(cfg);
+    svc.registerWorkload("DS2",
+                         [] { return harness::makeDs2Workload(); });
+    svc.start();
+
+    QueryResult cold = svc.query(ds2Request(nan_cfg));
+    ASSERT_TRUE(cold.status.ok()) << cold.status.toString();
+    EXPECT_TRUE(cold.coldBuild);
+    EXPECT_EQ(svc.registry().stats().builds, 1u);
+    EXPECT_FALSE(cold.answer.selection.points.empty());
+
+    QueryResult warm = svc.query(ds2Request(nan_cfg));
+    ASSERT_TRUE(warm.status.ok()) << warm.status.toString();
+    EXPECT_FALSE(warm.coldBuild);
+    EXPECT_EQ(svc.registry().stats().builds, 1u);
+    EXPECT_TRUE(warm.answer.selection == cold.answer.selection);
+    EXPECT_EQ(std::bit_cast<uint64_t>(warm.answer.projectedSec),
+              std::bit_cast<uint64_t>(cold.answer.projectedSec));
+    EXPECT_EQ(std::bit_cast<uint64_t>(warm.answer.actualSec),
+              std::bit_cast<uint64_t>(cold.answer.actualSec));
+    EXPECT_EQ(svc.stats().coldBuilds, 1u);
+    EXPECT_EQ(svc.stats().warmHits, 1u);
+    svc.drain();
 }
 
 TEST(QueryService, ConcurrentWarmHitsMatchPrewarmedAnswers)
