@@ -24,7 +24,8 @@ Workload::Workload(std::string wl_name, nn::Model wl_model,
 Workload
 makeGnmtWorkload(uint64_t seed)
 {
-    Workload wl("GNMT", models::buildGnmt(), data::synthIwslt15(seed),
+    static const nn::Model net = models::buildGnmt();
+    Workload wl("GNMT", net.share(), data::synthIwslt15(seed),
                 data::BatchPolicy::Bucketed, seed);
     // BLEU evaluation decodes with beam search: several times the
     // cost of a plain forward pass.
@@ -35,28 +36,29 @@ makeGnmtWorkload(uint64_t seed)
 Workload
 makeDs2Workload(uint64_t seed)
 {
-    return Workload("DS2", models::buildDs2(),
-                    data::synthLibriSpeech100(seed),
+    static const nn::Model net = models::buildDs2();
+    return Workload("DS2", net.share(), data::synthLibriSpeech100(seed),
                     data::BatchPolicy::SortedBySl, seed);
 }
 
 Workload
 makeCnnWorkload(uint64_t seed)
 {
+    static const nn::Model net = models::buildCnn();
     // Fixed-size inputs: every sample reports the same "length".
     data::Dataset ds;
     ds.name = "ImageNet-32(synth)";
     ds.trainLens.assign(25600, 1);
     ds.evalLens.assign(640, 1);
-    return Workload("CNN", models::buildCnn(), std::move(ds),
+    return Workload("CNN", net.share(), std::move(ds),
                     data::BatchPolicy::Shuffled, seed);
 }
 
 Workload
 makeTransformerWorkload(uint64_t seed)
 {
-    return Workload("Transformer", models::buildTransformer(),
-                    data::synthWmt16(seed),
+    static const nn::Model net = models::buildTransformer();
+    return Workload("Transformer", net.share(), data::synthWmt16(seed),
                     data::BatchPolicy::Shuffled, seed);
 }
 

@@ -39,9 +39,19 @@ struct Workload {
 /**
  * Builds a fresh workload instance, e.g. for one isolated sweep cell
  * or a snapshot-registry build. Repeated calls must produce
- * equivalent workloads (same name, data, and run parameters).
+ * equivalent workloads (same name, data, and run parameters). Their
+ * models may be shares of one network, as the make*Workload
+ * factories' are.
  */
 using WorkloadFactory = std::function<Workload()>;
+
+/*
+ * Every make*Workload factory below hands out a share() of one
+ * process-lifetime network (built on first use, thread-safely), so
+ * all of its workloads, whatever their seed, share one program memo:
+ * a program is a function of (network, batch, SL, phase) only. Use
+ * the models::build*() functions for a fresh, unshared model.
+ */
 
 /**
  * GNMT on synthetic IWSLT'15 with the bucketed batching NMT stacks

@@ -40,6 +40,8 @@ struct Model::ProgramMemo {
     /** Node-based, so handed-out programs never move. */
     std::map<std::tuple<unsigned, int64_t, bool>,
              std::unique_ptr<const Program>> programs SEQ_GUARDED_BY(mu);
+    /** Set by the first share(); freezes the network for good. */
+    bool shared SEQ_GUARDED_BY(mu) = false;
 
     /** @return The first slot probed for a signature hash. */
     std::size_t
@@ -99,8 +101,20 @@ struct Model::ProgramMemo {
     }
 };
 
+/** The state every handle on one network shares. */
+struct Model::Network {
+    std::vector<std::unique_ptr<Layer>> layers;
+    double tgtRatio = 1.0;
+    ProgramMemo memo;
+};
+
 Model::Model(std::string name)
-    : name_(std::move(name)), memo(std::make_unique<ProgramMemo>())
+    : Model(std::move(name), std::make_shared<Network>())
+{
+}
+
+Model::Model(std::string name, std::shared_ptr<Network> state)
+    : name_(std::move(name)), net(std::move(state))
 {
     fatal_if(name_.empty(), "Model: empty name");
 }
@@ -109,11 +123,24 @@ Model::~Model() = default;
 Model::Model(Model &&) noexcept = default;
 Model &Model::operator=(Model &&) noexcept = default;
 
+Model
+Model::share() const
+{
+    {
+        MutexLock lock(net->memo.mu);
+        net->memo.shared = true;
+    }
+    return Model(name_, net);
+}
+
 void
 Model::checkMutable(const char *what) const
 {
-    MutexLock lock(memo->mu);
-    panic_if(!memo->programs.empty(),
+    MutexLock lock(net->memo.mu);
+    panic_if(net->memo.shared,
+             "Model %s: %s after the model has been shared",
+             name_.c_str(), what);
+    panic_if(!net->memo.programs.empty(),
              "Model %s: %s after the model has been lowered",
              name_.c_str(), what);
 }
@@ -123,21 +150,27 @@ Model::add(std::unique_ptr<Layer> layer)
 {
     panic_if(!layer, "Model::add: null layer");
     checkMutable("add");
-    layers.push_back(std::move(layer));
+    net->layers.push_back(std::move(layer));
+}
+
+size_t
+Model::numLayers() const
+{
+    return net->layers.size();
 }
 
 const Layer &
 Model::layer(size_t i) const
 {
-    panic_if(i >= layers.size(), "Model::layer: index out of range");
-    return *layers[i];
+    panic_if(i >= net->layers.size(), "Model::layer: index out of range");
+    return *net->layers[i];
 }
 
 uint64_t
 Model::paramCount() const
 {
     uint64_t total = 0;
-    for (const auto &l : layers)
+    for (const auto &l : net->layers)
         total += l->paramCount();
     return total;
 }
@@ -147,14 +180,20 @@ Model::setTargetLenRatio(double ratio)
 {
     fatal_if(ratio <= 0.0, "Model: non-positive target length ratio");
     checkMutable("setTargetLenRatio");
-    tgtRatio = ratio;
+    net->tgtRatio = ratio;
+}
+
+double
+Model::targetLenRatio() const
+{
+    return net->tgtRatio;
 }
 
 int64_t
 Model::targetLenFor(int64_t src_len) const
 {
     int64_t t = static_cast<int64_t>(
-        std::llround(tgtRatio * static_cast<double>(src_len)));
+        std::llround(net->tgtRatio * static_cast<double>(src_len)));
     return t < 1 ? 1 : t;
 }
 
@@ -176,7 +215,7 @@ Model::lowerOptimizer(LowerCtx &ctx) const
     ctx.emit(sim::makeReduction(grad_norm, static_cast<double>(params)));
     ctx.emit(makeScalarOp(lr_step));
 
-    for (const auto &l : layers) {
+    for (const auto &l : net->layers) {
         uint64_t p = l->paramCount();
         if (p == 0)
             continue;
@@ -201,10 +240,11 @@ Model::lowerKernels(unsigned batch, int64_t seq_len, bool train) const
     ctx.tgtLen = targetLenFor(seq_len);
     ctx.out = &out;
 
-    for (const auto &l : layers)
+    for (const auto &l : net->layers)
         l->lowerForward(ctx);
     if (train) {
-        for (auto it = layers.rbegin(); it != layers.rend(); ++it)
+        for (auto it = net->layers.rbegin(); it != net->layers.rend();
+             ++it)
             (*it)->lowerBackward(ctx);
         lowerOptimizer(ctx);
     }
@@ -216,46 +256,47 @@ Model::program(unsigned batch, int64_t seq_len, bool train) const
 {
     const auto key = std::make_tuple(batch, seq_len, train);
     {
-        MutexLock lock(memo->mu);
-        auto it = memo->programs.find(key);
-        if (it != memo->programs.end())
+        MutexLock lock(net->memo.mu);
+        auto it = net->memo.programs.find(key);
+        if (it != net->memo.programs.end())
             return *it->second;
     }
 
-    // Lower outside the lock so concurrent profilers lower different
-    // SLs in parallel; only interning the result serialises. A racing
+    // Lower outside the lock so concurrent profilers -- of one
+    // Experiment, or of every Experiment sharing the network -- lower
+    // different SLs in parallel; only interning the result serialises. A racing
     // thread that lowered the same key first wins, so the op table
     // only ever holds ops of memoized programs.
     std::vector<sim::KernelDesc> kernels = lowerKernels(batch, seq_len,
                                                         train);
-    MutexLock lock(memo->mu);
-    auto it = memo->programs.find(key);
-    if (it != memo->programs.end())
+    MutexLock lock(net->memo.mu);
+    auto it = net->memo.programs.find(key);
+    if (it != net->memo.programs.end())
         return *it->second;
     auto prog = std::make_unique<Program>();
     prog->reserve(kernels.size());
     for (const sim::KernelDesc &kd : kernels) {
         panic_if(kd.repeat > UINT32_MAX, "Model %s: repeat %llu too large",
                  name_.c_str(), static_cast<unsigned long long>(kd.repeat));
-        prog->push_back(ProgramStep{memo->intern(kd),
+        prog->push_back(ProgramStep{net->memo.intern(kd),
                                     static_cast<uint32_t>(kd.repeat)});
     }
-    return *memo->programs.emplace(key, std::move(prog)).first->second;
+    return *net->memo.programs.emplace(key, std::move(prog)).first->second;
 }
 
 sim::KernelDesc
 Model::op(uint32_t id) const
 {
-    MutexLock lock(memo->mu);
-    panic_if(id >= memo->ops.size(), "Model::op: unknown op id %u", id);
-    return memo->ops[id];
+    MutexLock lock(net->memo.mu);
+    panic_if(id >= net->memo.ops.size(), "Model::op: unknown op id %u", id);
+    return net->memo.ops[id];
 }
 
 uint32_t
 Model::opCount() const
 {
-    MutexLock lock(memo->mu);
-    return static_cast<uint32_t>(memo->ops.size());
+    MutexLock lock(net->memo.mu);
+    return static_cast<uint32_t>(net->memo.ops.size());
 }
 
 std::vector<sim::KernelDesc>
@@ -273,9 +314,9 @@ Model::resolve(const Program &prog, Autotuner &tuner) const
     std::vector<sim::KernelDesc> resolved;
     resolved.reserve(ids.size());
     {
-        MutexLock lock(memo->mu);
+        MutexLock lock(net->memo.mu);
         for (uint32_t id : ids)
-            resolved.push_back(memo->ops[id]);
+            resolved.push_back(net->memo.ops[id]);
     }
     // Tuning may probe the device; do it outside the lock.
     for (sim::KernelDesc &kd : resolved)

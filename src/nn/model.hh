@@ -9,9 +9,11 @@
  * launches only a few thousand distinct kernels, so a Model lowers
  * each (batch, SL, phase) once into a Program: launch-ordered
  * (op id, repeat) steps over a per-model table of interned,
- * unresolved ops. Programs are device-independent; each device's
- * autotuner resolves them (lowerIteration(), or the Profiler's
- * per-op timing table).
+ * unresolved ops. Programs are device- and dataset-independent; each
+ * device's autotuner resolves them (lowerIteration(), or the
+ * Profiler's per-op timing table). Model::share() hands out further
+ * handles on one network and its memo, so every workload of a network
+ * lowers each program once per process.
  */
 
 #ifndef SEQPOINT_NN_MODEL_HH
@@ -45,10 +47,16 @@ using Program = std::vector<ProgramStep>;
 /**
  * A trainable network as an ordered layer stack.
  *
- * Programs are memoized for the model's lifetime; program() and the
+ * Programs are memoized for the network's lifetime; program() and the
  * lowering calls are thread-safe, so profilers on different devices
- * may share one model concurrently. The layer stack and target-length
- * policy are fixed once the first iteration has been lowered.
+ * -- and Experiments on different datasets -- may share one network
+ * concurrently. A Model is move-only; share() is the one way to get a
+ * second handle on its layers, target-length policy and memo. Op ids
+ * are numbered in the order the memo first saw each op, so they
+ * depend on every handle's query history; they only index
+ * per-process tables and never reach an answer. The layer stack and
+ * target-length policy are fixed once the model has been shared or
+ * its first iteration lowered.
  */
 class Model
 {
@@ -63,6 +71,17 @@ class Model
     ~Model();
     Model(Model &&) noexcept;
     Model &operator=(Model &&) noexcept;
+    Model(const Model &) = delete;
+    Model &operator=(const Model &) = delete;
+
+    /**
+     * Another handle on this network: the same layers, target-length
+     * policy and program memo, so programs lowered through either
+     * handle serve both. Freezes the layer stack of every handle.
+     *
+     * @return A handle sharing this model's state.
+     */
+    Model share() const;
 
     /** @return Model name. */
     const std::string &name() const { return name_; }
@@ -76,7 +95,7 @@ class Model
     void add(std::unique_ptr<Layer> layer);
 
     /** @return Number of layers. */
-    size_t numLayers() const { return layers.size(); }
+    size_t numLayers() const;
 
     /** @return Layer at position i. */
     const Layer &layer(size_t i) const;
@@ -93,7 +112,7 @@ class Model
     void setTargetLenRatio(double ratio);
 
     /** @return The current target/source length ratio. */
-    double targetLenRatio() const { return tgtRatio; }
+    double targetLenRatio() const;
 
     /** @return Derived target length for a source length. */
     int64_t targetLenFor(int64_t src_len) const;
@@ -106,7 +125,8 @@ class Model
      * @param train Full training iteration (forward pass in layer
      *              order, backward pass in reverse order, optimizer
      *              updates); false for a forward-only pass.
-     * @return The program (valid for the model's lifetime).
+     * @return The program (valid while any handle on the model
+     *         lives).
      */
     const Program &program(unsigned batch, int64_t seq_len,
                            bool train) const;
@@ -155,13 +175,15 @@ class Model
 
   private:
     struct ProgramMemo;
+    struct Network;
 
     std::string name_;
-    std::vector<std::unique_ptr<Layer>> layers;
-    double tgtRatio = 1.0;
-    std::unique_ptr<ProgramMemo> memo;
+    /** Layers, target-length policy and memo, shared by share(). */
+    std::shared_ptr<Network> net;
 
-    /** Panic when the model has already been lowered. */
+    Model(std::string name, std::shared_ptr<Network> state);
+
+    /** Panic when the model has already been shared or lowered. */
     void checkMutable(const char *what) const;
 
     /** Run the layers' lowering: one unresolved kernel per launch. */

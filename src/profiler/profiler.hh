@@ -29,7 +29,10 @@ namespace prof {
  *
  * A profile is a fold over the model's memoized program for the SL
  * (nn::Model::program()), which is shared by every profiler of the
- * model, so a second device re-lowers nothing. Each profiler resolves
+ * model and of every share() of it, so a second device -- or a
+ * second workload of the same network -- re-lowers nothing. Op ids
+ * are the shared memo's, so the table below may have slots for ops
+ * this profiler's programs never use. Each profiler resolves
  * an op the first time one of its programs uses it -- the tuner picks
  * the tile, sim::timeKernel() on the device's configuration gives the
  * per-launch timing -- into a flat table indexed by op id, and folds

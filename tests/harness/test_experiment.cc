@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <limits>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/stats_math.hh"
 #include "harness/experiment.hh"
+#include "harness/snapshot_io.hh"
+#include "models/ds2.hh"
+#include "models/gnmt.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -343,6 +349,128 @@ TEST(Experiment, UpliftSensitivityVariesAcrossSl)
         uplift.push_back((t2 / t1 - 1.0) * 100.0);
     }
     EXPECT_GT(maxOf(uplift) - minOf(uplift), 5.0);
+}
+
+/** One cold query's answers and the state it leaves behind. */
+struct ColdAnswer {
+    core::SeqPointSet selection;
+    double projectedSec = 0.0;
+    double actualSec = 0.0;
+    prof::TrainLog log;   ///< The target's epoch log.
+    std::string snapshot; ///< The target's encoded snapshot payload.
+    size_t tunedShapes = 0; ///< The target tuner's cacheSize().
+    uint32_t opCount = 0; ///< The model's interned ops afterwards.
+};
+
+/**
+ * A cold query on a fresh Experiment: a SeqPoint selection on config
+ * #1, projected to and measured on config #3.
+ */
+ColdAnswer
+coldQuery(Workload wl)
+{
+    Experiment exp(std::move(wl));
+    exp.setProfileThreads(1);
+    const sim::GpuConfig ref = sim::GpuConfig::config1();
+    const sim::GpuConfig target = sim::GpuConfig::config3();
+    ColdAnswer a;
+    a.selection = exp.buildSelection(SelectorKind::SeqPoint, ref);
+    a.projectedSec = exp.projectedTrainSec(a.selection, target);
+    a.actualSec = exp.actualTrainSec(target);
+    a.log = exp.epochLog(target);
+    const auto snap = exp.snapshot(target);
+    a.snapshot = encodeSnapshotPayload(*snap);
+    a.tunedShapes = snap->tunerEntries.size();
+    a.opCount = exp.workload().model.opCount();
+    return a;
+}
+
+/** A workload factory's workload around a fresh, unshared model. */
+Workload
+withFreshModel(Workload wl, nn::Model model)
+{
+    wl.model = std::move(model);
+    return wl;
+}
+
+void
+expectIdentical(const ColdAnswer &got, const ColdAnswer &want)
+{
+    EXPECT_TRUE(got.selection == want.selection);
+    EXPECT_EQ(got.projectedSec, want.projectedSec);
+    EXPECT_EQ(got.actualSec, want.actualSec);
+    EXPECT_TRUE(got.log.identicalTo(want.log));
+    EXPECT_EQ(got.log.autotuneSec, want.log.autotuneSec);
+    EXPECT_EQ(got.tunedShapes, want.tunedShapes);
+    EXPECT_TRUE(got.snapshot == want.snapshot);
+}
+
+/** A network's workload factory and its fresh-model builder. */
+struct Network {
+    const char *name;
+    Workload (*make)(uint64_t);
+    nn::Model (*build)();
+};
+
+const Network kNetworks[] = {
+    {"GNMT", makeGnmtWorkload, [] { return models::buildGnmt(); }},
+    {"DS2", makeDs2Workload, [] { return models::buildDs2(); }},
+};
+
+TEST(SharedNetwork, AnswersDoNotDependOnQueryHistory)
+{
+    // A workload's model is a share of its network's process-wide
+    // memo, whose op ids are numbered by whatever was queried before.
+    // Answers must not see that numbering.
+    constexpr uint64_t kSeed = 1001;
+    for (const Network &net : kNetworks) {
+        SCOPED_TRACE(net.name);
+        const ColdAnswer want =
+            coldQuery(withFreshModel(net.make(kSeed), net.build()));
+
+        // Other seeds first, the later one first, so the shared memo
+        // numbers its ops in an order no fresh model would.
+        for (uint64_t seed : {kSeed + 2, kSeed + 1})
+            coldQuery(net.make(seed));
+        const ColdAnswer got = coldQuery(net.make(kSeed));
+        expectIdentical(got, want);
+        EXPECT_GT(got.opCount, want.opCount);
+
+        // An SL set the memo has seen interns nothing new.
+        const ColdAnswer again = coldQuery(net.make(kSeed));
+        expectIdentical(again, want);
+        EXPECT_EQ(again.opCount, got.opCount);
+    }
+}
+
+TEST(SharedNetwork, ConcurrentColdQueriesMatchSerial)
+{
+    // Four Experiments on different datasets of one network lower and
+    // intern into its shared memo at once.
+    const std::vector<uint64_t> seeds{2001, 2002, 2003, 2004};
+    for (const Network &net : kNetworks) {
+        SCOPED_TRACE(net.name);
+        std::vector<ColdAnswer> serial;
+        for (uint64_t seed : seeds)
+            serial.push_back(
+                coldQuery(withFreshModel(net.make(seed), net.build())));
+
+        std::vector<ColdAnswer> shared(seeds.size());
+        std::latch start(static_cast<std::ptrdiff_t>(seeds.size()));
+        std::vector<std::thread> threads;
+        for (size_t i = 0; i < seeds.size(); ++i)
+            threads.emplace_back([&, i] {
+                start.arrive_and_wait();
+                shared[i] = coldQuery(net.make(seeds[i]));
+            });
+        for (std::thread &t : threads)
+            t.join();
+
+        for (size_t i = 0; i < seeds.size(); ++i) {
+            SCOPED_TRACE(seeds[i]);
+            expectIdentical(shared[i], serial[i]);
+        }
+    }
 }
 
 } // anonymous namespace

@@ -9,6 +9,8 @@
 #include <memory>
 #include <set>
 
+#include "harness/workloads.hh"
+#include "models/gnmt.hh"
 #include "nn/autotune.hh"
 #include "nn/layers/fully_connected.hh"
 #include "nn/layers/recurrent.hh"
@@ -140,6 +142,58 @@ TEST(Model, ProgramsAreMemoizedOverSharedOps)
     ASSERT_EQ(kernels.size(), a.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(kernels[i].repeat, a[i].repeat);
+}
+
+TEST(Model, SharedHandlesServeOneMemo)
+{
+    Model a = tinyModel();
+    Model b = a.share();
+    EXPECT_EQ(b.name(), a.name());
+    EXPECT_EQ(b.numLayers(), a.numLayers());
+    EXPECT_EQ(&b.layer(0), &a.layer(0));
+
+    const Program &p = a.program(64, 37, true);
+    EXPECT_EQ(&p, &b.program(64, 37, true));
+    EXPECT_EQ(a.opCount(), b.opCount());
+
+    // Lowering through either handle serves the other, and the memo
+    // outlives the handle that lowered into it.
+    const Program *q = nullptr;
+    {
+        Model c = b.share();
+        q = &c.program(64, 12, false);
+    }
+    EXPECT_EQ(q, &a.program(64, 12, false));
+    EXPECT_EQ(a.opCount(), b.opCount());
+}
+
+TEST(Model, BuiltModelsAreUnshared)
+{
+    // Lower a program through the GNMT workload's process-wide
+    // network: a directly built GNMT shares none of its state.
+    harness::Workload wl = harness::makeGnmtWorkload(23);
+    wl.model.program(wl.batchSize, 20, true);
+    ASSERT_GT(wl.model.opCount(), 0u);
+
+    Model fresh = models::buildGnmt();
+    EXPECT_EQ(fresh.opCount(), 0u);
+    EXPECT_NE(&fresh.layer(0), &wl.model.layer(0));
+    fresh.setTargetLenRatio(fresh.targetLenRatio()); // still mutable
+}
+
+TEST(ModelDeath, RejectsMutationOnceShared)
+{
+    Model m = tinyModel();
+    Model handle = m.share();
+    EXPECT_DEATH(m.setTargetLenRatio(0.5), "shared");
+    EXPECT_DEATH(handle.add(std::make_unique<FullyConnectedLayer>(
+                     "fc2", 29, 29, TimeAxis::Source)),
+                 "shared");
+
+    // Dropping every other handle does not unfreeze the network.
+    Model lone = tinyModel();
+    lone.share();
+    EXPECT_DEATH(lone.setTargetLenRatio(0.5), "shared");
 }
 
 TEST(ModelDeath, RejectsMutationAfterLowering)
