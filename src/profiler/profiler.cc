@@ -49,39 +49,51 @@ Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
                      unsigned threads)
 {
     // Every op of a fetched program is interned already, so one resize
-    // per call covers them all: a first sweep allocates the table at
-    // its full size instead of doubling it through every new op id.
-    // The slack keeps the few ops a later call interns (an epoch's
-    // inference programs add a handful) from copying the whole table.
+    // per call covers them all: a first sweep allocates the slot index
+    // at its full size instead of doubling it through every new op id.
+    // The index spans the model's whole op table -- which a network
+    // shared by many Experiments fills with every op any of them
+    // interned -- at four bytes an op; the timings themselves are
+    // dense, one per op our programs use.
     const uint32_t ops = model.opCount();
-    if (ops > opTimings.capacity())
-        opTimings.reserve(ops + ops / 8);
-    opTimings.resize(ops);
+    if (ops > opSlot.size())
+        opSlot.resize(ops);
 
     // The untimed ops, each once, in first-use order.
     std::vector<uint32_t> fresh;
-    std::vector<bool> queued(opTimings.size());
+    std::vector<bool> queued(opSlot.size());
     for (const nn::Program *prog : progs) {
         cancelCheckpoint("profiler.resolve");
         for (const nn::ProgramStep &step : *prog) {
-            if (opTimings[step.op] || queued[step.op])
+            if (opSlot[step.op] || queued[step.op])
                 continue;
             queued[step.op] = true;
             fresh.push_back(step.op);
         }
     }
 
+    // The slack keeps a later call's few new ops (an epoch's inference
+    // programs add a handful) from copying the whole table.
+    const std::size_t first = opTimings.size();
+    const std::size_t need = first + fresh.size();
+    if (need > opTimings.capacity())
+        opTimings.reserve(need + need / 8);
+    opTimings.resize(need);
+
     // Each op is resolved and timed exactly once per profiler, each
     // into its own slot, straight from the timing model: this table is
     // the profiler's only per-device timing memo, so a device's timing
     // cache would only add a lookup per op. The tuner and the timing
     // model are pure functions of the shape and the descriptor, so the
-    // slot contents do not depend on which thread fills them.
+    // slot contents do not depend on which thread fills them. An op's
+    // index entry is set only once its slot is filled, so a cancelled
+    // sweep leaves the rest to be timed again by the next call.
     forEachIndex(fresh.size(), threads, [&](std::size_t i) {
         cancelCheckpoint("profiler.resolve");
         sim::KernelDesc kd = nn::resolveKernel(model.op(fresh[i]), tuner);
-        opTimings[fresh[i]] =
+        opTimings[first + i] =
             OpTiming{sim::timeKernel(kd, gpu_.config()), kd.klass};
+        opSlot[fresh[i]] = static_cast<uint32_t>(first + i + 1);
     });
 }
 
@@ -90,7 +102,7 @@ Profiler::fold(int64_t seq_len, const nn::Program &prog) const
 {
     sim::ExecutionResult res;
     for (const nn::ProgramStep &step : prog) {
-        const OpTiming &op = *opTimings[step.op];
+        const OpTiming &op = opTimings[opSlot[step.op] - 1];
         sim::KernelTiming kt = op.timing;
         sim::accountLaunch(res, kt, op.klass, step.repeat);
     }

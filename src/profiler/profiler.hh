@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "nn/autotune.hh"
@@ -30,18 +29,18 @@ namespace prof {
  * A profile is a fold over the model's memoized program for the SL
  * (nn::Model::program()), which is shared by every profiler of the
  * model and of every share() of it, so a second device -- or a
- * second workload of the same network -- re-lowers nothing. Op ids
- * are the shared memo's, so the table below may have slots for ops
- * this profiler's programs never use. Each profiler resolves
- * an op the first time one of its programs uses it -- the tuner picks
- * the tile, sim::timeKernel() on the device's configuration gives the
- * per-launch timing -- into a flat table indexed by op id, and folds
- * programs out of that table with sim::accountLaunch(), the
- * arithmetic Gpu::executeAll() uses. That table is the profiler's
- * only per-device timing memo: the device's timing cache serves
- * Gpu::execute()/executeAll() alone. Profiles are bit-identical to
- * executing Model::lowerIteration() on the device, because a cache
- * hit returns exactly what timeKernel() computes.
+ * second workload of the same network -- re-lowers nothing. Each
+ * profiler resolves an op the first time one of its programs uses it
+ * -- the tuner picks the tile, sim::timeKernel() on the device's
+ * configuration gives the per-launch timing -- into a dense table of
+ * the ops its programs use, reached through a four-byte index per op
+ * id (op ids are the shared memo's, which numbers every op any of its
+ * users interned), and folds programs out of that table with
+ * sim::accountLaunch(), the arithmetic Gpu::executeAll() uses. That
+ * table is the profiler's only per-device timing memo: the device's
+ * timing cache serves Gpu::execute()/executeAll() alone. Profiles are
+ * bit-identical to executing Model::lowerIteration() on the device,
+ * because a cache hit returns exactly what timeKernel() computes.
  */
 class Profiler
 {
@@ -156,8 +155,12 @@ class Profiler
     std::map<int64_t, IterationProfile> trainCache;
     std::map<int64_t, IterationProfile> inferCache;
 
-    /** Indexed by op id; empty until a program of ours uses the op. */
-    std::vector<std::optional<OpTiming>> opTimings;
+    /** Indexed by op id: 1 + the op's slot in opTimings, or 0 until
+     *  a program of ours has used the op and it has been timed. */
+    std::vector<uint32_t> opSlot;
+
+    /** One timing per op our programs use, in first-use order. */
+    std::vector<OpTiming> opTimings;
 
     const IterationProfile &memoized(
         int64_t seq_len, bool train,

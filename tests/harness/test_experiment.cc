@@ -417,6 +417,20 @@ const Network kNetworks[] = {
     {"DS2", makeDs2Workload, [] { return models::buildDs2(); }},
 };
 
+TEST(SharedNetwork, BuiltModelsAreUnshared)
+{
+    // Lower a program through the GNMT workload's process-wide
+    // network: a directly built GNMT shares none of its state.
+    Workload wl = makeGnmtWorkload(23);
+    wl.model.program(wl.batchSize, 20, true);
+    ASSERT_GT(wl.model.opCount(), 0u);
+
+    nn::Model fresh = models::buildGnmt();
+    EXPECT_EQ(fresh.opCount(), 0u);
+    EXPECT_NE(&fresh.layer(0), &wl.model.layer(0));
+    fresh.setTargetLenRatio(fresh.targetLenRatio()); // still mutable
+}
+
 TEST(SharedNetwork, AnswersDoNotDependOnQueryHistory)
 {
     // A workload's model is a share of its network's process-wide

@@ -9,8 +9,6 @@
 #include <memory>
 #include <set>
 
-#include "harness/workloads.hh"
-#include "models/gnmt.hh"
 #include "nn/autotune.hh"
 #include "nn/layers/fully_connected.hh"
 #include "nn/layers/recurrent.hh"
@@ -165,20 +163,6 @@ TEST(Model, SharedHandlesServeOneMemo)
     }
     EXPECT_EQ(q, &a.program(64, 12, false));
     EXPECT_EQ(a.opCount(), b.opCount());
-}
-
-TEST(Model, BuiltModelsAreUnshared)
-{
-    // Lower a program through the GNMT workload's process-wide
-    // network: a directly built GNMT shares none of its state.
-    harness::Workload wl = harness::makeGnmtWorkload(23);
-    wl.model.program(wl.batchSize, 20, true);
-    ASSERT_GT(wl.model.opCount(), 0u);
-
-    Model fresh = models::buildGnmt();
-    EXPECT_EQ(fresh.opCount(), 0u);
-    EXPECT_NE(&fresh.layer(0), &wl.model.layer(0));
-    fresh.setTargetLenRatio(fresh.targetLenRatio()); // still mutable
 }
 
 TEST(ModelDeath, RejectsMutationOnceShared)

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/cancel.hh"
 #include "common/stats_math.hh"
 #include "models/ds2.hh"
 #include "nn/layers/fully_connected.hh"
@@ -104,6 +106,57 @@ TEST(Profiler, ClassSharesSumToOne)
     for (double s : shares)
         total += s;
     EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(Profiler, CancelledSweepResumesBitIdentically)
+{
+    // A deadline firing part-way through a sweep leaves some ops timed
+    // and the rest not; the next sweep must time exactly the rest and
+    // fold what an uninterrupted profiler folds.
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    nn::Model model = models::buildDs2();
+    std::vector<int64_t> sls;
+    for (int64_t sl = 40; sl <= 440; sl += 8)
+        sls.push_back(sl);
+    nn::Autotuner ref_tuner(nn::Autotuner::Mode::Heuristic);
+    Profiler ref(gpu, model, ref_tuner, 64);
+    ref.warmTrainProfiles(sls, 1);
+
+    // The programs are lowered now, so a sweep is mostly op timing and
+    // deadlines spread over one sweep's length land inside it.
+    double full = CancelToken::now();
+    {
+        nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
+        Profiler p(gpu, model, tuner, 64);
+        p.warmTrainProfiles(sls, 1);
+    }
+    full = CancelToken::now() - full;
+
+    unsigned cancelled = 0;
+    for (int k = 0; k <= 8; ++k) {
+        SCOPED_TRACE(k);
+        nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
+        Profiler p(gpu, model, tuner, 64);
+        {
+            CancelToken token;
+            token.armAfter(full * k / 8);
+            CancelScope scope(&token);
+            try {
+                p.warmTrainProfiles(sls, 1);
+            } catch (const CancelledError &) {
+                ++cancelled;
+            }
+        }
+        p.warmTrainProfiles(sls, 1);
+        for (int64_t sl : sls) {
+            const IterationProfile &got = p.profileIteration(sl);
+            const IterationProfile &want = ref.profileIteration(sl);
+            EXPECT_EQ(got.timeSec, want.timeSec);
+            EXPECT_EQ(got.launches, want.launches);
+            EXPECT_TRUE(got.classTimeSec == want.classTimeSec);
+        }
+    }
+    EXPECT_GT(cancelled, 0u);
 }
 
 TEST(ProfileCompare, IdenticalProfilesFullyOverlap)
