@@ -37,7 +37,7 @@ enum class ErrorCode {
     IoError,         ///< File unreadable/unwritable, short read/write.
     Corruption,      ///< Artifact fails validation (checksum, bounds,
                      ///< structural decode, identity under the name).
-    VersionMismatch, ///< Artifact from another format generation.
+    VersionMismatch, ///< Artifact written by another build.
     CellFailed,      ///< A scheduler cell failed after its retries.
     Timeout,         ///< An operation exceeded its deadline.
     Overloaded,      ///< Admission control shed the request (queue

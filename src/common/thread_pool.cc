@@ -204,21 +204,4 @@ ThreadPool::parallelFor(std::size_t count,
         std::rethrow_exception(err);
 }
 
-double
-ThreadPool::parallelReduceSum(
-    std::size_t count, const std::function<double(std::size_t)> &term,
-    unsigned width)
-{
-    // Per-slot writes indexed by the task's own index are
-    // deterministic (one writer per slot); the serial fold below
-    // fixes the summation order independent of the schedule.
-    std::vector<double> slots(count, 0.0);
-    parallelFor(count, [&](std::size_t i) { slots[i] = term(i); },
-                width);
-    double sum = 0.0;
-    for (double v : slots)
-        sum += v;
-    return sum;
-}
-
 } // namespace seqpoint

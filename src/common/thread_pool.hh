@@ -108,25 +108,6 @@ class ThreadPool
                      const std::function<void(std::size_t)> &fn,
                      unsigned width = 0);
 
-    /**
-     * Deterministic parallel sum: `term(i)` for every index runs in
-     * parallel (each writing its own slot), then the slots are folded
-     * serially in index order. The result is bit-identical to the
-     * serial loop `for (i) sum += term(i)` regardless of thread count
-     * or schedule -- the reduction order never depends on which
-     * thread finishes first. This is the helper the float-reduce lint
-     * rule points at: never `sum += ...` inside a parallelFor lambda.
-     *
-     * @param count Index range size.
-     * @param term Term function, given the index.
-     * @param width Max concurrent participants (as parallelFor).
-     * @return The in-order sum of every term.
-     */
-    double parallelReduceSum(
-        std::size_t count,
-        const std::function<double(std::size_t)> &term,
-        unsigned width = 0);
-
   private:
     std::vector<std::thread> workers; ///< Immutable after the ctor.
     mutable Mutex mu;

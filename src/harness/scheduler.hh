@@ -101,19 +101,6 @@ class ExperimentScheduler
     unsigned threads() const { return numThreads; }
 
     /**
-     * Threads each cell's own profiling sweep may use (default 1:
-     * cells already saturate the pool, oversubscribing the inner
-     * sweep as well hurts).
-     */
-    void setProfileThreadsPerCell(unsigned threads)
-    {
-        cellProfileThreads = threads;
-    }
-
-    /** @return Per-cell profiling-sweep thread count. */
-    unsigned profileThreadsPerCell() const { return cellProfileThreads; }
-
-    /**
      * Retries granted to a failing cell: a cell whose setup or body
      * raises a recoverable failure is re-run from scratch (fresh
      * Experiment, fresh snapshot seeding) up to this many extra
@@ -261,10 +248,10 @@ class ExperimentScheduler
                         faultPoint("scheduler.cell",
                                    csprintf("%zu/%zu", w, c));
                         double s0 = wallNow();
+                        // One profiling thread per cell: the cells
+                        // already saturate the pool.
                         Experiment exp(workloads[w]());
-                        exp.setProfileThreads(
-                            cellProfileThreads ? cellProfileThreads
-                                               : 1);
+                        exp.setProfileThreads(1);
                         if (snapshots)
                             exp.seedFrom(snapshots(w, configs[c], exp));
                         setup_sec = wallNow() - s0;
@@ -361,17 +348,16 @@ class ExperimentScheduler
              SnapshotRegistry &registry,
              std::vector<CellTiming> *timings = nullptr) const
     {
-        unsigned inner = cellProfileThreads ? cellProfileThreads : 1;
         return mapCells<R>(
             workloads, configs, eval,
-            SnapshotProvider([&registry, &workloads, inner](
+            SnapshotProvider([&registry, &workloads](
                                  std::size_t w,
                                  const sim::GpuConfig &cfg,
                                  Experiment &exp) {
                 // Key from the cell's own workload instance -- a
                 // cache hit costs no second workload build.
                 return registry.acquire(exp.workload(), workloads[w],
-                                        cfg, inner, exp.options());
+                                        cfg, 1, exp.options());
             }),
             timings);
     }
@@ -412,7 +398,6 @@ class ExperimentScheduler
 
   private:
     unsigned numThreads;
-    unsigned cellProfileThreads = 1;
     unsigned cellRetries = 0;
     double backoffSec = 0.0;
     double jitterFrac = 0.0;

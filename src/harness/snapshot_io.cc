@@ -17,6 +17,14 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 
+// Generated by tools/build_id.cmake. A build of src/ that does not
+// generate it (bench_e2e's own project) gets identity 0.
+#if __has_include("seqpoint_build_id.hh")
+#include "seqpoint_build_id.hh"
+#else
+#define SEQPOINT_BUILD_ID 0ull
+#endif
+
 namespace seqpoint {
 namespace harness {
 
@@ -87,6 +95,12 @@ decodeProfileMap(ByteReader &r)
 
 } // anonymous namespace
 
+uint64_t
+snapshotBuildId()
+{
+    return SEQPOINT_BUILD_ID;
+}
+
 std::string
 SnapshotKey::cacheKey() const
 {
@@ -96,7 +110,8 @@ SnapshotKey::cacheKey() const
 std::string
 SnapshotKey::fileName() const
 {
-    return csprintf("snap-v%u-%016llx.bin", kSnapshotFormatVersion,
+    return csprintf("snap-%016llx-%016llx.bin",
+                    static_cast<unsigned long long>(SEQPOINT_BUILD_ID),
                     static_cast<unsigned long long>(
                         fnv1a64(cacheKey())));
 }
@@ -142,8 +157,7 @@ encodeSnapshotPayload(const ModelSnapshot &snap)
     w.f64(snap.evalCostMultiplier);
     core::encodeSeqPointOptions(w, snap.opts);
 
-    // Packed tuner section: shape-key order, delta/varint coded
-    // (format v4; v3 wrote the entries raw).
+    // Packed tuner section: shape-key order, delta/varint coded.
     nn::encodeAutotuneSection(w, snap.tunerEntries);
 
     encodeProfileMap(w, snap.trainProfiles);
@@ -225,7 +239,7 @@ saveSnapshot(const ModelSnapshot &snap, const std::string &path)
 
     ByteWriter header;
     header.u32(kSnapshotMagic);
-    header.u32(kSnapshotFormatVersion);
+    header.u64(SEQPOINT_BUILD_ID);
     header.u64(payload.size());
     header.u64(fnv1a64Words(payload));
 
@@ -319,15 +333,17 @@ tryLoadSnapshot(const std::string &path, const SnapshotKey *expect)
                          "expected %08x)",
                          path.c_str(), magic, kSnapshotMagic));
         }
-        uint32_t version = header.u32();
-        if (version != kSnapshotFormatVersion) {
+        uint64_t build = header.u64();
+        if (build != SEQPOINT_BUILD_ID) {
             return loadError(
                 ErrorCode::VersionMismatch,
-                csprintf("%s: snapshot format version %u, this build "
-                         "reads only version %u; delete the stale "
-                         "store entry",
-                         path.c_str(), version,
-                         kSnapshotFormatVersion));
+                csprintf("%s: snapshot written by build %016llx, this "
+                         "is build %016llx; delete the stale store "
+                         "entry",
+                         path.c_str(),
+                         static_cast<unsigned long long>(build),
+                         static_cast<unsigned long long>(
+                             SEQPOINT_BUILD_ID)));
         }
         uint64_t payload_size = header.u64();
         uint64_t checksum = header.u64();

@@ -1,26 +1,27 @@
 /**
  * @file
- * Persistent ModelSnapshot serialization: a versioned, endian-stable
- * binary format that lets one process's cold start (model lowering,
+ * Persistent ModelSnapshot serialization: an endian-stable binary
+ * format that lets one process's cold start (model lowering,
  * autotune, the per-SL profiles, the reference epoch and every
  * selection) seed another process bit-identically -- the
  * checkpoint-reuse discipline applied across bench binaries and CI
  * runs.
  *
  * A snapshot file is only ever adopted whole: the header carries a
- * format magic, a format version and a payload checksum, and the
- * payload carries the full identity the snapshotted state is a
- * function of (workload, every GpuConfig parameter, every run
- * parameter). Any mismatch -- wrong magic, wrong version, truncation,
- * corruption, or an identity that differs from what the caller
- * expects -- rejects the file. A stale or foreign file can never
- * silently half-seed an experiment.
+ * format magic, the writing build's identity (snapshotBuildId()) and
+ * a payload checksum, and the payload carries the full identity the
+ * snapshotted state is a function of (workload, every GpuConfig
+ * parameter, every run parameter). Any mismatch -- wrong magic,
+ * another build, truncation, corruption, or an identity that differs
+ * from what the caller expects -- rejects the file. A stale or
+ * foreign file can never silently half-seed an experiment.
  *
  * Rejection comes in two strengths. tryLoadSnapshot() classifies the
  * failure in a Result, so the registry can degrade a bad store file
- * to a cold-start recompute (quarantining the file); loadSnapshot()
- * and loadSnapshotIfPresent() keep the original fail-fast contract
- * for callers that point at an explicit file.
+ * to a cold-start recompute (dropping another build's file,
+ * quarantining a corrupt one); loadSnapshot() and
+ * loadSnapshotIfPresent() keep the original fail-fast contract for
+ * callers that point at an explicit file.
  */
 
 #ifndef SEQPOINT_HARNESS_SNAPSHOT_IO_HH
@@ -40,51 +41,15 @@ namespace seqpoint {
 namespace harness {
 
 /**
- * On-disk format version. Bump on ANY change to the encoded layout or
- * to the semantics of an encoded field; old files then fail the
- * version check (and the store file name changes too, so a shared
- * cache simply rebuilds instead of erroring).
- *
- * v2: the timing-cache section (~95% of a v1 file) moved to the
- * canonically-ordered varint/delta form (sim::encodeTimingSection);
- * v1 files are rejected loudly, as designed.
- *
- * v3: byte layout identical to v2; bumped for the decode-hardening
- * sweep (fatal_if -> recoverable fail on corrupt payloads, wrap-safe
- * delta arithmetic) so the codec content pins could be regenerated
- * under the lint ratchet. v2 stores rebuild on first use.
- *
- * v4: the tuner section (the last raw-encoded section) moved to the
- * packed shape-key-ordered varint/delta form
- * (nn::encodeAutotuneSection). v3 stores rebuild on first use.
- *
- * v5: byte layout identical to v4; bumped because Measured autotune
- * probes no longer enter the device's timing cache, so a snapshot's
- * timing section holds only kernels that really launched (the losing
- * variants were ~80% of it). v4 stores rebuild on first use, which
- * drops their probe entries.
- *
- * v6: byte layout and field semantics identical to v5; bumped because
- * the trainer source, which holds the TrainLog codec, lost its
- * per-iteration and memoize-off paths, so the codec content pins had
- * to be regenerated under the lint ratchet. v5 stores rebuild on
- * first use.
- *
- * v7: byte layout and field semantics identical to v6; bumped because
- * the tuner and counter sources, which hold the tuner-section and
- * counter codecs, changed (Measured probes share per-tile L1 terms;
- * counter arithmetic moved inline), so the codec content pins had to
- * be regenerated under the lint ratchet. Every encoded probe cost and
- * counter is bit-identical to v6's. v6 stores rebuild on first use.
- *
- * v8: the timing-cache section is gone; the tuner section is followed
- * directly by the profile maps. A seeded Experiment re-times the few
- * kernels it needs (as cheap as inserting stored timings, and
- * bit-identical), so the section -- ~82% of a v7 file -- only cost
- * encode, decode and memory. A v8 payload is its v7 payload with the
- * timing section's bytes cut out. v7 stores rebuild on first use.
+ * Identity of this build: a 64-bit digest over every source file
+ * under src/, the compiler and its version, the build type and the
+ * CXX flags, generated at build time (tools/build_id.cmake). It names
+ * and stamps every store file, so a file written by any other build
+ * -- an edited model, another codec layout, other compiler flags --
+ * is never adopted. Builds that do not generate it share the
+ * identity 0, which no generated identity equals.
  */
-constexpr uint32_t kSnapshotFormatVersion = 8;
+uint64_t snapshotBuildId();
 
 /**
  * Full identity of a snapshot: everything the snapshotted state is a
@@ -100,9 +65,9 @@ struct SnapshotKey {
     std::string cacheKey() const;
 
     /**
-     * Store file name: "snap-v<version>-<fnv64(cacheKey)>.bin". The
-     * format version is part of the name, so a format bump invalidates
-     * a shared store by construction (old files are never opened).
+     * Store file name: "snap-<buildId>-<fnv64(cacheKey)>.bin", both
+     * as 16 hex digits. The build identity is part of the name, so
+     * another build's files are never opened.
      */
     std::string fileName() const;
 
@@ -151,7 +116,7 @@ bool saveSnapshot(const ModelSnapshot &snap, const std::string &path);
 
 /**
  * Load a snapshot from `path` with strict validation: format magic,
- * format version, payload size, payload checksum and full structural
+ * build identity, payload size, payload checksum and full structural
  * decode must all pass, and when `expect` is non-null the decoded
  * identity must match it exactly -- but classify any failure instead
  * of aborting, so the caller can degrade (recompute cold, quarantine
@@ -162,7 +127,7 @@ bool saveSnapshot(const ModelSnapshot &snap, const std::string &path);
  *   - OK holding null: the file does not exist / cannot be opened
  *     (an expected store miss, not an error);
  *   - IoError: the file opened but could not be read;
- *   - VersionMismatch: another format generation's file;
+ *   - VersionMismatch: a file stamped by another build;
  *   - Corruption: anything else -- bad magic, truncation, checksum,
  *     structural decode failure, or an identity that is not `expect`.
  *

@@ -149,6 +149,13 @@ SnapshotRegistry::lookupLocked(Slot &slot, const SnapshotKey &key)
                 bumpStat(stats_.diskHits);
                 return slot.snap;
             }
+        } else if (result.status().code() ==
+                   ErrorCode::VersionMismatch) {
+            // Another build's file under this name is stale, not
+            // corrupt: a plain miss. Drop it so the rebuild's save
+            // gets the name.
+            std::error_code ec;
+            fs::remove(path, ec);
         } else if (strict()) {
             fatal("%s", result.status().message().c_str());
         } else {

@@ -47,17 +47,19 @@ struct SnapshotRegistryStats {
  * With a store directory attached, every build is persisted and every
  * miss consults the store first, so cold starts are shared across
  * processes and (via CI caching) across runs. A store file is adopted
- * only after strict validation -- format magic/version, checksum, and
- * a full identity match against the requested key (see
+ * only after strict validation -- format magic, build identity,
+ * checksum, and a full identity match against the requested key (see
  * snapshot_io.hh).
  *
- * A file that fails validation never stops the run by default: the
- * store is a cache, so a corrupt, truncated or foreign entry is
- * quarantined (renamed to <file>.corrupt, preserving the evidence
- * while freeing the name) and the snapshot is rebuilt cold, exactly
- * as if the store had missed. setStrict(true) restores the fail-fast
- * behaviour -- CI jobs that own their store want a bad file to be a
- * loud bug, not a silent rebuild.
+ * A file stamped by another build is a plain miss: it is deleted and
+ * the snapshot rebuilt, in either mode. Any other file that fails
+ * validation never stops the run by default: the store is a cache,
+ * so a corrupt, truncated or foreign entry is quarantined (renamed to
+ * <file>.corrupt, preserving the evidence while freeing the name) and
+ * the snapshot is rebuilt cold, exactly as if the store had missed.
+ * setStrict(true) restores the fail-fast behaviour -- CI jobs that
+ * own their store want a bad file to be a loud bug, not a silent
+ * rebuild.
  */
 class SnapshotRegistry
 {
@@ -257,8 +259,9 @@ class SnapshotRegistry
     /**
      * Memory-then-store lookup for `key`; the caller must hold the
      * slot's mutex. Bumps the hit statistics; returns null on a full
-     * miss. A store file that fails validation is quarantined and
-     * reported as a miss (fatal in strict mode instead).
+     * miss. Another build's store file is deleted; any other file
+     * that fails validation is quarantined (fatal in strict mode
+     * instead). Either is reported as a miss.
      */
     std::shared_ptr<const ModelSnapshot>
     lookupLocked(Slot &slot, const SnapshotKey &key)

@@ -8,11 +8,15 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "common/rng.hh"
 #include "common/logging.hh"
 #include "core/projection.hh"
 #include "core/seqpoint.hh"
+#include "data/batching.hh"
+#include "data/dataset.hh"
 
 namespace seqpoint {
 namespace core {
@@ -230,6 +234,118 @@ uint64_t
 bits(double d)
 {
     return std::bit_cast<uint64_t>(d);
+}
+
+/** Stats over a set of SLs, with ExactWhenBinsEqualUniqueCount's cost. */
+SlStats
+linearStats(const std::vector<int64_t> &sls)
+{
+    std::map<int64_t, uint64_t> freq;
+    for (int64_t sl : sls)
+        ++freq[sl];
+    std::vector<SlEntry> entries;
+    for (const auto &[sl, n] : freq)
+        entries.push_back(
+            SlEntry{sl, n, 0.05 + 0.004 * static_cast<double>(sl)});
+    return SlStats::fromEntries(std::move(entries));
+}
+
+/** Padded per-iteration SLs of one epoch of batch-64 batches. */
+std::vector<int64_t>
+epochSls(const std::vector<int64_t> &lens, data::BatchPolicy policy)
+{
+    Rng rng(23, 5);
+    std::vector<int64_t> sls;
+    for (const data::Batch &b :
+         data::makeEpochBatches(lens, 64, policy, rng))
+        sls.push_back(b.seqLen);
+    return sls;
+}
+
+TEST(SeqPoint, ExactnessAtUniqueCountOnRealSlSets)
+{
+    // The dataset SL sets (drawn by iwsltLengths and
+    // librispeechLengths), raw and as the padded per-iteration SLs an
+    // epoch sees (GNMT buckets IWSLT, DS2 sorts LibriSpeech). All but
+    // raw LibriSpeech have gaps, so equal-width bins at k ==
+    // uniqueCount() are wider than one SL: some bins hold two SLs and
+    // others none. Equal-frequency bins follow the iteration counts,
+    // not the SLs, so they merge SLs even on a contiguous set. In
+    // every case marked `exact = false` below, the property of
+    // ExactWhenBinsEqualUniqueCount does not hold: the projection is
+    // not the epoch total. What does hold everywhere: the weights
+    // still sum to the iteration count, and a bin holding one SL
+    // projects that SL's time exactly.
+    std::vector<int64_t> iwslt = data::synthIwslt15(23).trainLens;
+    std::vector<int64_t> libri = data::synthLibriSpeech100(23).trainLens;
+    struct Case {
+        const char *name;
+        SlStats stats;
+        BinningMode mode;
+        bool exact;
+    };
+    std::vector<Case> cases;
+    for (BinningMode mode :
+         {BinningMode::EqualWidth, BinningMode::EqualFrequency}) {
+        bool width = mode == BinningMode::EqualWidth;
+        cases.push_back({"iwslt", linearStats(iwslt), mode, false});
+        cases.push_back({"librispeech", linearStats(libri), mode, width});
+        cases.push_back(
+            {"gnmt epoch",
+             linearStats(epochSls(iwslt, data::BatchPolicy::Bucketed)),
+             mode, false});
+        cases.push_back(
+            {"ds2 epoch",
+             linearStats(epochSls(libri, data::BatchPolicy::SortedBySl)),
+             mode, false});
+    }
+
+    for (const Case &c : cases) {
+        const SlStats &s = c.stats;
+        std::string label = std::string(c.name) +
+            (c.mode == BinningMode::EqualWidth ? " equal-width"
+                                               : " equal-frequency");
+        int64_t span = s.maxSl() - s.minSl() + 1;
+        EXPECT_EQ(span == static_cast<int64_t>(s.uniqueCount()),
+                  std::string(c.name) == "librispeech")
+            << label << ": only raw LibriSpeech is contiguous";
+
+        unsigned k = static_cast<unsigned>(s.uniqueCount());
+        SeqPointOptions opts;
+        opts.binning = c.mode;
+        std::vector<Bin> bins = binEntries(s, k, c.mode);
+        SeqPointSet set = selectWithBins(s, k, opts);
+        ASSERT_EQ(set.points.size(), bins.size()) << label;
+        EXPECT_EQ(set.totalWeight(),
+                  static_cast<double>(s.totalIterations()))
+            << label;
+
+        size_t merged = 0;
+        for (size_t b = 0; b < bins.size(); ++b) {
+            if (bins[b].last > bins[b].first) {
+                ++merged;
+                continue;
+            }
+            const SlEntry &e = s.entries()[bins[b].first];
+            const SeqPointRecord &p = set.points[b];
+            EXPECT_EQ(p.seqLen, e.seqLen) << label;
+            EXPECT_EQ(bits(p.weight * p.statValue),
+                      bits(static_cast<double>(e.freq) * e.statValue))
+                << label << " SL " << e.seqLen;
+        }
+
+        if (c.exact) {
+            EXPECT_EQ(merged, 0u) << label;
+            EXPECT_EQ(set.points.size(), s.uniqueCount()) << label;
+            EXPECT_NEAR(set.projectTotal(), s.actualTotal(),
+                        1e-9 * s.actualTotal())
+                << label;
+        } else {
+            EXPECT_GT(merged, 0u) << label << ": no bin holds two SLs";
+            EXPECT_LT(set.points.size(), s.uniqueCount()) << label;
+            EXPECT_GT(set.selfError, 0.0) << label;
+        }
+    }
 }
 
 TEST(SeqPoint, SelectionAndProjectionIgnoreIterationOrder)

@@ -11,6 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 
 #include "harness/figures.hh"
@@ -219,6 +222,59 @@ TEST(FigurePipeline, RegistryWarmedSweepsByteIdenticalToSerial)
     EXPECT_TRUE(sens_serial.identicalTo(sens_warmed));
     EXPECT_EQ(sens_reader.stats().builds, 0u);
     EXPECT_GE(sens_reader.stats().diskHits, 5u);
+}
+
+TEST(FigurePipeline, StoreOfAnotherBuildRebuildsByteIdentical)
+{
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::path(testing::TempDir()) / "fig_store_other_build").string();
+    fs::remove_all(dir);
+
+    FigureSweep cold = runFigureSweepSerial(ds2(), 1);
+    SnapshotRegistry builder(dir);
+    FigureSweep built = runFigureSweepScheduled(ds2(), 2, &builder);
+    ASSERT_TRUE(cold.identicalTo(built));
+
+    // Give every stored file another build's identity: rewrite the
+    // header's identity (bytes 4..11) in place under the file's
+    // current name, as a store filled before a model edit would look.
+    auto read = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    };
+    ByteWriter other;
+    other.u64(~snapshotBuildId());
+    std::map<std::string, std::string> stored;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        std::string bytes = read(entry.path());
+        stored[entry.path().string()] = bytes;
+        std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+            << bytes.replace(4, 8, other.data());
+    }
+    ASSERT_EQ(stored.size(), builder.stats().builds);
+
+    // The store-warmed sweep rebuilds every cell instead of adopting
+    // a stale file, drops the foreign files without quarantining
+    // them, and matches the cold run byte for byte.
+    SnapshotRegistry reader(dir);
+    FigureSweep warmed = runFigureSweepScheduled(ds2(), 2, &reader);
+    EXPECT_TRUE(cold.identicalTo(warmed));
+    EXPECT_EQ(reader.stats().builds, stored.size());
+    EXPECT_EQ(reader.stats().diskHits, 0u);
+    EXPECT_EQ(reader.stats().quarantines, 0u);
+
+    // Each name now holds this build's rewrite, which is the original
+    // file again; nothing else is left in the store.
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        std::string path = entry.path().string();
+        ASSERT_TRUE(stored.count(path)) << path;
+        EXPECT_EQ(read(entry.path()), stored[path]) << path;
+        ++files;
+    }
+    EXPECT_EQ(files, stored.size());
 }
 
 TEST(FigurePipeline, RegistryEpochSweepMatchesPlainSweep)

@@ -63,6 +63,18 @@ ds2Snapshot()
     return snap;
 }
 
+/**
+ * `file` as another build would have stamped it: the header's build
+ * identity (bytes 4..11) rewritten in place, everything else kept.
+ */
+std::string
+fromOtherBuild(const std::string &file)
+{
+    ByteWriter id;
+    id.u64(~snapshotBuildId());
+    return file.substr(0, 4) + id.data() + file.substr(12);
+}
+
 TEST(SnapshotIo, PayloadRoundTripIsByteExact)
 {
     auto snap = ds2Snapshot();
@@ -157,12 +169,10 @@ TEST(SnapshotIoDeathTest, RejectsBadFilesLoudly)
     EXPECT_DEATH((void)loadSnapshot(tmpPath("bad_magic.bin"), &key),
                  "not a snapshot");
 
-    // Wrong format version (bytes 4..7, little-endian u32).
-    std::string bad_version = bytes;
-    bad_version[4] = static_cast<char>(bad_version[4] + 1);
-    writeFile(tmpPath("bad_version.bin"), bad_version);
-    EXPECT_DEATH((void)loadSnapshot(tmpPath("bad_version.bin"), &key),
-                 "format version");
+    // Written by another build (bytes 4..11, little-endian u64).
+    writeFile(tmpPath("other_build.bin"), fromOtherBuild(bytes));
+    EXPECT_DEATH((void)loadSnapshot(tmpPath("other_build.bin"), &key),
+                 "written by build");
 
     // Truncated payload: header promises more bytes than exist.
     writeFile(tmpPath("truncated.bin"),
@@ -472,7 +482,7 @@ TEST(SnapshotRegistryDeathTest, StrictModeRejectsForeignFileUnderKey)
 }
 
 /** Header layout constants of a store file (see snapshot_io.cc). */
-constexpr size_t kHeaderBytes = 24; // u32 magic, u32 ver, u64 sz, u64 ck
+constexpr size_t kHeaderBytes = 28; // u32 magic, u64 build, u64 sz, u64 ck
 
 /**
  * Rebuild a valid header over `payload` -- for crafting files whose
@@ -483,7 +493,7 @@ frameWithValidHeader(const std::string &payload)
 {
     ByteWriter header;
     header.u32(0x53505153u); // "SQPS"
-    header.u32(kSnapshotFormatVersion);
+    header.u64(snapshotBuildId());
     header.u64(payload.size());
     header.u64(fnv1a64Words(payload));
     return header.data() + payload;
@@ -506,11 +516,6 @@ corruptionsOf(const std::string &good)
     bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x5a);
     out.push_back({"bad magic", bad_magic, ErrorCode::Corruption,
                    "not a snapshot"});
-
-    std::string bad_version = good;
-    bad_version[4] = static_cast<char>(bad_version[4] + 1);
-    out.push_back({"bad version", bad_version,
-                   ErrorCode::VersionMismatch, "format version"});
 
     out.push_back({"truncated header", good.substr(0, kHeaderBytes / 2),
                    ErrorCode::Corruption, "truncated"});
@@ -562,7 +567,16 @@ TEST(SnapshotIoTryLoad, ClassifiesEveryCorruption)
             << c.label << ": " << result.status().message();
     }
 
-    // Identity mismatches on a pristine file are Corruption too: the
+    // Another build's file is stale, not corrupt.
+    writeFile(path, fromOtherBuild(good));
+    auto stale = tryLoadSnapshot(path, &key);
+    ASSERT_FALSE(stale.ok());
+    EXPECT_EQ(stale.status().code(), ErrorCode::VersionMismatch);
+    EXPECT_NE(stale.status().message().find("written by build"),
+              std::string::npos)
+        << stale.status().message();
+
+    // Identity mismatches on a pristine file are Corruption: the
     // store handed back bytes that are not what the name promises.
     writeFile(path, good);
     SnapshotKey foreign = key;
@@ -635,6 +649,42 @@ TEST(SnapshotRegistryDegrade, ForeignFileIsQuarantinedNotFatal)
     EXPECT_EQ(reg.stats().quarantines, 1u);
     EXPECT_TRUE(fs::exists(path_a + ".corrupt"));
     setQuietLogging(false);
+}
+
+TEST(SnapshotRegistryDegrade, OtherBuildsFileIsDroppedNotQuarantined)
+{
+    std::string dir = tmpPath("store_other_build");
+    fs::remove_all(dir);
+    auto snap = tinySnapshot("wl-other");
+    SnapshotKey key = snapshotKeyOf(*snap);
+    std::string path = tinyPath(dir, "wl-other");
+    std::string good;
+    {
+        SnapshotRegistry writer(dir);
+        writer.acquire(key, [&] { return snap; });
+        good = readFile(path);
+    }
+
+    // Stale, not corrupt: a plain miss in either mode. The file is
+    // deleted (no .corrupt copy) and the rebuild's save replaces it.
+    for (bool strict : {false, true}) {
+        writeFile(path, fromOtherBuild(good));
+        SnapshotRegistry reg(dir);
+        reg.setStrict(strict);
+        auto got = reg.acquire(key, [&] { return snap; });
+        ASSERT_TRUE(got != nullptr) << strict;
+        EXPECT_EQ(reg.stats().builds, 1u) << strict;
+        EXPECT_EQ(reg.stats().quarantines, 0u) << strict;
+        EXPECT_FALSE(fs::exists(path + ".corrupt")) << strict;
+        EXPECT_EQ(readFile(path), good) << strict;
+    }
+
+    // A lookup that does not build leaves the name free.
+    writeFile(path, fromOtherBuild(good));
+    SnapshotRegistry reader(dir);
+    EXPECT_TRUE(reader.cached(key) == nullptr);
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_EQ(reader.stats().quarantines, 0u);
 }
 
 TEST(SnapshotRegistryDegrade, QuarantinedFilesAreInvisibleToTheCap)

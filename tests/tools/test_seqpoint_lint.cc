@@ -2,7 +2,7 @@
  * @file
  * seqpoint_lint tests: the scanner primitives, both committed
  * fixture trees (one clean, one tripping every rule), and the
- * --update-pins ratchet semantics on a generated temp tree.
+ * determinism rules' ratchets on a patched copy of the clean tree.
  */
 
 #include <gtest/gtest.h>
@@ -135,7 +135,6 @@ TEST(LintFixtures, ViolationsTreeTripsEveryRule)
     std::set<std::string> rules = rulesOf(vs);
     EXPECT_TRUE(rules.count("checkpoint"));
     EXPECT_TRUE(rules.count("status-discard"));
-    EXPECT_TRUE(rules.count("codec-pin"));
     EXPECT_TRUE(rules.count("error-code"));
     EXPECT_TRUE(rules.count("unordered-iter"));
     EXPECT_TRUE(rules.count("nondeterminism"));
@@ -190,62 +189,6 @@ TEST(LintFixtures, ViolationsTreeFlagsBothDiscardShapes)
     }
     EXPECT_EQ(plain, 1);
     EXPECT_EQ(laundered, 1);
-}
-
-class UpdatePins : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        root_ = fs::temp_directory_path() /
-                ("seqlint_pins_" +
-                 std::to_string(::testing::UnitTest::GetInstance()
-                                    ->random_seed()) +
-                 "_" + ::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name());
-        fs::remove_all(root_);
-        writeFile(root_ / "src/harness/snapshot_io.hh",
-                  "constexpr unsigned kSnapshotFormatVersion = 2;\n");
-        writeFile(root_ / "src/codec.cc", "int codec() { return 1; }\n");
-        writeFile(root_ / "tools/seqpoint_lint/codec_files.txt",
-                  "src/codec.cc\n");
-        opts_.root = root_.string();
-    }
-
-    void TearDown() override { fs::remove_all(root_); }
-
-    fs::path root_;
-    Options opts_;
-};
-
-TEST_F(UpdatePins, GeneratesPinsAndLintAcceptsThem)
-{
-    std::string error;
-    ASSERT_TRUE(updateCodecPins(opts_, error)) << error;
-
-    // Rule 3 in isolation needs the rest of the config; a comment-only
-    // edit must still pass (hashes skip comments).
-    writeFile(root_ / "src/codec.cc",
-              "// new comment\nint codec() { return 1; }\n");
-    ASSERT_TRUE(updateCodecPins(opts_, error)) << error;
-}
-
-TEST_F(UpdatePins, RefusesRepinWithoutVersionBump)
-{
-    std::string error;
-    ASSERT_TRUE(updateCodecPins(opts_, error)) << error;
-
-    writeFile(root_ / "src/codec.cc", "int codec() { return 2; }\n");
-    EXPECT_FALSE(updateCodecPins(opts_, error));
-    EXPECT_NE(error.find("bump"), std::string::npos) << error;
-
-    // Bumping the format version unlocks the re-pin.
-    writeFile(root_ / "src/harness/snapshot_io.hh",
-              "constexpr unsigned kSnapshotFormatVersion = 3;\n");
-    error.clear();
-    EXPECT_TRUE(updateCodecPins(opts_, error)) << error;
 }
 
 /**

@@ -13,8 +13,8 @@
  * Usage: corpus_gen <corpus-root>   (writes <root>/<harness>/<name>)
  *
  * The generated files are committed under tools/fuzz/corpus/ and
- * replayed as a regression suite by ctest; regenerate after a format
- * version bump.
+ * replayed as a regression suite by ctest; regenerate after a change
+ * to the encoded layout.
  */
 
 #include <cstdio>
@@ -97,8 +97,7 @@ main(int argc, char **argv)
 
     // fuzz_snapshot_load: the full payload plus every section.
     std::string payload = encodeSnapshotPayload(*snap);
-    ok &= writeSeed(root, "fuzz_snapshot_load",
-                    "payload_v" + std::to_string(kSnapshotFormatVersion),
+    ok &= writeSeed(root, "fuzz_snapshot_load", "payload",
                     mode(0, payload));
     {
         ByteWriter w;

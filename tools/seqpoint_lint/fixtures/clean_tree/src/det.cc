@@ -1,5 +1,5 @@
-// Fixture: rules 5 (unordered-iter), 6 (nondeterminism) and
-// 7 (float-reduce) satisfied via annotation, pin, allowlist and the
+// Fixture: rules 4 (unordered-iter), 5 (nondeterminism) and
+// 6 (float-reduce) satisfied via annotation, pin, allowlist and the
 // per-slot exemption.
 #include <unordered_map>
 

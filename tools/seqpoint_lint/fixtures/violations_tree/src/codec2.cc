@@ -1,4 +1,4 @@
-// Fixture codec for rule 8: decodeWidget is not called by any
+// Fixture codec for rule 7: decodeWidget is not called by any
 // registered fuzz harness.
 struct ByteReader;
 

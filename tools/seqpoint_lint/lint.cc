@@ -607,141 +607,7 @@ ruleStatusDiscard(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 3: codec pins.
-// ---------------------------------------------------------------
-
-/** Parse kSnapshotFormatVersion out of snapshot_io.hh; -1 if absent. */
-long
-snapshotFormatVersion(const Options &opts)
-{
-    std::string text;
-    if (!readFile(fs::path(opts.root) /
-                  "src/harness/snapshot_io.hh", text))
-        return -1;
-    std::size_t pos = text.find("kSnapshotFormatVersion");
-    if (pos == std::string::npos)
-        return -1;
-    pos = text.find('=', pos);
-    if (pos == std::string::npos)
-        return -1;
-    pos = skipWs(text, pos + 1);
-    long v = 0;
-    bool any = false;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos]))) {
-        v = v * 10 + (text[pos] - '0');
-        ++pos;
-        any = true;
-    }
-    return any ? v : -1;
-}
-
-/** Hash a codec file's comment-stripped, whitespace-collapsed
- *  content (strings kept: they are codec behaviour), so commentary
- *  and reformatting never trip a pin. */
-bool
-codecHash(const Options &opts, const std::string &rel, uint64_t &h)
-{
-    std::string text;
-    if (!readFile(fs::path(opts.root) / rel, text))
-        return false;
-    h = fnv1a64(normalizeWs(stripComments(text, false)));
-    return true;
-}
-
-struct PinFile {
-    long version = -1;
-    std::map<std::string, std::string> hashes; // rel -> hex
-};
-
-bool
-readPins(const Options &opts, PinFile &pins)
-{
-    std::vector<std::string> lines;
-    if (!readListFile(fs::path(opts.root) /
-                      "tools/seqpoint_lint/codec_pins.txt", lines))
-        return false;
-    for (const std::string &line : lines) {
-        std::istringstream in(line);
-        std::string a, b;
-        in >> a >> b;
-        if (a == "version")
-            pins.version = std::strtol(b.c_str(), nullptr, 10);
-        else if (!a.empty() && !b.empty())
-            pins.hashes[b] = a; // "<hex> <relpath>"
-    }
-    return true;
-}
-
-bool
-ruleCodecPins(const Options &opts, std::vector<Violation> &out)
-{
-    std::vector<std::string> codec_files;
-    if (!readListFile(fs::path(opts.root) /
-                      "tools/seqpoint_lint/codec_files.txt",
-                      codec_files)) {
-        out.push_back({"config", "tools/seqpoint_lint/codec_files.txt",
-                       0, "cannot read codec file registry"});
-        return false;
-    }
-    PinFile pins;
-    if (!readPins(opts, pins)) {
-        out.push_back({"config", "tools/seqpoint_lint/codec_pins.txt",
-                       0, "cannot read codec pins (run "
-                       "seqpoint_lint --update-pins)"});
-        return false;
-    }
-    long version = snapshotFormatVersion(opts);
-    if (version < 0) {
-        out.push_back({"codec-pin", "src/harness/snapshot_io.hh", 0,
-                       "cannot parse kSnapshotFormatVersion"});
-        return true;
-    }
-
-    for (const std::string &rel : codec_files) {
-        uint64_t h = 0;
-        if (!codecHash(opts, rel, h)) {
-            out.push_back({"codec-pin", rel, 0,
-                           "codec_files.txt names a missing file"});
-            continue;
-        }
-        auto it = pins.hashes.find(rel);
-        if (it == pins.hashes.end()) {
-            out.push_back({"codec-pin", rel, 0,
-                           "codec file has no pin (run "
-                           "seqpoint_lint --update-pins)"});
-            continue;
-        }
-        if (it->second == hashHex(h))
-            continue;
-        if (pins.version == version) {
-            out.push_back(
-                {"codec-pin", rel, 0,
-                 "codec content changed but kSnapshotFormatVersion "
-                 "is still " + std::to_string(version) +
-                 "; bump it in src/harness/snapshot_io.hh, then run "
-                 "seqpoint_lint --update-pins"});
-        } else {
-            out.push_back(
-                {"codec-pin", rel, 0,
-                 "codec pins are stale (pinned at version " +
-                 std::to_string(pins.version) + ", tree is at " +
-                 std::to_string(version) +
-                 "); run seqpoint_lint --update-pins"});
-        }
-    }
-    if (pins.version != version && out.empty()) {
-        out.push_back(
-            {"codec-pin", "tools/seqpoint_lint/codec_pins.txt", 0,
-             "pinned version " + std::to_string(pins.version) +
-             " != tree version " + std::to_string(version) +
-             "; run seqpoint_lint --update-pins"});
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------
-// Rule 4: ErrorCode classification strings.
+// Rule 3: ErrorCode classification strings.
 // ---------------------------------------------------------------
 
 bool
@@ -803,7 +669,7 @@ ruleErrorCodes(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Shared helpers for rules 5-8.
+// Shared helpers for rules 4-7.
 // ---------------------------------------------------------------
 
 /** Whether `word` occurs in `text` with identifier boundaries. */
@@ -875,7 +741,7 @@ sourceFiles(const Options &opts)
 }
 
 // ---------------------------------------------------------------
-// Rule 5: unordered-container iteration on determinism-critical
+// Rule 4: unordered-container iteration on determinism-critical
 // paths.
 // ---------------------------------------------------------------
 
@@ -992,7 +858,7 @@ ruleUnorderedIter(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 6: unseeded randomness / wall-clock in measured paths.
+// Rule 5: unseeded randomness / wall-clock in measured paths.
 // ---------------------------------------------------------------
 
 bool
@@ -1046,7 +912,7 @@ ruleNondeterminism(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 7: float-reduction order in parallelFor lambdas.
+// Rule 6: float-reduction order in parallelFor lambdas.
 // ---------------------------------------------------------------
 
 /**
@@ -1151,9 +1017,9 @@ ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
                         {"float-reduce", rel, line,
                          "accumulation '" + stmt + "' inside a "
                          "parallelFor lambda commits to the thread "
-                         "schedule's summation order; fold through "
-                         "parallelReduceSum (deterministic in-order "
-                         "reduce), annotate the statement with "
+                         "schedule's summation order; write one slot "
+                         "per index and fold the slots serially "
+                         "afterwards, annotate the statement with "
                          "'seqlint:deterministic-reduce', or pin "
                          "key " + key +
                          " in float_reduce_allowlist.txt"});
@@ -1165,7 +1031,7 @@ ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
 }
 
 // ---------------------------------------------------------------
-// Rule 8: fuzz-entry coverage of the snapshot codec.
+// Rule 7: fuzz-entry coverage of the snapshot codec.
 // ---------------------------------------------------------------
 
 /** One codec entry point that must be reachable from a harness. */
@@ -1306,74 +1172,12 @@ runLint(const Options &opts, std::vector<Violation> &out)
     bool ok = true;
     ok &= ruleCheckpoint(opts, out);
     ok &= ruleStatusDiscard(opts, out);
-    ok &= ruleCodecPins(opts, out);
     ok &= ruleErrorCodes(opts, out);
     ok &= ruleUnorderedIter(opts, out);
     ok &= ruleNondeterminism(opts, out);
     ok &= ruleFloatReduce(opts, out);
     ok &= ruleFuzzCoverage(opts, out);
     return ok;
-}
-
-bool
-updateCodecPins(const Options &opts, std::string &error)
-{
-    std::vector<std::string> codec_files;
-    fs::path cfg = fs::path(opts.root) / "tools/seqpoint_lint";
-    if (!readListFile(cfg / "codec_files.txt", codec_files)) {
-        error = "cannot read codec_files.txt";
-        return false;
-    }
-    long version = snapshotFormatVersion(opts);
-    if (version < 0) {
-        error = "cannot parse kSnapshotFormatVersion from "
-                "src/harness/snapshot_io.hh";
-        return false;
-    }
-
-    PinFile old;
-    bool have_old = readPins(opts, old);
-
-    std::map<std::string, std::string> fresh;
-    for (const std::string &rel : codec_files) {
-        uint64_t h = 0;
-        if (!codecHash(opts, rel, h)) {
-            error = "codec_files.txt names a missing file: " + rel;
-            return false;
-        }
-        fresh[rel] = hashHex(h);
-    }
-
-    // The refusal that makes the rule a ratchet: re-pinning changed
-    // content under an unchanged format version would neutralise it.
-    if (have_old && old.version == version) {
-        for (const auto &kv : fresh) {
-            auto it = old.hashes.find(kv.first);
-            if (it != old.hashes.end() && it->second != kv.second) {
-                error = "refusing to re-pin '" + kv.first +
-                        "': content changed but "
-                        "kSnapshotFormatVersion is still " +
-                        std::to_string(version) +
-                        " -- bump it first";
-                return false;
-            }
-        }
-    }
-
-    std::ofstream outf(cfg / "codec_pins.txt", std::ios::trunc);
-    if (!outf) {
-        error = "cannot write codec_pins.txt";
-        return false;
-    }
-    outf << "# Codec content pins -- generated by `seqpoint_lint "
-            "--update-pins`.\n"
-            "# Lint fails when a pinned file's (comment-stripped) "
-            "content hash\n"
-            "# changes without a kSnapshotFormatVersion bump.\n";
-    outf << "version " << version << "\n";
-    for (const auto &kv : fresh)
-        outf << kv.second << " " << kv.first << "\n";
-    return true;
 }
 
 namespace {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Repo-invariant linter for the SeqPoint tree. Eight rules, each a
+ * Repo-invariant linter for the SeqPoint tree. Seven rules, each a
  * cheap textual scan with an explicit, committed registry so that a
  * violation is a conscious decision, never a silent drift:
  *
@@ -10,35 +10,32 @@
  *   2. status-discard -- no Status/Result-returning call may be
  *      discarded at statement position or laundered through (void),
  *      outside the committed allowlist.
- *   3. codec-pin   -- editing a serialization-codec file requires a
- *      kSnapshotFormatVersion bump (content hashes are pinned).
- *   4. error-code  -- every ErrorCode enumerator must have a
+ *   3. error-code  -- every ErrorCode enumerator must have a
  *      classification string in errorCodeName().
- *   5. unordered-iter -- loops over unordered containers in files on
+ *   4. unordered-iter -- loops over unordered containers in files on
  *      the determinism_paths.txt registry (serializers, exporters,
  *      BENCH assembly) need a 'seqlint:canonical-order' annotation
  *      (asserting the order is canonicalised downstream) or a pin.
- *   6. nondeterminism -- unseeded randomness and wall-clock reads
+ *   5. nondeterminism -- unseeded randomness and wall-clock reads
  *      (rand, random_device, steady_clock, ...) are banned in src/
  *      and bench/ outside the sanctioned common/rng.hh wrapper and
  *      the committed allowlist.
- *   7. float-reduce -- compound accumulation (+=, -=, *=) inside a
+ *   6. float-reduce -- compound accumulation (+=, -=, *=) inside a
  *      parallelFor lambda commits to the thread schedule's summation
- *      order; use parallelReduceSum, a per-slot write indexed by the
- *      lambda's index, a 'seqlint:deterministic-reduce' annotation,
- *      or a pin.
- *   8. fuzz-coverage -- every decode*() / ByteReader entry point in
+ *      order; write one slot per index (indexed by the lambda's
+ *      index) and fold the slots serially afterwards, or add a
+ *      'seqlint:deterministic-reduce' annotation or a pin.
+ *   7. fuzz-coverage -- every decode*() / ByteReader entry point in
  *      the fuzz_codec_files.txt registry must be exercised by a fuzz
  *      harness listed in fuzz_harnesses.txt (new codecs cannot ship
  *      unfuzzed).
  *
  * The scans run on comment/string-stripped text, so commentary never
  * trips rules 1-2 and string contents never unbalance the brace
- * matcher; rule 3 strips comments only (string literals are codec
- * behaviour). Escape-hatch annotations (rules 5 and 7) are comments
- * and are matched against the raw text, on the flagged line or the
- * two lines above it. Config lives in the .txt registries next to
- * the linter under tools/seqpoint_lint/.
+ * matcher. Escape-hatch annotations (rules 4 and 6) are comments and
+ * are matched against the raw text, on the flagged line or the two
+ * lines above it. Config lives in the .txt registries next to the
+ * linter under tools/seqpoint_lint/.
  */
 
 #ifndef SEQPOINT_LINT_HH
@@ -63,7 +60,7 @@ struct Options {
     std::string root; ///< Repository root directory.
 };
 
-/** FNV-1a 64-bit hash (allowlist keys and codec pins). */
+/** FNV-1a 64-bit hash (allowlist keys). */
 uint64_t fnv1a64(const std::string &data);
 
 /** Lower-case hex rendering of a 64-bit hash. */
@@ -106,14 +103,6 @@ bool runLint(const Options &opts, std::vector<Violation> &out);
  * (CI turns these into per-file annotations).
  */
 std::string violationsJson(const std::vector<Violation> &violations);
-
-/**
- * Recompute the codec pins (rule 3). Refuses -- returning false with
- * a message in `error` -- when a pinned file's content changed but
- * kSnapshotFormatVersion did not, since that is exactly the drift the
- * rule exists to catch.
- */
-bool updateCodecPins(const Options &opts, std::string &error);
 
 /**
  * Print every loop in the checkpoint-scanned files with its allowlist

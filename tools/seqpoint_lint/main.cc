@@ -15,15 +15,12 @@ main(int argc, char **argv)
 {
     seqlint::Options opts;
     opts.root = ".";
-    bool update_pins = false;
     bool list_loops = false;
     bool json = false;
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--root") && i + 1 < argc) {
             opts.root = argv[++i];
-        } else if (!std::strcmp(argv[i], "--update-pins")) {
-            update_pins = true;
         } else if (!std::strcmp(argv[i], "--list-loops")) {
             list_loops = true;
         } else if (!std::strcmp(argv[i], "--format=json")) {
@@ -33,20 +30,9 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: seqpoint_lint [--root DIR] "
-                         "[--format=text|json] "
-                         "[--update-pins] [--list-loops]\n");
+                         "[--format=text|json] [--list-loops]\n");
             return 2;
         }
-    }
-
-    if (update_pins) {
-        std::string error;
-        if (!seqlint::updateCodecPins(opts, error)) {
-            std::fprintf(stderr, "seqpoint_lint: %s\n", error.c_str());
-            return 2;
-        }
-        std::printf("codec pins updated\n");
-        return 0;
     }
 
     if (list_loops) {
