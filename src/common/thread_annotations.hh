@@ -4,9 +4,11 @@
  * (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html).
  *
  * The concurrent core (ThreadPool, BoundedQueue, SnapshotRegistry,
- * QueryService, FaultInjector, KernelTimingCache, Autotuner, and the
- * cancellation layer) annotates which mutex guards which member and
- * which functions require/acquire/release which locks. Under Clang
+ * QueryService, FaultInjector, KernelTimingCache, Autotuner, a Model's
+ * program memo and resolved-op table list, each nn::ResolvedOps
+ * table's chunk directory, and the cancellation layer) annotates
+ * which mutex guards which member and which functions
+ * require/acquire/release which locks. Under Clang
  * with -Wthread-safety (CMake option SEQPOINT_THREAD_SAFETY) these
  * expand to the real attributes and every lock-discipline violation
  * is a compile error; under any other compiler they expand to

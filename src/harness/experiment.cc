@@ -5,47 +5,10 @@
 
 #include "harness/experiment.hh"
 
-#include <bit>
-
 #include "common/logging.hh"
 
 namespace seqpoint {
 namespace harness {
-
-namespace {
-
-bool
-sameBits(double a, double b)
-{
-    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-/**
- * Whether two configurations have the same sim::encodeGpuConfig()
- * byte image, field by field and without encoding: the equality the
- * query service's warm key uses. Unlike GpuConfig::operator==, a NaN
- * field matches itself (so a NaN config resolves to one state) and
- * -0.0 stays apart from 0.0.
- */
-bool
-sameConfig(const sim::GpuConfig &a, const sim::GpuConfig &b)
-{
-    return a.name == b.name && sameBits(a.gclkHz, b.gclkHz) &&
-        a.numCus == b.numCus && a.simdsPerCu == b.simdsPerCu &&
-        a.lanesPerSimd == b.lanesPerSimd &&
-        a.maxWavesPerCu == b.maxWavesPerCu &&
-        a.waveSize == b.waveSize && a.l1SizeBytes == b.l1SizeBytes &&
-        a.l1Assoc == b.l1Assoc && a.l2SizeBytes == b.l2SizeBytes &&
-        a.l2Assoc == b.l2Assoc && a.lineBytes == b.lineBytes &&
-        sameBits(a.l1BytesPerCycle, b.l1BytesPerCycle) &&
-        sameBits(a.l2BytesPerCycle, b.l2BytesPerCycle) &&
-        sameBits(a.dramBandwidth, b.dramBandwidth) &&
-        sameBits(a.dramEfficiency, b.dramEfficiency) &&
-        sameBits(a.launchOverheadSec, b.launchOverheadSec) &&
-        sameBits(a.writeDrainFraction, b.writeDrainFraction);
-}
-
-} // anonymous namespace
 
 Experiment::ConfigState::ConfigState(const sim::GpuConfig &cfg,
                                      const nn::Model &model,
@@ -77,7 +40,7 @@ Experiment::state(const sim::GpuConfig &cfg)
     // that share a name but differ in any parameter must not alias
     // one state, and a NaN config must find the state it made.
     for (const auto &st : states) {
-        if (sameConfig(st->gpu.config(), cfg))
+        if (sim::sameEncodedConfig(st->gpu.config(), cfg))
             return *st;
     }
     states.push_back(
@@ -89,7 +52,7 @@ Experiment::state(const sim::GpuConfig &cfg)
     // function of (workload, configuration), so seeded queries are
     // bit-identical to cold ones; other configurations start cold.
     for (const auto &seed : seeds) {
-        if (!sameConfig(seed->config, cfg))
+        if (!sim::sameEncodedConfig(seed->config, cfg))
             continue;
         st.tuner.seed(seed->tunerEntries);
         st.profiler.seedTrainProfiles(seed->trainProfiles);
@@ -312,7 +275,7 @@ Experiment::seedFrom(std::shared_ptr<const ModelSnapshot> snap)
     // One snapshot per configuration: a second snapshot for an
     // already-adopted config would silently shadow the first.
     for (const auto &seed : seeds) {
-        panic_if(sameConfig(seed->config, snap->config),
+        panic_if(sim::sameEncodedConfig(seed->config, snap->config),
                  "Experiment::seedFrom: a snapshot for configuration "
                  "'%s' was already adopted", snap->config.name.c_str());
     }

@@ -101,6 +101,27 @@ snapshotBuildId()
     return SEQPOINT_BUILD_ID;
 }
 
+bool
+otherBuildsStoreFile(const std::string &name)
+{
+    // "snap-" + 16 hex + "-" + 16 hex + ".bin"
+    constexpr std::size_t kIdAt = 5, kHashAt = 22, kSize = 42;
+    auto hex16 = [&name](std::size_t at) {
+        return std::all_of(name.begin() + at, name.begin() + at + 16,
+                           [](char c) {
+                               return (c >= '0' && c <= '9') ||
+                                   (c >= 'a' && c <= 'f');
+                           });
+    };
+    if (name.size() != kSize || name.compare(0, kIdAt, "snap-") != 0 ||
+        name[kHashAt - 1] != '-' || name.compare(kSize - 4, 4, ".bin") != 0 ||
+        !hex16(kIdAt) || !hex16(kHashAt))
+        return false;
+    return name.compare(kIdAt, 16,
+                        csprintf("%016llx", static_cast<unsigned long long>(
+                                                SEQPOINT_BUILD_ID))) != 0;
+}
+
 std::string
 SnapshotKey::cacheKey() const
 {

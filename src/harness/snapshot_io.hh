@@ -52,6 +52,17 @@ namespace harness {
 uint64_t snapshotBuildId();
 
 /**
+ * Whether a file name is a store file another build wrote:
+ * "snap-<buildId>-<hash>.bin", both as 16 lower-case hex digits, with
+ * a build identity other than snapshotBuildId(). Such a file is never
+ * opened (see SnapshotKey::fileName()). Temporary (.tmp), quarantined
+ * (.corrupt) and other names are not.
+ *
+ * @param name File name, without a directory.
+ */
+bool otherBuildsStoreFile(const std::string &name);
+
+/**
  * Full identity of a snapshot: everything the snapshotted state is a
  * pure function of. Two snapshots with equal keys are interchangeable
  * (bit-identical results); everything else must never be mixed.

@@ -29,6 +29,17 @@ SnapshotRegistry::SnapshotRegistry(std::string store_dir,
     fatal_if(static_cast<bool>(ec),
              "SnapshotRegistry: cannot create store directory '%s': %s",
              dir.c_str(), ec.message().c_str());
+
+    // Another build's files are never opened -- their names carry
+    // that build's identity -- so each source edit would leave a
+    // full set behind in an uncapped store. Best-effort: a file a
+    // concurrent registry already removed is simply gone.
+    for (const auto &entry : fs::directory_iterator(dir, ec)) {
+        if (otherBuildsStoreFile(entry.path().filename().string())) {
+            std::error_code rec;
+            fs::remove(entry.path(), rec);
+        }
+    }
 }
 
 void

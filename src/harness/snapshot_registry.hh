@@ -68,7 +68,10 @@ class SnapshotRegistry
      * Construct a registry.
      *
      * @param dir On-disk store directory (created if missing); empty
-     *            for an in-process-only registry.
+     *            for an in-process-only registry. Store files named
+     *            with another build's identity are deleted on open
+     *            (otherBuildsStoreFile()): no registry of this build
+     *            would ever read them.
      * @param store_cap_bytes Size cap on the store's snapshot files;
      *            0 means unbounded. When a save pushes the store
      *            past the cap, the least-recently-used files

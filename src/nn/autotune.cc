@@ -70,9 +70,7 @@ Autotuner::select(int64_t m, int64_t n, int64_t k)
     // every concurrent select(). Both policies are pure functions of
     // the shape, so racing threads compute identical entries and
     // emplace keeps the first.
-    Entry chosen = (mode == Mode::Heuristic)
-        ? Entry{chooseHeuristic(m, n, k), 0.0}
-        : chooseMeasured(m, n, k);
+    Entry chosen = choose(m, n, k);
 
     MutexLock lock(mu);
     auto [pos, inserted] = cache.emplace(key, chosen);
@@ -80,13 +78,79 @@ Autotuner::select(int64_t m, int64_t n, int64_t k)
     return pos->second.variant;
 }
 
+Autotuner::Entry
+Autotuner::choose(int64_t m, int64_t n, int64_t k) const
+{
+    return mode == Mode::Heuristic ? Entry{chooseHeuristic(m, n, k), 0.0}
+                                   : chooseMeasured(m, n, k);
+}
+
+AutotuneEntry
+Autotuner::tune(int64_t m, int64_t n, int64_t k) const
+{
+    panic_if(m <= 0 || n <= 0 || k <= 0,
+             "Autotuner: non-positive GEMM dims %lld x %lld x %lld",
+             static_cast<long long>(m), static_cast<long long>(n),
+             static_cast<long long>(k));
+    const Entry e = choose(m, n, k);
+    return AutotuneEntry{m, n, k, e.variant, e.costSec};
+}
+
+void
+Autotuner::record(
+    std::shared_ptr<const void> from,
+    std::shared_ptr<const std::vector<uint32_t>> key_order,
+    const std::vector<std::pair<uint32_t, const AutotuneEntry *>> &shapes)
+{
+    MutexLock lock(mu);
+    panic_if(source && source != from,
+             "Autotuner::record: shapes from a second table");
+    source = std::move(from);
+    if (!order || key_order->size() > order->size())
+        order = std::move(key_order);
+    for (const auto &[id, e] : shapes) {
+        if (id >= recorded.size())
+            recorded.resize(std::max<std::size_t>(id + 1, order->size()));
+        recorded[id] = e;
+    }
+}
+
+template <typename Fn>
+void
+Autotuner::forEachEntry(Fn &&fn) const
+{
+    // Merge the recorded shapes, walked in their network's key order,
+    // into the cache's; a cached shape wins.
+    auto it = cache.begin();
+    if (order) {
+        for (uint32_t id : *order) {
+            const AutotuneEntry *e = id < recorded.size() ? recorded[id]
+                                                          : nullptr;
+            if (!e)
+                continue;
+            const ShapeKey key{e->m, e->n, e->k};
+            for (; it != cache.end() && it->first < key; ++it)
+                fn(it->first, it->second);
+            if (it != cache.end() && it->first == key) {
+                fn(it->first, it->second);
+                ++it;
+            } else {
+                fn(key, Entry{e->variant, e->costSec});
+            }
+        }
+    }
+    for (; it != cache.end(); ++it)
+        fn(it->first, it->second);
+}
+
 double
 Autotuner::tuningCostSec() const
 {
     MutexLock lock(mu);
     double total = 0.0;
-    for (const auto &[key, entry] : cache)
+    forEachEntry([&total](const ShapeKey &, const Entry &entry) {
         total += entry.costSec;
+    });
     return total;
 }
 
@@ -94,7 +158,9 @@ size_t
 Autotuner::cacheSize() const
 {
     MutexLock lock(mu);
-    return cache.size();
+    size_t n = 0;
+    forEachEntry([&n](const ShapeKey &, const Entry &) { ++n; });
+    return n;
 }
 
 std::vector<AutotuneEntry>
@@ -103,11 +169,11 @@ Autotuner::snapshotEntries() const
     MutexLock lock(mu);
     std::vector<AutotuneEntry> out;
     out.reserve(cache.size());
-    for (const auto &[key, entry] : cache) {
+    forEachEntry([&out](const ShapeKey &key, const Entry &entry) {
         out.push_back(AutotuneEntry{std::get<0>(key), std::get<1>(key),
                                     std::get<2>(key), entry.variant,
                                     entry.costSec});
-    }
+    });
     return out;
 }
 
@@ -183,6 +249,9 @@ Autotuner::reset()
 {
     MutexLock lock(mu);
     cache.clear();
+    source.reset();
+    order.reset();
+    recorded.clear();
 }
 
 void

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/bytestream.hh"
@@ -89,7 +91,12 @@ std::vector<AutotuneEntry> decodeAutotuneSection(ByteReader &r);
  * bound device's timing model -- the expensive paper-style autotune --
  * and records the accumulated tuning cost so callers can include or
  * exclude it from training-time accounts. Probes bypass the device's
- * kernel-timing cache, as the profiler's op timings do.
+ * kernel-timing cache, as the profiler's op timings do. A profiler
+ * does not probe through its tuner: the network's shared ResolvedOps
+ * table probes each shape once per (configuration, mode) per process
+ * (tune()), and the profiler records the shapes its ops use in its
+ * tuner with the stored cost (record()), so the tuner's cost account
+ * is what tuning them here would have left.
  * They share per-tile device terms: a tile's L1 hit fraction depends
  * only on the tile and the device, so the constructor computes it
  * once per menu tile and every probe passes it to the one timing
@@ -99,7 +106,8 @@ std::vector<AutotuneEntry> decodeAutotuneSection(ByteReader &r);
  * select() is thread-safe so concurrent profiling tasks can share one
  * tuner. The tuning cost is stored per shape and summed in shape-key
  * order, so tuningCostSec() is bit-identical however the shapes were
- * interleaved across threads.
+ * interleaved across threads -- and whether a shape was tuned here or
+ * recorded from a shared table (record()).
  */
 class Autotuner
 {
@@ -129,8 +137,46 @@ class Autotuner
      */
     const GemmVariant &select(int64_t m, int64_t n, int64_t k);
 
+    /**
+     * What select() would cache for a GEMM shape, computed afresh and
+     * not cached: the chosen variant and, in Measured mode, the probe
+     * time it cost. Thread-safe (a pure function of the shape).
+     *
+     * @param m GEMM M dimension.
+     * @param n GEMM N dimension.
+     * @param k GEMM K dimension.
+     */
+    AutotuneEntry tune(int64_t m, int64_t n, int64_t k) const;
+
+    /**
+     * Account shapes tuned elsewhere -- by a network's shared
+     * ResolvedOps table on this tuner's device and mode -- as if
+     * select() had tuned them, without a per-shape map insert: shapes
+     * are kept by their network's dense shape id and merged with the
+     * select()/seed() entries in shape-key order only when
+     * tuningCostSec(), cacheSize() or snapshotEntries() runs, so
+     * those report what the same select() calls would have left. A
+     * shape seed() or select() cached wins over a recorded one. A
+     * tuner records from one table until reset(): shape ids number
+     * one network's shapes only.
+     *
+     * @param source Owner of the entries, kept alive while recorded;
+     *               the same on every call since construction or
+     *               reset().
+     * @param order Every shape id of the source's network, in
+     *              shape-key order (Model::shapeKeyOrder()).
+     * @param shapes (shape id, tuned entry) pairs; repeats are fine.
+     */
+    void record(std::shared_ptr<const void> source,
+                std::shared_ptr<const std::vector<uint32_t>> order,
+                const std::vector<std::pair<uint32_t,
+                                            const AutotuneEntry *>> &shapes);
+
     /** @return The selection policy this tuner was built with. */
     Mode selectionMode() const { return mode; }
+
+    /** @return The device Measured mode probes on (may be null). */
+    const sim::Gpu *device() const { return gpu; }
 
     /**
      * Accumulated Measured-mode tuning time in seconds, summed over
@@ -178,8 +224,20 @@ class Autotuner
      *  select() may hand them out after unlocking. */
     std::map<ShapeKey, Entry> cache SEQ_GUARDED_BY(mu);
 
+    /** record()'s source, kept alive; null until the first record. */
+    std::shared_ptr<const void> source SEQ_GUARDED_BY(mu);
+    /** The source network's shape ids in key order (latest seen). */
+    std::shared_ptr<const std::vector<uint32_t>> order SEQ_GUARDED_BY(mu);
+    /** Indexed by shape id: the recorded entry, or null. */
+    std::vector<const AutotuneEntry *> recorded SEQ_GUARDED_BY(mu);
+
     GemmVariant chooseHeuristic(int64_t m, int64_t n, int64_t k) const;
     Entry chooseMeasured(int64_t m, int64_t n, int64_t k) const;
+    Entry choose(int64_t m, int64_t n, int64_t k) const;
+
+    /** Visit every tuned shape once, in shape-key order. */
+    template <typename Fn>
+    void forEachEntry(Fn &&fn) const SEQ_REQUIRES(mu);
 };
 
 } // namespace nn

@@ -105,9 +105,14 @@ resolveKernel(const sim::KernelDesc &op, Autotuner &tuner)
 {
     if (op.klass != sim::KernelClass::Gemm || op.tileM != 0)
         return op;
-    const GemmVariant &v = tuner.select(op.gemmM, op.gemmN, op.gemmK);
+    return resolveKernel(op, tuner.select(op.gemmM, op.gemmN, op.gemmK));
+}
+
+sim::KernelDesc
+resolveKernel(const sim::KernelDesc &op, const GemmVariant &variant)
+{
     sim::KernelDesc kd = gemmKernelForVariant(op.stem, op.gemmM, op.gemmN,
-                                              op.gemmK, v);
+                                              op.gemmK, variant);
     kd.bytesIn += op.bytesIn;
     kd.repeat = op.repeat;
     return kd;

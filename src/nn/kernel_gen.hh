@@ -92,6 +92,16 @@ sim::KernelDesc resolveKernel(const sim::KernelDesc &op,
                               Autotuner &tuner);
 
 /**
+ * Resolve an unresolved GEMM op with a given variant (keeping its
+ * stem, repeat and any extra request volume).
+ *
+ * @param op Unresolved GEMM descriptor (makeGemm(), makeConv2d()).
+ * @param variant The tile to resolve it with.
+ */
+sim::KernelDesc resolveKernel(const sim::KernelDesc &op,
+                              const GemmVariant &variant);
+
+/**
  * Fused softmax over `rows` rows of `cols` elements. The block-size
  * variant (chosen from cols) is part of the kernel name.
  */

@@ -10,10 +10,12 @@
 #include <map>
 #include <tuple>
 
+#include "common/bytestream.hh"
 #include "common/logging.hh"
 #include "common/mutex.hh"
 #include "common/thread_annotations.hh"
 #include "nn/kernel_gen.hh"
+#include "nn/resolved_ops.hh"
 #include "sim/timing_cache.hh"
 
 namespace seqpoint {
@@ -28,6 +30,14 @@ struct Model::ProgramMemo {
     std::vector<sim::KernelDesc> ops SEQ_GUARDED_BY(mu);
     /** Each op's signature hash, indexed by op id. */
     std::vector<std::size_t> opHash SEQ_GUARDED_BY(mu);
+    /** Each op's GEMM shape id (kNoShape if none), by op id. */
+    std::vector<uint32_t> opShape SEQ_GUARDED_BY(mu);
+    /** Shape ids of the unresolved GEMMs' (M, N, K), dense. */
+    std::map<std::tuple<int64_t, int64_t, int64_t>, uint32_t> shapeIds
+        SEQ_GUARDED_BY(mu);
+    /** shapeIds' ids in key order, as of its last rebuild. */
+    std::shared_ptr<const std::vector<uint32_t>> shapeOrder
+        SEQ_GUARDED_BY(mu);
     /**
      * The intern index: a power-of-two table of op ids (kFree when
      * empty), kept at most half full and probed linearly from a slot
@@ -72,6 +82,7 @@ struct Model::ProgramMemo {
                 ops.push_back(kd);
                 ops.back().repeat = 1;
                 opHash.push_back(hash);
+                opShape.push_back(shapeOf(kd));
                 slots[i] = id;
                 return id;
             }
@@ -83,6 +94,18 @@ struct Model::ProgramMemo {
                 sim::kernelSignature(op) == sig)
                 return id;
         }
+    }
+
+    /** @return The shape id of an op, interning a new shape. */
+    uint32_t
+    shapeOf(const sim::KernelDesc &kd) SEQ_REQUIRES(mu)
+    {
+        if (kd.klass != sim::KernelClass::Gemm || kd.tileM != 0)
+            return kNoShape;
+        const auto next = static_cast<uint32_t>(shapeIds.size());
+        return shapeIds.emplace(std::make_tuple(kd.gemmM, kd.gemmN,
+                                                kd.gemmK), next)
+            .first->second;
     }
 
     /** Rebuild the index with 2^bits slots. */
@@ -106,6 +129,12 @@ struct Model::Network {
     std::vector<std::unique_ptr<Layer>> layers;
     double tgtRatio = 1.0;
     ProgramMemo memo;
+
+    /** Guards `tables`; never held with memo.mu. */
+    Mutex tablesMu;
+    /** (config bytes + mode byte, table), most recently used first. */
+    std::vector<std::pair<std::string, std::shared_ptr<ResolvedOps>>>
+        tables SEQ_GUARDED_BY(tablesMu);
 };
 
 Model::Model(std::string name)
@@ -284,12 +313,66 @@ Model::program(unsigned batch, int64_t seq_len, bool train) const
     return *net->memo.programs.emplace(key, std::move(prog)).first->second;
 }
 
-sim::KernelDesc
-Model::op(uint32_t id) const
+void
+Model::copyOps(const std::vector<uint32_t> &ids,
+               std::vector<sim::KernelDesc> &ops,
+               std::vector<uint32_t> &shapes) const
 {
+    ops.resize(ids.size());
+    shapes.resize(ids.size());
     MutexLock lock(net->memo.mu);
-    panic_if(id >= net->memo.ops.size(), "Model::op: unknown op id %u", id);
-    return net->memo.ops[id];
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        panic_if(ids[i] >= net->memo.ops.size(),
+                 "Model::copyOps: unknown op id %u", ids[i]);
+        ops[i] = net->memo.ops[ids[i]];
+        shapes[i] = net->memo.opShape[ids[i]];
+    }
+}
+
+std::shared_ptr<ResolvedOps>
+Model::resolvedOps(const sim::GpuConfig &cfg, Autotuner::Mode mode) const
+{
+    ByteWriter key;
+    sim::encodeGpuConfig(key, cfg);
+    key.u8(static_cast<uint8_t>(mode));
+
+    MutexLock lock(net->tablesMu);
+    auto &tables = net->tables;
+    auto it = std::find_if(tables.begin(), tables.end(),
+                           [&key](const auto &t) {
+                               return t.first == key.data();
+                           });
+    if (it == tables.end()) {
+        if (tables.size() == kResolvedOpTables)
+            tables.pop_back();
+        tables.emplace_back(key.data(),
+                            std::make_shared<ResolvedOps>(cfg, mode));
+        it = tables.end() - 1;
+    }
+    std::rotate(tables.begin(), it, it + 1);
+    return tables.front().second;
+}
+
+std::shared_ptr<const std::vector<uint32_t>>
+Model::shapeKeyOrder() const
+{
+    ProgramMemo &memo = net->memo;
+    MutexLock lock(memo.mu);
+    if (!memo.shapeOrder || memo.shapeOrder->size() != memo.shapeIds.size()) {
+        auto order = std::make_shared<std::vector<uint32_t>>();
+        order->reserve(memo.shapeIds.size());
+        for (const auto &[key, id] : memo.shapeIds)
+            order->push_back(id);
+        memo.shapeOrder = std::move(order);
+    }
+    return memo.shapeOrder;
+}
+
+std::size_t
+Model::resolvedOpTables() const
+{
+    MutexLock lock(net->tablesMu);
+    return net->tables.size();
 }
 
 uint32_t

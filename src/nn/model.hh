@@ -10,10 +10,13 @@
  * each (batch, SL, phase) once into a Program: launch-ordered
  * (op id, repeat) steps over a per-model table of interned,
  * unresolved ops. Programs are device- and dataset-independent; each
- * device's autotuner resolves them (lowerIteration(), or the
- * Profiler's per-op timing table). Model::share() hands out further
- * handles on one network and its memo, so every workload of a network
- * lowers each program once per process.
+ * device's autotuner resolves them (lowerIteration()), or a
+ * ResolvedOps table of the network resolves and times their ops once
+ * per (configuration, tuner mode) for every profiler
+ * (resolvedOps()). Model::share() hands out further handles on one
+ * network, its memo and its tables, so every workload of a network
+ * lowers each program, and tunes and times each op on a
+ * configuration, once per process.
  */
 
 #ifndef SEQPOINT_NN_MODEL_HH
@@ -24,17 +27,22 @@
 #include <string>
 #include <vector>
 
+#include "nn/autotune.hh"
 #include "nn/layer.hh"
+#include "sim/gpu_config.hh"
 #include "sim/kernel.hh"
 
 namespace seqpoint {
 namespace nn {
 
-class Autotuner;
+class ResolvedOps;
+
+/** Shape id of an op that is not an unresolved GEMM (copyOps()). */
+constexpr uint32_t kNoShape = UINT32_MAX;
 
 /** One launch-ordered step of a Program (8 bytes). */
 struct ProgramStep {
-    uint32_t op = 0;     ///< Id in the model's op table (Model::op()).
+    uint32_t op = 0;     ///< Id in the model's op table (copyOps()).
     uint32_t repeat = 1; ///< Back-to-back launches of the op.
 };
 
@@ -61,6 +69,14 @@ using Program = std::vector<ProgramStep>;
 class Model
 {
   public:
+    /**
+     * ResolvedOps tables a network keeps at most, least recently
+     * acquired evicted first. A handful of configurations covers a
+     * figure sweep; the cap bounds a service that accepts any
+     * configuration.
+     */
+    static constexpr std::size_t kResolvedOpTables = 6;
+
     /**
      * Construct an empty model.
      *
@@ -132,13 +148,20 @@ class Model
                            bool train) const;
 
     /**
-     * Copy one interned op out of the op table. An op is an unresolved
-     * kernel descriptor with repeat 1; nn::resolveKernel() turns it
-     * into a launchable one for a device.
+     * Copy interned ops out of the op table under one lock, with each
+     * op's GEMM shape id. An op is an unresolved kernel descriptor with
+     * repeat 1; nn::resolveKernel() turns it into a launchable one for
+     * a device. Ops that are unresolved GEMMs (makeGemm(),
+     * makeConv2d()) of equal (M, N, K) share one dense shape id, every
+     * other op has kNoShape.
      *
-     * @param id Op id from a program step.
+     * @param ids Op ids from program steps.
+     * @param ops Receives the ops, in `ids` order.
+     * @param shapes Receives their shape ids, in `ids` order.
      */
-    sim::KernelDesc op(uint32_t id) const;
+    void copyOps(const std::vector<uint32_t> &ids,
+                 std::vector<sim::KernelDesc> &ops,
+                 std::vector<uint32_t> &shapes) const;
 
     /**
      * @return The number of ops interned so far. Ids are dense and
@@ -146,6 +169,32 @@ class Model
      *         returned by program() has an op id below this count.
      */
     uint32_t opCount() const;
+
+    /**
+     * The network's process-wide table of its ops resolved and timed
+     * on a configuration under a tuner mode, created empty on first
+     * use. Configurations are equal when their sim::encodeGpuConfig()
+     * byte images are (a NaN field matches itself, -0.0 differs from
+     * 0.0). At most kResolvedOpTables stay resident; an evicted table
+     * lives on while a caller holds it, and a later call makes a
+     * fresh one.
+     *
+     * @param cfg Device configuration.
+     * @param mode Tuner mode.
+     */
+    std::shared_ptr<ResolvedOps> resolvedOps(const sim::GpuConfig &cfg,
+                                             Autotuner::Mode mode) const;
+
+    /**
+     * @return Every GEMM shape id interned so far (copyOps()), in
+     *         (M, N, K) key order: what lets a tuner sum shapes it
+     *         recorded by id in key order (Autotuner::record()).
+     *         Rebuilt only when new shapes were interned.
+     */
+    std::shared_ptr<const std::vector<uint32_t>> shapeKeyOrder() const;
+
+    /** @return ResolvedOps tables the network holds right now. */
+    std::size_t resolvedOpTables() const;
 
     /**
      * Lower one full training iteration: forward pass in layer order,

@@ -22,6 +22,13 @@ Profiler::Profiler(const sim::Gpu &gpu, const nn::Model &net,
     : gpu_(gpu), model(net), tuner(shared_tuner), batch(batch_size)
 {
     fatal_if(batch_size == 0, "Profiler: zero batch size");
+    // The table for gpu's configuration tunes for it, so a Measured
+    // tuner bound to another configuration would be handed shapes
+    // probed on a device it was not built for.
+    panic_if(shared_tuner.selectionMode() == nn::Autotuner::Mode::Measured &&
+                 !sim::sameEncodedConfig(shared_tuner.device()->config(),
+                                         gpu.config()),
+             "Profiler: Measured tuner bound to a different configuration");
 }
 
 namespace {
@@ -53,13 +60,12 @@ Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
     // at its full size instead of doubling it through every new op id.
     // The index spans the model's whole op table -- which a network
     // shared by many Experiments fills with every op any of them
-    // interned -- at four bytes an op; the timings themselves are
-    // dense, one per op our programs use.
+    // interned -- at one pointer an op.
     const uint32_t ops = model.opCount();
     if (ops > opSlot.size())
         opSlot.resize(ops);
 
-    // The untimed ops, each once, in first-use order.
+    // The ops we have not accounted yet, each once, in first-use order.
     std::vector<uint32_t> fresh;
     std::vector<bool> queued(opSlot.size());
     for (const nn::Program *prog : progs) {
@@ -71,30 +77,67 @@ Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
             fresh.push_back(step.op);
         }
     }
+    if (fresh.empty())
+        return;
 
-    // The slack keeps a later call's few new ops (an epoch's inference
-    // programs add a handful) from copying the whole table.
-    const std::size_t first = opTimings.size();
-    const std::size_t need = first + fresh.size();
-    if (need > opTimings.capacity())
-        opTimings.reserve(need + need / 8);
-    opTimings.resize(need);
+    if (!table)
+        table = model.resolvedOps(gpu_.config(), tuner.selectionMode());
 
-    // Each op is resolved and timed exactly once per profiler, each
-    // into its own slot, straight from the timing model: this table is
-    // the profiler's only per-device timing memo, so a device's timing
-    // cache would only add a lookup per op. The tuner and the timing
-    // model are pure functions of the shape and the descriptor, so the
-    // slot contents do not depend on which thread fills them. An op's
-    // index entry is set only once its slot is filled, so a cancelled
-    // sweep leaves the rest to be timed again by the next call.
-    forEachIndex(fresh.size(), threads, [&](std::size_t i) {
+    // Resolve and time the ops no profiler of the network has on this
+    // configuration yet. The table's probe and the timing model are
+    // pure functions of the op and the configuration, so a slot's
+    // contents do not depend on which thread -- of this sweep or of
+    // another Experiment -- fills it. A slot is published whole or
+    // not at all, so a cancelled sweep leaves the rest to the next.
+    std::vector<nn::ResolvedOps::OpSlot *> slots;
+    table->opSlots(fresh, slots);
+    std::vector<std::size_t> todo;
+    std::vector<uint32_t> ids;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
         cancelCheckpoint("profiler.resolve");
-        sim::KernelDesc kd = nn::resolveKernel(model.op(fresh[i]), tuner);
-        opTimings[first + i] =
-            OpTiming{sim::timeKernel(kd, gpu_.config()), kd.klass};
-        opSlot[fresh[i]] = static_cast<uint32_t>(first + i + 1);
-    });
+        if (!slots[i]->published()) {
+            todo.push_back(i);
+            ids.push_back(fresh[i]);
+        }
+    }
+    if (!todo.empty()) {
+        std::vector<sim::KernelDesc> descs;
+        std::vector<uint32_t> shapes;
+        model.copyOps(ids, descs, shapes);
+        std::vector<nn::ResolvedOps::ShapeSlot *> shape_slots;
+        table->shapeSlots(shapes, shape_slots);
+        forEachIndex(todo.size(), threads, [&](std::size_t i) {
+            cancelCheckpoint("profiler.resolve");
+            table->fill(*slots[todo[i]], descs[i], shapes[i],
+                        shape_slots[i]);
+        });
+    }
+
+    // Account the ops: collect their slots and the GEMM shapes they
+    // use, record the shapes in our tuner with the stored probe cost,
+    // in one batch, as select() would have cached them, and only then
+    // remember the slots. No checkpoint runs between the record and
+    // the last slot written, so a cancelled sweep never leaves an op
+    // accounted whose shape the tuner lacks.
+    std::vector<const nn::ResolvedOp *> accounted(fresh.size());
+    std::vector<uint32_t> shapes;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        cancelCheckpoint("profiler.resolve");
+        accounted[i] = &slots[i]->value();
+        if (accounted[i]->shape != nn::kNoShape)
+            shapes.push_back(accounted[i]->shape);
+    }
+    std::vector<nn::ResolvedOps::ShapeSlot *> shape_slots;
+    table->shapeSlots(shapes, shape_slots);
+    std::vector<std::pair<uint32_t, const nn::AutotuneEntry *>> tuned(
+        shapes.size());
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        cancelCheckpoint("profiler.resolve");
+        tuned[i] = {shapes[i], &shape_slots[i]->value()};
+    }
+    tuner.record(table, model.shapeKeyOrder(), tuned);
+    for (std::size_t i = 0; i < accounted.size(); ++i)
+        opSlot[fresh[i]] = accounted[i];
 }
 
 IterationProfile
@@ -102,8 +145,10 @@ Profiler::fold(int64_t seq_len, const nn::Program &prog) const
 {
     sim::ExecutionResult res;
     for (const nn::ProgramStep &step : prog) {
-        const OpTiming &op = opTimings[opSlot[step.op] - 1];
-        sim::KernelTiming kt = op.timing;
+        const nn::ResolvedOp &op = *opSlot[step.op];
+        sim::KernelTiming kt;
+        kt.timeSec = op.timeSec;
+        kt.counters = op.counters;
         sim::accountLaunch(res, kt, op.klass, step.repeat);
     }
     IterationProfile p;
@@ -168,9 +213,10 @@ Profiler::warmProfiles(const std::vector<int64_t> &sls, unsigned threads,
         return;
 
     // Three phases, each fanned out per index: fetch (or lower) the
-    // programs, time the ops no earlier program used, then fold. The
-    // op table is only written in the middle phase, so the folds read
-    // it without locks. The checkpoints observe the caller's cancel
+    // programs, account (and, where no profiler of the network has,
+    // time) the ops no earlier program of ours used, then fold. Our
+    // slot index is only written in the middle phase, so the folds
+    // read it without locks. The checkpoints observe the caller's cancel
     // token on every participant (parallelFor re-installs the scope),
     // so a deadline firing mid-sweep abandons the remaining work
     // promptly.

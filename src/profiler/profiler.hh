@@ -13,10 +13,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "nn/autotune.hh"
 #include "nn/model.hh"
+#include "nn/resolved_ops.hh"
 #include "profiler/iteration_profile.hh"
 #include "sim/gpu.hh"
 
@@ -29,18 +31,20 @@ namespace prof {
  * A profile is a fold over the model's memoized program for the SL
  * (nn::Model::program()), which is shared by every profiler of the
  * model and of every share() of it, so a second device -- or a
- * second workload of the same network -- re-lowers nothing. Each
- * profiler resolves an op the first time one of its programs uses it
- * -- the tuner picks the tile, sim::timeKernel() on the device's
- * configuration gives the per-launch timing -- into a dense table of
- * the ops its programs use, reached through a four-byte index per op
- * id (op ids are the shared memo's, which numbers every op any of its
- * users interned), and folds programs out of that table with
- * sim::accountLaunch(), the arithmetic Gpu::executeAll() uses. That
- * table is the profiler's only per-device timing memo: the device's
- * timing cache serves Gpu::execute()/executeAll() alone. Profiles are
- * bit-identical to executing Model::lowerIteration() on the device,
- * because a cache hit returns exactly what timeKernel() computes.
+ * second workload of the same network -- re-lowers nothing. Ops are
+ * resolved and timed in the network's process-wide nn::ResolvedOps
+ * table for this profiler's (device configuration, tuner mode)
+ * (nn::Model::resolvedOps()): the first profiler whose programs use
+ * an op fills its slot -- the table's own probe picks the tile,
+ * sim::timeKernel() on the configuration gives the per-launch timing
+ * -- and every later profiler of any workload of the network reuses
+ * it. The profiler keeps, per op id, the address of each slot its
+ * programs use (null until it has accounted the op), records each
+ * GEMM shape those ops use in its own tuner with the stored probe
+ * cost, and folds programs out of the slots with sim::accountLaunch(),
+ * the arithmetic Gpu::executeAll() uses. Profiles are bit-identical
+ * to executing Model::lowerIteration() on the device, because tile
+ * choice and timing are pure functions of (op, configuration).
  */
 class Profiler
 {
@@ -49,6 +53,9 @@ class Profiler
      * Construct a profiler.
      *
      * Lifetimes: the gpu, model and tuner must outlive the profiler.
+     * A Measured tuner must be bound to a device configured like
+     * `gpu` (sim::sameEncodedConfig(); panics otherwise): the
+     * network's table for that configuration tunes for it.
      *
      * @param gpu Device to execute on.
      * @param model Network to lower.
@@ -141,12 +148,6 @@ class Profiler
     size_t cacheSize() const { return trainCache.size(); }
 
   private:
-    /** One op's per-launch timing on this profiler's device. */
-    struct OpTiming {
-        sim::KernelTiming timing;  ///< Per-launch timing.
-        sim::KernelClass klass{};  ///< Class of the resolved kernel.
-    };
-
     const sim::Gpu &gpu_;
     const nn::Model &model;
     nn::Autotuner &tuner;
@@ -155,12 +156,13 @@ class Profiler
     std::map<int64_t, IterationProfile> trainCache;
     std::map<int64_t, IterationProfile> inferCache;
 
-    /** Indexed by op id: 1 + the op's slot in opTimings, or 0 until
-     *  a program of ours has used the op and it has been timed. */
-    std::vector<uint32_t> opSlot;
+    /** The network's table for our (configuration, tuner mode),
+     *  acquired by the first sweep that times an op. */
+    std::shared_ptr<nn::ResolvedOps> table;
 
-    /** One timing per op our programs use, in first-use order. */
-    std::vector<OpTiming> opTimings;
+    /** Indexed by op id: the op's published slot in `table`, or null
+     *  until a program of ours has used the op and it is accounted. */
+    std::vector<const nn::ResolvedOp *> opSlot;
 
     const IterationProfile &memoized(
         int64_t seq_len, bool train,

@@ -128,8 +128,10 @@ std::vector<data::Batch> epochBatchSchedule(const data::Dataset &dataset,
  * kernels) + O(iterations).
  *
  * Constructs a fresh autotuner and profiler for the run, so every
- * call re-tunes and re-times each op and re-profiles its unique SLs
- * from scratch (the device's timing cache is not consulted). Prefer
+ * call re-profiles its unique SLs from scratch; ops are tuned and
+ * timed only where the network's shared table for the configuration
+ * lacks them (nn::Model::resolvedOps(); the device's timing cache is
+ * not consulted). Prefer
  * the Profiler overload when running several epochs or sharing
  * profiles with other queries.
  *

@@ -86,12 +86,13 @@ accountLaunch(ExecutionResult &res, KernelTiming &kt, KernelClass klass,
  * afresh because the timing model is a pure function of (signature,
  * configuration).
  *
- * The profiler does not go through that cache: it times each interned
- * op of a model's lowered programs once per device straight from the
- * timing model (timeKernel() on config()), keeps the result in a flat
- * array indexed by op id, and folds programs with accountLaunch() --
- * the same arithmetic executeAll() uses, without a lookup per launch
- * or per op.
+ * The profiler does not go through that cache: each interned op of a
+ * network's lowered programs is timed once per (configuration, tuner
+ * mode) per process straight from the timing model (timeKernel())
+ * into the network's shared nn::ResolvedOps table, indexed by op id,
+ * and profilers fold programs out of it with accountLaunch() -- the
+ * same arithmetic executeAll() uses, without a lookup per launch or
+ * per op.
  */
 class Gpu
 {

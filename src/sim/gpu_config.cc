@@ -5,6 +5,8 @@
 
 #include "sim/gpu_config.hh"
 
+#include <bit>
+
 #include "common/strutil.hh"
 
 namespace seqpoint {
@@ -150,6 +152,34 @@ decodeGpuConfig(ByteReader &r)
     cfg.launchOverheadSec = r.f64();
     cfg.writeDrainFraction = r.f64();
     return cfg;
+}
+
+namespace {
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+} // anonymous namespace
+
+bool
+sameEncodedConfig(const GpuConfig &a, const GpuConfig &b)
+{
+    return a.name == b.name && sameBits(a.gclkHz, b.gclkHz) &&
+        a.numCus == b.numCus && a.simdsPerCu == b.simdsPerCu &&
+        a.lanesPerSimd == b.lanesPerSimd &&
+        a.maxWavesPerCu == b.maxWavesPerCu &&
+        a.waveSize == b.waveSize && a.l1SizeBytes == b.l1SizeBytes &&
+        a.l1Assoc == b.l1Assoc && a.l2SizeBytes == b.l2SizeBytes &&
+        a.l2Assoc == b.l2Assoc && a.lineBytes == b.lineBytes &&
+        sameBits(a.l1BytesPerCycle, b.l1BytesPerCycle) &&
+        sameBits(a.l2BytesPerCycle, b.l2BytesPerCycle) &&
+        sameBits(a.dramBandwidth, b.dramBandwidth) &&
+        sameBits(a.dramEfficiency, b.dramEfficiency) &&
+        sameBits(a.launchOverheadSec, b.launchOverheadSec) &&
+        sameBits(a.writeDrainFraction, b.writeDrainFraction);
 }
 
 } // namespace sim

@@ -142,6 +142,15 @@ void encodeGpuConfig(ByteWriter &w, const GpuConfig &cfg);
 /** Decode a configuration written by encodeGpuConfig(). */
 GpuConfig decodeGpuConfig(ByteReader &r);
 
+/**
+ * Whether two configurations have the same encodeGpuConfig() byte
+ * image, field by field and without encoding: the equality the query
+ * service's warm key uses. Unlike GpuConfig::operator==, a NaN field
+ * matches itself (so a NaN config resolves to one state) and -0.0
+ * stays apart from 0.0.
+ */
+bool sameEncodedConfig(const GpuConfig &a, const GpuConfig &b);
+
 } // namespace sim
 } // namespace seqpoint
 

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <latch>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/stats_math.hh"
@@ -363,16 +366,17 @@ struct ColdAnswer {
 };
 
 /**
- * A cold query on a fresh Experiment: a SeqPoint selection on config
- * #1, projected to and measured on config #3.
+ * A cold query on a fresh Experiment: a SeqPoint selection on `ref`
+ * (default config #1), projected to and measured on `target`
+ * (default config #3).
  */
 ColdAnswer
-coldQuery(Workload wl)
+coldQuery(Workload wl,
+          const sim::GpuConfig &ref = sim::GpuConfig::config1(),
+          const sim::GpuConfig &target = sim::GpuConfig::config3())
 {
     Experiment exp(std::move(wl));
     exp.setProfileThreads(1);
-    const sim::GpuConfig ref = sim::GpuConfig::config1();
-    const sim::GpuConfig target = sim::GpuConfig::config3();
     ColdAnswer a;
     a.selection = exp.buildSelection(SelectorKind::SeqPoint, ref);
     a.projectedSec = exp.projectedTrainSec(a.selection, target);
@@ -484,6 +488,200 @@ TEST(SharedNetwork, ConcurrentColdQueriesMatchSerial)
             SCOPED_TRACE(seeds[i]);
             expectIdentical(shared[i], serial[i]);
         }
+    }
+}
+
+/**
+ * `cfg` with its launch overhead moved `ulps` representable doubles
+ * up: a configuration whose byte image no other test uses, so the
+ * network's resolved-op tables for it start empty.
+ */
+sim::GpuConfig
+nudged(sim::GpuConfig cfg, int ulps)
+{
+    for (int i = 0; i < ulps; ++i) {
+        cfg.launchOverheadSec = std::nextafter(
+            cfg.launchOverheadSec, std::numeric_limits<double>::infinity());
+    }
+    return cfg;
+}
+
+TEST(SharedNetwork, ConcurrentFirstFillOnFreshConfig)
+{
+    // Four threads per network race to fill the network's empty
+    // tables for two configurations nothing else in this binary
+    // queries: every op and shape slot is contended on first use.
+    const sim::GpuConfig ref = nudged(sim::GpuConfig::config1(), 1);
+    const sim::GpuConfig target = nudged(sim::GpuConfig::config3(), 1);
+    const std::vector<uint64_t> seeds{2101, 2102, 2103, 2104};
+    for (const Network &net : kNetworks) {
+        SCOPED_TRACE(net.name);
+        std::vector<ColdAnswer> serial;
+        for (uint64_t seed : seeds)
+            serial.push_back(coldQuery(
+                withFreshModel(net.make(seed), net.build()), ref, target));
+
+        std::vector<ColdAnswer> shared(seeds.size());
+        std::latch start(static_cast<std::ptrdiff_t>(seeds.size()));
+        std::vector<std::thread> threads;
+        for (size_t i = 0; i < seeds.size(); ++i)
+            threads.emplace_back([&, i] {
+                start.arrive_and_wait();
+                shared[i] = coldQuery(net.make(seeds[i]), ref, target);
+            });
+        for (std::thread &t : threads)
+            t.join();
+
+        for (size_t i = 0; i < seeds.size(); ++i) {
+            SCOPED_TRACE(seeds[i]);
+            expectIdentical(shared[i], serial[i]);
+        }
+    }
+}
+
+/** One config's epoch answer, with the tuner state it leaves. */
+struct EpochAnswer {
+    prof::TrainLog log;
+    std::string snapshot; ///< Encoded snapshot payload.
+};
+
+EpochAnswer
+epochAnswer(Workload wl, const sim::GpuConfig &cfg)
+{
+    Experiment exp(std::move(wl));
+    exp.setProfileThreads(1);
+    EpochAnswer a;
+    a.log = exp.epochLog(cfg);
+    a.snapshot = encodeSnapshotPayload(*exp.snapshot(cfg));
+    return a;
+}
+
+void
+expectIdentical(const EpochAnswer &got, const EpochAnswer &want)
+{
+    EXPECT_TRUE(got.log.identicalTo(want.log));
+    EXPECT_EQ(got.log.autotuneSec, want.log.autotuneSec);
+    EXPECT_TRUE(got.snapshot == want.snapshot);
+}
+
+TEST(SharedNetwork, ResolvedOpTablesAreCappedAndKeyed)
+{
+    constexpr uint64_t kSeed = 2201;
+    const size_t cap = nn::Model::kResolvedOpTables;
+    Workload probe = makeGnmtWorkload(kSeed);
+    const nn::Model &model = probe.model;
+
+    // More configurations than the cap, each with one field varied.
+    std::vector<sim::GpuConfig> cfgs;
+    for (size_t i = 0; i < cap + 2; ++i) {
+        sim::GpuConfig cfg = sim::GpuConfig::config1();
+        cfg.gclkHz += 1e6 * static_cast<double>(i + 1);
+        cfgs.push_back(cfg);
+    }
+    const EpochAnswer first = epochAnswer(makeGnmtWorkload(kSeed), cfgs[0]);
+    std::weak_ptr<nn::ResolvedOps> first_table =
+        model.resolvedOps(cfgs[0], nn::Autotuner::Mode::Measured);
+    EXPECT_GT(first_table.lock()->residentBytes(), 0u);
+    for (size_t i = 1; i < cfgs.size(); ++i) {
+        epochAnswer(makeGnmtWorkload(kSeed), cfgs[i]);
+        EXPECT_LE(model.resolvedOpTables(), cap) << "config " << i;
+    }
+    // Evicted, and no Experiment holds it any more.
+    EXPECT_TRUE(first_table.expired());
+
+    // The evicted configuration refills a fresh table to the same
+    // answer.
+    expectIdentical(epochAnswer(makeGnmtWorkload(kSeed), cfgs[0]), first);
+    EXPECT_LE(model.resolvedOpTables(), cap);
+
+    // Heuristic and Measured tuners pick different tiles: one table
+    // each. The same key finds the same table.
+    const sim::GpuConfig cfg = cfgs[0];
+    auto measured = model.resolvedOps(cfg, nn::Autotuner::Mode::Measured);
+    auto heuristic = model.resolvedOps(cfg, nn::Autotuner::Mode::Heuristic);
+    EXPECT_NE(measured, heuristic);
+    EXPECT_EQ(model.resolvedOps(cfg, nn::Autotuner::Mode::Measured),
+              measured);
+
+    // A Heuristic profiler on the configuration the Measured table
+    // already covers still matches executing its own lowering.
+    sim::Gpu gpu(cfg);
+    nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
+    prof::Profiler profiler(gpu, model, tuner, probe.batchSize);
+    const prof::IterationProfile &p = profiler.profileIteration(37);
+    nn::Autotuner oracle_tuner(nn::Autotuner::Mode::Heuristic);
+    sim::Gpu oracle_gpu(cfg);
+    const sim::ExecutionResult oracle = oracle_gpu.executeAll(
+        model.lowerIteration(probe.batchSize, 37, oracle_tuner));
+    EXPECT_EQ(p.timeSec, oracle.totalSec);
+    EXPECT_TRUE(p.counters == oracle.counters);
+
+    // -0.0 and 0.0 have different byte images: two tables. A NaN
+    // field matches itself: one.
+    sim::GpuConfig pos = cfg, neg = cfg, nan = cfg;
+    pos.launchOverheadSec = 0.0;
+    neg.launchOverheadSec = -0.0;
+    nan.launchOverheadSec = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NE(model.resolvedOps(pos, nn::Autotuner::Mode::Measured),
+              model.resolvedOps(neg, nn::Autotuner::Mode::Measured));
+    EXPECT_EQ(model.resolvedOps(nan, nn::Autotuner::Mode::Measured),
+              model.resolvedOps(nan, nn::Autotuner::Mode::Measured));
+    EXPECT_LE(model.resolvedOpTables(), cap);
+}
+
+TEST(SharedNetwork, SeededTunerEntriesStayOutOfTheTable)
+{
+    // A snapshot whose tuner names a wrong tile for one shape seeds an
+    // Experiment that then profiles an SL the snapshot lacks, filling
+    // new ops into the network's table. The table must hold its own
+    // probe's tile, so a later unseeded query stays exact.
+    constexpr uint64_t kSeed = 2301;
+    const sim::GpuConfig cfg = nudged(sim::GpuConfig::config2(), 1);
+    for (const Network &net : kNetworks) {
+        SCOPED_TRACE(net.name);
+        Experiment donor(withFreshModel(net.make(kSeed), net.build()));
+        donor.setProfileThreads(1);
+        auto snap = std::make_shared<ModelSnapshot>(*donor.snapshot(cfg));
+
+        int64_t sl = 1;
+        while (snap->trainProfiles.count(sl))
+            ++sl;
+
+        // Doctor the tile of a shape that SL's programs share with a
+        // snapshotted SL's, so later queries use it too.
+        nn::Model fresh = net.build();
+        nn::Autotuner lower_tuner(nn::Autotuner::Mode::Heuristic);
+        std::set<std::tuple<int64_t, int64_t, int64_t>> new_shapes;
+        for (const sim::KernelDesc &kd :
+             fresh.lowerIteration(snap->batchSize, sl, lower_tuner)) {
+            if (kd.klass == sim::KernelClass::Gemm)
+                new_shapes.emplace(kd.gemmM, kd.gemmN, kd.gemmK);
+        }
+        bool doctored = false;
+        for (const sim::KernelDesc &kd : fresh.lowerIteration(
+                 snap->batchSize, snap->trainProfiles.begin()->first,
+                 lower_tuner)) {
+            for (nn::AutotuneEntry &e : snap->tunerEntries) {
+                if (doctored || kd.klass != sim::KernelClass::Gemm ||
+                    e.m != kd.gemmM || e.n != kd.gemmN ||
+                    e.k != kd.gemmK || !new_shapes.count({e.m, e.n, e.k}))
+                    continue;
+                e.variant = e.variant.tileM == 16
+                    ? nn::GemmVariant{128, 128, 16}
+                    : nn::GemmVariant{16, 16, 16};
+                doctored = true;
+            }
+        }
+        ASSERT_TRUE(doctored);
+
+        Experiment seeded(net.make(kSeed));
+        seeded.setProfileThreads(1);
+        seeded.seedFrom(snap);
+        seeded.iterTime(cfg, sl);
+
+        const ColdAnswer want = coldQuery(
+            withFreshModel(net.make(kSeed + 1), net.build()), cfg, cfg);
+        expectIdentical(coldQuery(net.make(kSeed + 1), cfg, cfg), want);
     }
 }
 

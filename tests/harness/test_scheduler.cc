@@ -7,11 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "harness/scheduler.hh"
+#include "models/gnmt.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -67,6 +74,70 @@ TEST(ExperimentScheduler, ParallelSweepByteIdenticalToSerial)
     auto b = parallel.epochSweep(workloads, configs);
     ASSERT_EQ(a.size(), 12u);
     expectCellsIdentical(a, b);
+}
+
+/** @return A tuner section's encoded bytes (bit-exact costs). */
+std::string
+tunerBytes(const std::vector<nn::AutotuneEntry> &entries)
+{
+    ByteWriter w;
+    nn::encodeAutotuneSection(w, entries);
+    return w.data();
+}
+
+/** One cell's epoch answer and the thread that computed it. */
+struct SharedTableCell {
+    std::thread::id thread;
+    prof::TrainLog log;
+    std::vector<nn::AutotuneEntry> tuned;
+};
+
+TEST(ExperimentScheduler, CellsOfOneNetworkAndConfigRaceOnOneTable)
+{
+    // Two cells of one network on one configuration -- two dataset
+    // seeds of GNMT, on a configuration nothing else in this binary
+    // queries -- meet before they start, so they run at once on two
+    // pool threads and race to fill the network's empty resolved-op
+    // table. Each must equal a serial run on a model of its own.
+    sim::GpuConfig cfg = sim::GpuConfig::config2();
+    cfg.launchOverheadSec = std::nextafter(
+        cfg.launchOverheadSec, std::numeric_limits<double>::infinity());
+    const std::vector<uint64_t> seeds{3101, 3102};
+
+    std::atomic<int> arrived{0};
+    std::function<SharedTableCell(Experiment &, const sim::GpuConfig &)>
+        eval = [&arrived](Experiment &exp, const sim::GpuConfig &c) {
+            arrived.fetch_add(1);
+            const auto give_up = std::chrono::steady_clock::now() +
+                std::chrono::seconds(60);
+            while (arrived.load() < 2 &&
+                   std::chrono::steady_clock::now() < give_up)
+                std::this_thread::yield();
+            SharedTableCell cell;
+            cell.thread = std::this_thread::get_id();
+            cell.log = exp.epochLog(c);
+            cell.tuned = exp.snapshot(c)->tunerEntries;
+            return cell;
+        };
+    const auto cells = ExperimentScheduler(2).mapCells<SharedTableCell>(
+        {[&] { return makeGnmtWorkload(seeds[0]); },
+         [&] { return makeGnmtWorkload(seeds[1]); }},
+        {cfg}, eval);
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_NE(cells[0].thread, cells[1].thread);
+
+    for (size_t i = 0; i < cells.size(); ++i) {
+        SCOPED_TRACE(seeds[i]);
+        Workload wl = makeGnmtWorkload(seeds[i]);
+        wl.model = models::buildGnmt();
+        Experiment exp(std::move(wl));
+        exp.setProfileThreads(1);
+        const prof::TrainLog &log = exp.epochLog(cfg);
+        EXPECT_TRUE(cells[i].log.identicalTo(log));
+        EXPECT_EQ(cells[i].log.autotuneSec, log.autotuneSec);
+        EXPECT_EQ(tunerBytes(cells[i].tuned),
+                  tunerBytes(exp.snapshot(cfg)->tunerEntries));
+    }
 }
 
 TEST(ExperimentScheduler, MatchesDirectSerialExperimentLoop)

@@ -325,6 +325,51 @@ ageFile(const std::string &path, int hours_ago)
                             std::chrono::hours(hours_ago));
 }
 
+TEST(SnapshotRegistry, OpenDeletesOtherBuildsFiles)
+{
+    std::string dir = tmpPath("store_other_builds");
+    fs::remove_all(dir);
+    std::string own = tinyPath(dir, "wl-own");
+    {
+        SnapshotRegistry writer(dir);
+        putTiny(writer, "wl-own");
+    }
+    ASSERT_TRUE(fs::exists(own));
+
+    // The same name with another build identity, as an older build
+    // of the source would have written it.
+    const std::string own_name = fs::path(own).filename().string();
+    std::string other_id = own_name.substr(5, 16);
+    other_id[0] = other_id[0] == '0' ? '1' : '0';
+    const std::string other = (fs::path(dir) / ("snap-" + other_id +
+                                                own_name.substr(21)))
+                                  .string();
+    writeFile(other, fromOtherBuild(readFile(own)));
+    // Names that are not another build's store files stay.
+    const std::vector<std::string> keep = {
+        other + ".tmp", other + ".corrupt", own + ".corrupt",
+        (fs::path(dir) / "notes.txt").string(),
+        (fs::path(dir) / ("snap-" + other_id + ".bin")).string(),
+    };
+    for (const std::string &path : keep)
+        writeFile(path, "x");
+    EXPECT_TRUE(otherBuildsStoreFile(fs::path(other).filename().string()));
+    EXPECT_FALSE(otherBuildsStoreFile(own_name));
+
+    SnapshotRegistry reg(dir);
+    EXPECT_FALSE(fs::exists(other));
+    for (const std::string &path : keep)
+        EXPECT_TRUE(fs::exists(path)) << path;
+
+    // This build's file survived and still hits.
+    ASSERT_TRUE(fs::exists(own));
+    auto snap = tinySnapshot("wl-own");
+    auto got = reg.acquire(snapshotKeyOf(*snap), [&] { return snap; });
+    ASSERT_TRUE(got != nullptr);
+    EXPECT_EQ(reg.stats().diskHits, 1u);
+    EXPECT_EQ(reg.stats().builds, 0u);
+}
+
 TEST(SnapshotRegistry, StrictToggleIsSafeDuringConcurrentLookups)
 {
     // Regression: strict_ used to be a plain bool that the disk-load

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -427,6 +428,26 @@ TEST(AutotunerDeath, RejectsBadDims)
 {
     Autotuner tuner(Autotuner::Mode::Heuristic);
     EXPECT_DEATH(tuner.select(0, 10, 10), "non-positive");
+}
+
+TEST(AutotunerDeath, RecordsFromOneTableOnly)
+{
+    // Shape ids number one network's shapes, so a tuner accounts the
+    // shapes of one table until it is reset.
+    Autotuner tuner(Autotuner::Mode::Heuristic);
+    const AutotuneEntry entry{64, 64, 64, GemmVariant(), 0.0};
+    auto order = std::make_shared<const std::vector<uint32_t>>(
+        std::vector<uint32_t>{0});
+    auto first = std::make_shared<int>(1);
+    tuner.record(first, order, {{0, &entry}});
+    tuner.record(first, order, {{0, &entry}});
+    EXPECT_EQ(tuner.cacheSize(), 1u);
+    EXPECT_DEATH(tuner.record(std::make_shared<int>(2), order,
+                              {{0, &entry}}),
+                 "second table");
+    tuner.reset();
+    tuner.record(std::make_shared<int>(2), order, {{0, &entry}});
+    EXPECT_EQ(tuner.cacheSize(), 1u);
 }
 
 } // anonymous namespace

@@ -128,10 +128,19 @@ TEST(Model, ProgramsAreMemoizedOverSharedOps)
         for (const ProgramStep &step : *prog)
             max_op = std::max(max_op, step.op);
     EXPECT_EQ(m.opCount(), max_op + 1);
-    for (const ProgramStep &step : a) {
-        sim::KernelDesc op = m.op(step.op);
-        EXPECT_EQ(op.tileM, 0u);
-        EXPECT_EQ(op.repeat, 1u);
+    // Ops are unresolved; GEMMs, and only GEMMs, carry a shape id.
+    std::vector<uint32_t> ids;
+    for (const ProgramStep &step : a)
+        ids.push_back(step.op);
+    std::vector<sim::KernelDesc> ops;
+    std::vector<uint32_t> shapes;
+    m.copyOps(ids, ops, shapes);
+    ASSERT_EQ(ops.size(), ids.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+        EXPECT_EQ(ops[i].tileM, 0u);
+        EXPECT_EQ(ops[i].repeat, 1u);
+        EXPECT_EQ(shapes[i] != kNoShape,
+                  ops[i].klass == sim::KernelClass::Gemm);
     }
 
     // Resolving the program reproduces the launch stream.

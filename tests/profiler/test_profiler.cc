@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/cancel.hh"
@@ -108,38 +111,74 @@ TEST(Profiler, ClassSharesSumToOne)
     EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
+/** Expect two tuners to hold bit-identical accounts. */
+void
+expectSameTunerAccount(const nn::Autotuner &got, const nn::Autotuner &want)
+{
+    EXPECT_EQ(got.cacheSize(), want.cacheSize());
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.tuningCostSec()),
+              std::bit_cast<uint64_t>(want.tuningCostSec()));
+    const std::vector<nn::AutotuneEntry> g = got.snapshotEntries();
+    const std::vector<nn::AutotuneEntry> w = want.snapshotEntries();
+    ASSERT_EQ(g.size(), w.size());
+    for (size_t i = 0; i < g.size(); ++i) {
+        EXPECT_EQ(g[i].m, w[i].m);
+        EXPECT_EQ(g[i].n, w[i].n);
+        EXPECT_EQ(g[i].k, w[i].k);
+        EXPECT_EQ(g[i].variant.tileM, w[i].variant.tileM);
+        EXPECT_EQ(g[i].variant.tileN, w[i].variant.tileN);
+        EXPECT_EQ(g[i].variant.tileK, w[i].variant.tileK);
+        EXPECT_EQ(std::bit_cast<uint64_t>(g[i].costSec),
+                  std::bit_cast<uint64_t>(w[i].costSec));
+    }
+}
+
 TEST(Profiler, CancelledSweepResumesBitIdentically)
 {
     // A deadline firing part-way through a sweep leaves some ops timed
-    // and the rest not; the next sweep must time exactly the rest and
-    // fold what an uninterrupted profiler folds.
-    sim::Gpu gpu(sim::GpuConfig::config1());
-    nn::Model model = models::buildDs2();
+    // and the rest not; the next sweep must time exactly the rest,
+    // fold what an uninterrupted profiler folds and leave its tuner
+    // with the account an uninterrupted sweep leaves.
     std::vector<int64_t> sls;
     for (int64_t sl = 40; sl <= 440; sl += 8)
         sls.push_back(sl);
-    nn::Autotuner ref_tuner(nn::Autotuner::Mode::Heuristic);
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    nn::Model model = models::buildDs2();
+    nn::Autotuner ref_tuner(nn::Autotuner::Mode::Measured, &gpu);
     Profiler ref(gpu, model, ref_tuner, 64);
     ref.warmTrainProfiles(sls, 1);
+    ASSERT_GT(ref_tuner.cacheSize(), 0u);
 
-    // The programs are lowered now, so a sweep is mostly op timing and
-    // deadlines spread over one sweep's length land inside it.
-    double full = CancelToken::now();
+    // Every later profiler runs on config1 under a name of its own:
+    // the same timings, but a table no other profiler has filled, so
+    // a sweep is mostly probing and timing ops (the programs are
+    // lowered now) and deadlines spread over one sweep's length land
+    // inside the fill and its accounting.
+    auto renamed = [](int k) {
+        sim::GpuConfig cfg = sim::GpuConfig::config1();
+        cfg.name += "-cancelled-sweep-" + std::to_string(k);
+        return cfg;
+    };
+    double full = 0.0;
     {
-        nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-        Profiler p(gpu, model, tuner, 64);
+        sim::Gpu g(renamed(-1));
+        nn::Autotuner tuner(nn::Autotuner::Mode::Measured, &g);
+        Profiler p(g, model, tuner, 64);
+        full = CancelToken::now();
         p.warmTrainProfiles(sls, 1);
+        full = CancelToken::now() - full;
     }
-    full = CancelToken::now() - full;
 
+    constexpr int kDeadlines = 32;
     unsigned cancelled = 0;
-    for (int k = 0; k <= 8; ++k) {
+    for (int k = 0; k <= kDeadlines; ++k) {
         SCOPED_TRACE(k);
-        nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
-        Profiler p(gpu, model, tuner, 64);
+        sim::Gpu g(renamed(k));
+        nn::Autotuner tuner(nn::Autotuner::Mode::Measured, &g);
+        Profiler p(g, model, tuner, 64);
         {
             CancelToken token;
-            token.armAfter(full * k / 8);
+            token.armAfter(full * k / kDeadlines);
             CancelScope scope(&token);
             try {
                 p.warmTrainProfiles(sls, 1);
@@ -155,8 +194,25 @@ TEST(Profiler, CancelledSweepResumesBitIdentically)
             EXPECT_EQ(got.launches, want.launches);
             EXPECT_TRUE(got.classTimeSec == want.classTimeSec);
         }
+        expectSameTunerAccount(tuner, ref_tuner);
     }
     EXPECT_GT(cancelled, 0u);
+}
+
+TEST(ProfilerDeath, MeasuredTunerOnAnotherConfigurationPanics)
+{
+    // The network's table for the profiler's configuration tunes for
+    // that configuration, so a Measured tuner must be bound to it.
+    sim::Gpu gpu(sim::GpuConfig::config1());
+    sim::Gpu other(sim::GpuConfig::config2());
+    nn::Model model = smallRnn();
+    nn::Autotuner tuner(nn::Autotuner::Mode::Measured, &other);
+    EXPECT_DEATH(Profiler(gpu, model, tuner, 64), "different configuration");
+
+    // A Heuristic tuner picks tiles from the shape alone.
+    nn::Autotuner heuristic(nn::Autotuner::Mode::Heuristic);
+    Profiler p(gpu, model, heuristic, 64);
+    EXPECT_GT(p.profileIteration(30).timeSec, 0.0);
 }
 
 TEST(ProfileCompare, IdenticalProfilesFullyOverlap)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Cross-path timing oracle. The profiler times each op once per
- * device straight from the timing model and folds programs out of
- * its op-id table; Gpu::executeAll() looks every launch up in the
+ * Cross-path timing oracle. The profiler folds programs out of the
+ * network's shared op-id table, where each op is timed once per
+ * configuration straight from the timing model; Gpu::executeAll()
+ * looks every launch up in the
  * device's signature-keyed timing cache. Both must give the same
  * iteration, bit for bit, on every Table II configuration.
  */
