@@ -3,8 +3,8 @@
  * String formatting helpers (csprintf and friends).
  *
  * GCC 12 lacks std::format, so we provide a checked printf-style
- * formatter plus a few join/split utilities used by the table and CSV
- * writers.
+ * formatter plus a few join/split utilities used by the table
+ * writer.
  */
 
 #ifndef SEQPOINT_COMMON_STRUTIL_HH

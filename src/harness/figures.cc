@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/status.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -40,6 +41,28 @@ defaultThreads(unsigned threads)
 {
     return threads ? threads
                    : std::max(1u, std::thread::hardware_concurrency());
+}
+
+/**
+ * A figure is only as good as its worst cell: a cell that failed
+ * after its retries left a default-constructed result behind, so the
+ * sweep fails with the first failed cell's error, in cell order.
+ */
+void
+throwOnFailedCell(const char *sweep,
+                  const std::vector<CellTiming> &timings,
+                  const std::vector<sim::GpuConfig> &cfgs)
+{
+    for (std::size_t cell = 0; cell < timings.size(); ++cell) {
+        const CellOutcome &outcome = timings[cell].outcome;
+        if (!outcome.failed)
+            continue;
+        throw RecoverableError(Status::error(
+            ErrorCode::CellFailed,
+            csprintf("%s: cell %s failed after %u attempt(s): %s",
+                     sweep, cfgs[cell % cfgs.size()].name.c_str(),
+                     outcome.attempts, outcome.error.c_str())));
+    }
 }
 
 } // anonymous namespace
@@ -126,14 +149,20 @@ runFigureSweepScheduled(const WorkloadFactory &make, unsigned threads,
             return evalColumn(exp, cfg, snap->selections);
         };
 
-    FigureSweep sweep;
+    const std::vector<WorkloadFactory> rows = {make};
+    ExperimentScheduler::SnapshotProvider provider;
     if (registry) {
-        sweep.columns =
-            sched.mapCells<FigureColumn>({make}, cfgs, eval, *registry);
+        provider = registrySnapshots(*registry, rows);
     } else {
-        sweep.columns = sched.mapCells<FigureColumn>({make}, cfgs, eval,
-                                                     {snap});
+        provider = [&snap](std::size_t, const sim::GpuConfig &,
+                           Experiment &) { return snap; };
     }
+
+    FigureSweep sweep;
+    std::vector<CellTiming> timings;
+    sweep.columns = sched.mapCells<FigureColumn>(rows, cfgs, eval,
+                                                 provider, &timings);
+    throwOnFailedCell("figure sweep", timings, cfgs);
     sweep.selections = snap->selections;
     return sweep;
 }
@@ -232,8 +261,10 @@ runSensitivitySweepScheduled(const WorkloadFactory &make, int64_t sl_lo,
         };
     }
 
-    std::vector<CellResult> cells =
-        sched.mapCells<CellResult>({make}, cfgs, eval, provider);
+    std::vector<CellTiming> timings;
+    std::vector<CellResult> cells = sched.mapCells<CellResult>(
+        {make}, cfgs, eval, provider, &timings);
+    throwOnFailedCell("sensitivity sweep", timings, cfgs);
 
     SensitivitySweep sweep;
     sweep.sls = std::move(sls); // after the cells are done with it

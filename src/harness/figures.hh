@@ -90,8 +90,12 @@ FigureSweep runFigureSweepSerial(const WorkloadFactory &make,
  * @param make Workload factory.
  * @param threads Scheduler width; 0 picks the hardware concurrency.
  * @param registry Optional snapshot registry.
- * @param cell_retries Extra attempts for a failing cell before it is
- *                     recorded as failed (fault containment).
+ * @param cell_retries Extra attempts for a failing cell (fault
+ *                     containment); a retry that survives its fault
+ *                     converges to the clean result.
+ * @throws RecoverableError (CellFailed) carrying the first failed
+ *         cell's error, in cell order, when a cell still fails after
+ *         its retries -- never a sweep with a default-filled column.
  */
 FigureSweep runFigureSweepScheduled(const WorkloadFactory &make,
                                     unsigned threads = 0,
@@ -148,8 +152,12 @@ SensitivitySweep runSensitivitySweepSerial(const WorkloadFactory &make,
  * @param step Sweep step.
  * @param threads Scheduler width; 0 picks the hardware concurrency.
  * @param registry Optional snapshot registry.
- * @param cell_retries Extra attempts for a failing cell before it is
- *                     recorded as failed (fault containment).
+ * @param cell_retries Extra attempts for a failing cell (fault
+ *                     containment); a retry that survives its fault
+ *                     converges to the clean result.
+ * @throws RecoverableError (CellFailed) carrying the first failed
+ *         cell's error, in cell order, when a cell still fails after
+ *         its retries -- never a sweep with a default-filled column.
  */
 SensitivitySweep
 runSensitivitySweepScheduled(const WorkloadFactory &make, int64_t sl_lo,

@@ -27,14 +27,6 @@ ExperimentScheduler::wallNow()
 }
 
 void
-ExperimentScheduler::backoffSleep(double seconds)
-{
-    if (seconds > 0.0)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(seconds));
-}
-
-void
 ExperimentScheduler::forEachCell(
     std::size_t num_workloads, std::size_t num_configs,
     const std::function<void(std::size_t, std::size_t, std::size_t)> &fn)
@@ -60,85 +52,16 @@ ExperimentScheduler::forEachCell(
     ThreadPool::shared().parallelFor(cells, body, numThreads);
 }
 
-namespace {
-
-/** The standard epoch-sweep cell body, shared by both overloads. */
-EpochCellResult
-epochCell(Experiment &exp, const sim::GpuConfig &cfg)
+ExperimentScheduler::SnapshotProvider
+registrySnapshots(SnapshotRegistry &registry,
+                  const std::vector<WorkloadFactory> &workloads)
 {
-    const prof::TrainLog &log = exp.epochLog(cfg);
-    EpochCellResult r;
-    r.workload = exp.workload().name;
-    r.config = cfg.name;
-    r.iterations = log.numIterations();
-    r.trainSec = log.trainSec;
-    r.evalSec = log.evalSec;
-    r.throughput = log.throughput(exp.workload().batchSize);
-    r.counters = log.counters;
-    return r;
-}
-
-/**
- * Mark the failed cells of an epoch sweep explicitly: a failed cell's
- * result slot is default-constructed by mapCells(), so copy the
- * containment record (and what identity is cheaply known -- the
- * config name directly, the workload name from a surviving sibling in
- * the same row) into the result a consumer will actually read.
- */
-void
-annotateFailedCells(std::vector<EpochCellResult> &results,
-                    const std::vector<CellTiming> &timings,
-                    const std::vector<sim::GpuConfig> &configs)
-{
-    std::size_t num_configs = configs.size();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!timings[i].outcome.failed)
-            continue;
-        EpochCellResult &r = results[i];
-        r.failed = true;
-        r.error = timings[i].outcome.error;
-        r.config = configs[i % num_configs].name;
-        std::size_t row = i / num_configs;
-        for (std::size_t c = 0; c < num_configs; ++c) {
-            const EpochCellResult &sib = results[row * num_configs + c];
-            if (!sib.failed && !sib.workload.empty()) {
-                r.workload = sib.workload;
-                break;
-            }
-        }
-    }
-}
-
-} // anonymous namespace
-
-std::vector<EpochCellResult>
-ExperimentScheduler::epochSweep(
-    const std::vector<WorkloadFactory> &workloads,
-    const std::vector<sim::GpuConfig> &configs,
-    const Snapshots &snapshots,
-    std::vector<CellTiming> *timings) const
-{
-    std::vector<CellTiming> local;
-    std::vector<CellTiming> *t = timings ? timings : &local;
-    auto results = mapCells<EpochCellResult>(workloads, configs,
-                                             epochCell, snapshots, t);
-    annotateFailedCells(results, *t, configs);
-    return results;
-}
-
-std::vector<EpochCellResult>
-ExperimentScheduler::epochSweep(
-    const std::vector<WorkloadFactory> &workloads,
-    const std::vector<sim::GpuConfig> &configs,
-    SnapshotRegistry &registry,
-    std::vector<CellTiming> *timings) const
-{
-    std::vector<CellTiming> local;
-    std::vector<CellTiming> *t = timings ? timings : &local;
-    auto results = mapCells<EpochCellResult>(workloads, configs,
-                                             epochCell, registry, t);
-    annotateFailedCells(results, *t, configs);
-    return results;
+    return [&registry, &workloads](std::size_t w,
+                                   const sim::GpuConfig &cfg,
+                                   Experiment &exp) {
+        return registry.acquire(exp.workload(), workloads[w], cfg, 1,
+                                exp.options());
+    };
 }
 
 } // namespace harness

@@ -4,18 +4,20 @@
  * (workload x configuration) sweep cells concurrently on the
  * process-wide ThreadPool (capped at the sweep's configured width, so
  * repeated sweeps pay no thread setup). Every cell gets its own
- * Experiment (and
- * therefore its own per-config ConfigStates, timing caches and
- * autotuner), so cells never share mutable state; results merge in
- * deterministic workload-major, config-minor order and are
+ * Experiment, and with it its own per-config devices and autotuners.
+ * Cells of one network do share that network's process-lifetime
+ * nn::Model: its per-SL program memo and its resolved-op table per
+ * (configuration, tuner mode). Both are filled under their own
+ * synchronisation, and each entry is a pure function of its key
+ * (the SL; the configuration and op), so whichever cell fills an
+ * entry first writes what any other cell would have written. Results
+ * merge in deterministic workload-major, config-minor order and are
  * byte-identical to a serial sweep regardless of scheduling.
  */
 
 #ifndef SEQPOINT_HARNESS_SCHEDULER_HH
 #define SEQPOINT_HARNESS_SCHEDULER_HH
 
-#include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,7 +27,6 @@
 #include "common/cancel.hh"
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "common/status.hh"
 #include "common/thread_pool.hh"
 #include "harness/experiment.hh"
@@ -39,7 +40,8 @@ namespace harness {
  * Terminal outcome of one sweep cell under fault containment: how
  * many attempts the cell consumed and, when even the last one failed,
  * the error that stopped it. A failed cell never aborts the sweep --
- * its result slot stays default-constructed and is marked explicitly.
+ * its result slot stays default-constructed, so a caller that reads
+ * results must check this record first.
  */
 struct CellOutcome {
     bool failed = false;   ///< True when every attempt failed.
@@ -48,11 +50,11 @@ struct CellOutcome {
 };
 
 /**
- * Wall-time breakdown of one sweep cell, for the bench reports that
- * chase scheduler regressions: where a cell's time goes -- standing
- * the Experiment up (construction + snapshot seeding) versus running
- * the cell body. Collected outside the results so identity
- * comparisons (parallel vs serial) stay exact.
+ * Per-cell record of one sweep: its fault-containment outcome and
+ * where its wall time went -- standing the Experiment up
+ * (construction + snapshot seeding) versus running the cell body.
+ * Collected outside the results so identity comparisons (parallel vs
+ * serial) stay exact.
  */
 struct CellTiming {
     double totalSec = 0.0; ///< Construct + seed + eval, wall time.
@@ -62,19 +64,6 @@ struct CellTiming {
 
     /** @return Cell-body (eval) wall time. */
     double evalSec() const { return totalSec - setupSec; }
-};
-
-/** Epoch-level measurements of one (workload, config) sweep cell. */
-struct EpochCellResult {
-    std::string workload;       ///< Workload name.
-    std::string config;         ///< Configuration name.
-    std::size_t iterations = 0; ///< Epoch iteration count.
-    double trainSec = 0.0;      ///< Epoch training time.
-    double evalSec = 0.0;       ///< Evaluation-phase time.
-    double throughput = 0.0;    ///< Training throughput (samples/s).
-    sim::PerfCounters counters; ///< Summed training counters.
-    bool failed = false;        ///< Cell failed after its retries.
-    std::string error;          ///< Terminal error ("" when OK).
 };
 
 /**
@@ -114,75 +103,6 @@ class ExperimentScheduler
      */
     void setCellRetries(unsigned retries) { cellRetries = retries; }
 
-    /** @return Extra attempts granted to a failing cell. */
-    unsigned retriesPerCell() const { return cellRetries; }
-
-    /**
-     * Delay before each retry of a failing cell (a real store race or
-     * NFS hiccup needs a moment to clear; injected faults in tests
-     * want 0), with optional deterministic jitter so cells felled by
-     * the same fault storm don't all hammer the registry again on the
-     * same beat.
-     *
-     * @param seconds Base sleep before retry attempt n+1, in seconds.
-     * @param jitter_frac Jitter amplitude as a fraction of `seconds`:
-     *        each (cell, attempt) sleeps seconds * u with u uniform
-     *        in [1-j, 1+j], derived from `seed` and the cell's
-     *        coordinates -- reproducible across runs and thread
-     *        counts, but decorrelated across cells. 0 disables.
-     * @param seed Jitter derivation seed.
-     */
-    void
-    setRetryBackoff(double seconds, double jitter_frac = 0.0,
-                    uint64_t seed = 0x5eedba11u)
-    {
-        backoffSec = seconds;
-        jitterFrac = jitter_frac;
-        jitterSeed = seed;
-    }
-
-    /** @return Base sleep before each retry, in seconds. */
-    double retryBackoffSec() const { return backoffSec; }
-
-    /** @return Jitter amplitude fraction (0 = no jitter). */
-    double retryJitterFrac() const { return jitterFrac; }
-
-    /**
-     * The actual (jittered) sleep before retry `attempt` of cell
-     * (w, c): a pure function of the configured backoff, jitter seed
-     * and the cell coordinates. Exposed so tests can assert
-     * reproducibility without racing real clocks.
-     */
-    double
-    retryDelaySec(std::size_t w, std::size_t c, unsigned attempt) const
-    {
-        if (backoffSec <= 0.0)
-            return 0.0;
-        if (jitterFrac <= 0.0)
-            return backoffSec;
-        // One independent PCG stream per (cell, attempt): fully
-        // deterministic, and adjacent cells land on decorrelated
-        // points of [1-j, 1+j].
-        Rng rng(jitterSeed,
-                (static_cast<uint64_t>(w) << 42) ^
-                    (static_cast<uint64_t>(c) << 21) ^ attempt);
-        double u = rng.uniformDouble(1.0 - jitterFrac,
-                                     1.0 + jitterFrac);
-        return std::max(0.0, backoffSec * u);
-    }
-
-    /**
-     * Per-workload shared cold-start snapshots for mapCells(): either
-     * empty (no sharing) or one entry per workload row, where entry w
-     * (null allowed) seeds every cell of row w via
-     * Experiment::seedFrom(). Cells whose configuration matches the
-     * snapshot skip the model-lowering/autotune/profile cold start;
-     * all other cells run cold. Results stay byte-identical either
-     * way, so sharing only changes wall time.
-     */
-    using Snapshots =
-        std::vector<std::shared_ptr<const ModelSnapshot>>;
-
     /**
      * Per-cell snapshot source for mapCells(): invoked on the cell's
      * pool thread with (workload row, cell configuration, the cell's
@@ -206,11 +126,17 @@ class ExperimentScheduler
      * @param workloads Workload factories, one per sweep row.
      * @param configs Hardware configurations, one per sweep column.
      * @param eval Cell body; runs on a pool thread with a private
-     *             Experiment. Must not touch shared mutable state.
+     *             Experiment. Its result must be a pure function of
+     *             (workload, config). Through the Experiment it
+     *             fills state other cells share (the network's
+     *             program memo and resolved-op tables; safe, see the
+     *             file comment); it must write no other state that
+     *             another cell can see.
      * @param snapshots Per-cell snapshot source, or null for none.
-     * @param timings Optional per-cell wall-time breakdown out
-     *                (resized to the cell count; same indexing as
-     *                the results). Never affects the results.
+     * @param timings Optional per-cell record out (resized to the
+     *                cell count; same indexing as the results): each
+     *                cell's outcome and wall-time breakdown. A failed
+     *                cell shows only here. Never affects the results.
      * @return Results in workload-major, config-minor order.
      */
     template <typename R>
@@ -219,7 +145,7 @@ class ExperimentScheduler
              const std::vector<sim::GpuConfig> &configs,
              const std::function<R(Experiment &,
                                    const sim::GpuConfig &)> &eval,
-             const SnapshotProvider &snapshots,
+             const SnapshotProvider &snapshots = {},
              std::vector<CellTiming> *timings = nullptr) const
     {
         // vector<bool> packs bits, so concurrent element writes from
@@ -282,7 +208,6 @@ class ExperimentScheduler
                     warn("scheduler: cell %zu/%zu attempt %u failed "
                          "(%s); retrying",
                          w, c, attempt, outcome.error.c_str());
-                    backoffSleep(retryDelaySec(w, c, attempt));
                 }
                 if (timings) {
                     (*timings)[cell].totalSec = wallNow() - t0;
@@ -293,121 +218,12 @@ class ExperimentScheduler
         return results;
     }
 
-    /**
-     * Evaluate `eval` on every cell with per-workload-row snapshots:
-     * either empty (no sharing) or one entry per workload row, where
-     * entry w (null allowed) seeds every cell of row w. Cells whose
-     * configuration matches their row snapshot skip the cold start;
-     * all other cells run cold. Byte-identical either way.
-     */
-    template <typename R>
-    std::vector<R>
-    mapCells(const std::vector<WorkloadFactory> &workloads,
-             const std::vector<sim::GpuConfig> &configs,
-             const std::function<R(Experiment &,
-                                   const sim::GpuConfig &)> &eval,
-             const Snapshots &snapshots = {},
-             std::vector<CellTiming> *timings = nullptr) const
-    {
-        panic_if(!snapshots.empty() &&
-                     snapshots.size() != workloads.size(),
-                 "mapCells: %zu snapshot(s) for %zu workload row(s)",
-                 snapshots.size(), workloads.size());
-        SnapshotProvider provider;
-        if (!snapshots.empty()) {
-            provider = [&snapshots](std::size_t w,
-                                    const sim::GpuConfig &,
-                                    Experiment &) {
-                return snapshots[w];
-            };
-        }
-        return mapCells<R>(workloads, configs, eval, provider, timings);
-    }
-
-    /**
-     * Evaluate `eval` on every cell with the registry as the snapshot
-     * source: each cell acquires (get-or-build, single-flight) the
-     * snapshot for its own (workload, configuration) identity, so a
-     * sweep both auto-warms from earlier builds -- in-process or, with
-     * a store directory, from earlier bench binaries and CI runs --
-     * and leaves every cell's cold start behind for later consumers.
-     * Byte-identical to the registry-free sweep at any thread count.
-     *
-     * @param workloads Workload factories, one per sweep row.
-     * @param configs Hardware configurations, one per sweep column.
-     * @param eval Cell body (see above).
-     * @param registry Snapshot registry (shared; thread-safe).
-     * @return Results in workload-major, config-minor order.
-     */
-    template <typename R>
-    std::vector<R>
-    mapCells(const std::vector<WorkloadFactory> &workloads,
-             const std::vector<sim::GpuConfig> &configs,
-             const std::function<R(Experiment &,
-                                   const sim::GpuConfig &)> &eval,
-             SnapshotRegistry &registry,
-             std::vector<CellTiming> *timings = nullptr) const
-    {
-        return mapCells<R>(
-            workloads, configs, eval,
-            SnapshotProvider([&registry, &workloads](
-                                 std::size_t w,
-                                 const sim::GpuConfig &cfg,
-                                 Experiment &exp) {
-                // Key from the cell's own workload instance -- a
-                // cache hit costs no second workload build.
-                return registry.acquire(exp.workload(), workloads[w],
-                                        cfg, 1, exp.options());
-            }),
-            timings);
-    }
-
-    /**
-     * Run the standard epoch sweep: one full training epoch per
-     * (workload x config) cell, epoch-level measurements out.
-     *
-     * @param workloads Workload factories.
-     * @param configs Hardware configurations.
-     * @param snapshots Optional per-workload cold-start snapshots.
-     * @param timings Optional per-cell wall-time breakdown out.
-     * @return Cell results in workload-major, config-minor order.
-     */
-    std::vector<EpochCellResult>
-    epochSweep(const std::vector<WorkloadFactory> &workloads,
-               const std::vector<sim::GpuConfig> &configs,
-               const Snapshots &snapshots = {},
-               std::vector<CellTiming> *timings = nullptr) const;
-
-    /**
-     * Registry-aware epoch sweep: every cell acquires its own
-     * (workload, configuration) snapshot from the registry -- reusing
-     * any cached/persisted cold start and building (and persisting)
-     * the missing ones. Byte-identical to the registry-free sweep.
-     *
-     * @param workloads Workload factories.
-     * @param configs Hardware configurations.
-     * @param registry Snapshot registry (shared; thread-safe).
-     * @param timings Optional per-cell wall-time breakdown out.
-     * @return Cell results in workload-major, config-minor order.
-     */
-    std::vector<EpochCellResult>
-    epochSweep(const std::vector<WorkloadFactory> &workloads,
-               const std::vector<sim::GpuConfig> &configs,
-               SnapshotRegistry &registry,
-               std::vector<CellTiming> *timings = nullptr) const;
-
   private:
     unsigned numThreads;
     unsigned cellRetries = 0;
-    double backoffSec = 0.0;
-    double jitterFrac = 0.0;
-    uint64_t jitterSeed = 0x5eedba11u;
 
     /** Monotonic wall clock in seconds (cell-timing collection). */
     static double wallNow();
-
-    /** Sleep `seconds` before a retry (no-op for 0). */
-    static void backoffSleep(double seconds);
 
     /**
      * Invoke fn(cell, w, c) for every cell, across the pool when
@@ -418,6 +234,26 @@ class ExperimentScheduler
         const std::function<void(std::size_t, std::size_t, std::size_t)>
             &fn) const;
 };
+
+/**
+ * A mapCells() snapshot source backed by `registry`: each cell
+ * acquires (get-or-build, single-flight) the snapshot for its own
+ * (workload, configuration) identity, keyed from the cell's own
+ * workload instance, so a hit costs no second workload build. A
+ * sweep through it both warms from earlier builds -- in this process
+ * or, with a store directory, from earlier runs -- and leaves every
+ * cell's cold start behind for later consumers. Byte-identical to a
+ * sweep without snapshots at any thread count.
+ *
+ * @param registry Snapshot registry (shared; thread-safe).
+ * @param workloads The sweep's workload rows (the factories builds
+ *                  use). Both are captured by reference and must
+ *                  outlive every mapCells() call the provider serves.
+ * @return The provider.
+ */
+ExperimentScheduler::SnapshotProvider
+registrySnapshots(SnapshotRegistry &registry,
+                  const std::vector<WorkloadFactory> &workloads);
 
 } // namespace harness
 } // namespace seqpoint

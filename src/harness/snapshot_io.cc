@@ -436,35 +436,5 @@ tryLoadSnapshot(const std::string &path, const SnapshotKey *expect)
     }
 }
 
-namespace {
-
-/** Shared fail-fast wrapper over tryLoadSnapshot(). */
-std::shared_ptr<const ModelSnapshot>
-loadSnapshotOrDie(const std::string &path, const SnapshotKey *expect,
-                  bool missing_ok)
-{
-    auto result = tryLoadSnapshot(path, expect);
-    fatal_if(!result.ok(), "%s", result.status().message().c_str());
-    auto snap = result.take();
-    if (!snap && !missing_ok)
-        fatal("loadSnapshot: cannot open '%s'", path.c_str());
-    return snap;
-}
-
-} // anonymous namespace
-
-std::shared_ptr<const ModelSnapshot>
-loadSnapshot(const std::string &path, const SnapshotKey *expect)
-{
-    return loadSnapshotOrDie(path, expect, /*missing_ok=*/false);
-}
-
-std::shared_ptr<const ModelSnapshot>
-loadSnapshotIfPresent(const std::string &path,
-                      const SnapshotKey *expect)
-{
-    return loadSnapshotOrDie(path, expect, /*missing_ok=*/true);
-}
-
 } // namespace harness
 } // namespace seqpoint

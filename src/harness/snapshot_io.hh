@@ -16,12 +16,10 @@
  * from what the caller expects -- rejects the file. A stale or
  * foreign file can never silently half-seed an experiment.
  *
- * Rejection comes in two strengths. tryLoadSnapshot() classifies the
- * failure in a Result, so the registry can degrade a bad store file
- * to a cold-start recompute (dropping another build's file,
- * quarantining a corrupt one); loadSnapshot() and
- * loadSnapshotIfPresent() keep the original fail-fast contract for
- * callers that point at an explicit file.
+ * tryLoadSnapshot() classifies a rejection in a Result, so the
+ * registry can degrade a bad store file to a cold-start recompute
+ * (dropping another build's file, quarantining a corrupt one), or,
+ * in strict mode, make it fatal.
  */
 
 #ifndef SEQPOINT_HARNESS_SNAPSHOT_IO_HH
@@ -150,36 +148,6 @@ bool saveSnapshot(const ModelSnapshot &snap, const std::string &path);
 Result<std::shared_ptr<const ModelSnapshot>>
 tryLoadSnapshot(const std::string &path,
                 const SnapshotKey *expect = nullptr);
-
-/**
- * Load a snapshot from `path`; any failure (including a missing
- * file) is fatal -- the fail-fast flavour of tryLoadSnapshot() for
- * callers naming an explicit file that must exist.
- *
- * @param path Source file.
- * @param expect Identity the caller requires, or null to accept any
- *               well-formed snapshot.
- * @return The decoded snapshot (shared, immutable).
- */
-std::shared_ptr<const ModelSnapshot>
-loadSnapshot(const std::string &path,
-             const SnapshotKey *expect = nullptr);
-
-/**
- * Like loadSnapshot(), but a file that cannot be opened returns null
- * instead of aborting -- the registry's store races (a concurrent
- * process evicting or not-yet-writing the file) are an expected
- * miss, not corruption. Every validation failure on a file that
- * *can* be opened remains fatal.
- *
- * @param path Source file.
- * @param expect Identity the caller requires, or null.
- * @return The decoded snapshot, or null when `path` cannot be
- *         opened.
- */
-std::shared_ptr<const ModelSnapshot>
-loadSnapshotIfPresent(const std::string &path,
-                      const SnapshotKey *expect = nullptr);
 
 } // namespace harness
 } // namespace seqpoint

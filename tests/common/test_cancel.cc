@@ -5,13 +5,13 @@
  * paths that must pass a cancellation through untouched -- the
  * profiling sweep, snapshot decode (no quarantine of a healthy
  * file), and scheduler cell evaluation (no retry burn) -- leaving
- * the Experiment and registry reusable afterwards. Also covers the
- * scheduler's deterministic seeded retry jitter.
+ * the Experiment and registry reusable afterwards.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "common/cancel.hh"
@@ -206,7 +206,11 @@ TEST(Cancel, SchedulerCellUnwindsWithoutBurningRetries)
 
     harness::ExperimentScheduler sched(2);
     sched.setCellRetries(3);
-    sched.setRetryBackoff(0.0);
+    std::function<std::size_t(harness::Experiment &,
+                              const sim::GpuConfig &)>
+        eval = [](harness::Experiment &exp, const sim::GpuConfig &cfg) {
+            return exp.epochLog(cfg).numIterations();
+        };
     CancelToken token;
     token.cancel();
     CancelScope scope(&token);
@@ -214,41 +218,11 @@ TEST(Cancel, SchedulerCellUnwindsWithoutBurningRetries)
     // the retry loop into a failed-after-4-attempts cell), and the
     // unwind happens before the cell body ever runs: the cell fault
     // point records zero occurrences, i.e. no retry was burned.
-    EXPECT_THROW((void)sched.epochSweep(workloads, configs),
-                 CancelledError);
+    EXPECT_THROW(
+        (void)sched.mapCells<std::size_t>(workloads, configs, eval),
+        CancelledError);
     EXPECT_EQ(inj.occurrences("scheduler.cell"), 0u);
     inj.reset();
-}
-
-TEST(Scheduler, RetryJitterIsDeterministic)
-{
-    harness::ExperimentScheduler a(1), b(1);
-    a.setRetryBackoff(0.5, 0.2, 42);
-    b.setRetryBackoff(0.5, 0.2, 42);
-    for (std::size_t w = 0; w < 3; ++w) {
-        for (std::size_t c = 0; c < 4; ++c) {
-            for (unsigned attempt = 1; attempt <= 3; ++attempt) {
-                double d = a.retryDelaySec(w, c, attempt);
-                // Same seed, same cell, same attempt: bit-equal.
-                EXPECT_EQ(d, b.retryDelaySec(w, c, attempt));
-                EXPECT_GE(d, 0.5 * 0.8);
-                EXPECT_LE(d, 0.5 * 1.2);
-            }
-        }
-    }
-
-    // The jitter deconflicts: distinct cells (and attempts) spread
-    // out instead of thundering in lockstep.
-    EXPECT_NE(a.retryDelaySec(0, 0, 1), a.retryDelaySec(0, 1, 1));
-    EXPECT_NE(a.retryDelaySec(0, 0, 1), a.retryDelaySec(0, 0, 2));
-
-    // A different seed reshuffles; zero jitter is exactly the base.
-    harness::ExperimentScheduler c(1);
-    c.setRetryBackoff(0.5, 0.2, 43);
-    EXPECT_NE(a.retryDelaySec(0, 0, 1), c.retryDelaySec(0, 0, 1));
-    harness::ExperimentScheduler plain(1);
-    plain.setRetryBackoff(0.5);
-    EXPECT_EQ(plain.retryDelaySec(2, 3, 2), 0.5);
 }
 
 } // anonymous namespace

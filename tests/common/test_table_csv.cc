@@ -1,11 +1,10 @@
 /**
  * @file
- * Unit tests for the table and CSV writers.
+ * Unit tests for the table writer.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/csv.hh"
 #include "common/table.hh"
 
 namespace seqpoint {
@@ -61,49 +60,6 @@ TEST(TableDeath, RejectsWrongArity)
 {
     Table t({"a", "b"});
     EXPECT_DEATH(t.addRow({"only-one"}), "cells");
-}
-
-TEST(Csv, HeaderAndRows)
-{
-    CsvWriter csv({"a", "b"});
-    csv.addRow(std::vector<std::string>{"1", "2"});
-    csv.addRow(std::vector<double>{3.5, 4.5});
-    EXPECT_EQ(csv.str(), "a,b\n1,2\n3.5,4.5\n");
-}
-
-TEST(Csv, QuotesSpecialCharacters)
-{
-    CsvWriter csv({"text"});
-    csv.addRow({std::string("hello, \"world\"")});
-    EXPECT_NE(csv.str().find("\"hello, \"\"world\"\"\""),
-              std::string::npos);
-}
-
-TEST(Csv, QuotesCarriageReturn)
-{
-    // A bare \r in a cell splits the row for CRLF-aware readers just
-    // like \n would, so it must trigger quoting too.
-    CsvWriter csv({"a", "b"});
-    csv.addRow(std::vector<std::string>{"x\ry", "z"});
-    EXPECT_EQ(csv.str(), "a,b\n\"x\ry\",z\n");
-
-    CsvWriter lf({"a"});
-    lf.addRow(std::vector<std::string>{"x\r\ny"});
-    EXPECT_EQ(lf.str(), "a\n\"x\r\ny\"\n");
-}
-
-TEST(Csv, WritesFile)
-{
-    CsvWriter csv({"x"});
-    csv.addRow({"1"});
-    std::string path = testing::TempDir() + "/seqpoint_test.csv";
-    ASSERT_TRUE(csv.writeFile(path));
-}
-
-TEST(CsvDeath, RejectsWrongArity)
-{
-    CsvWriter csv({"a", "b"});
-    EXPECT_DEATH(csv.addRow({"1"}), "cells");
 }
 
 } // anonymous namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Chaos test: a registry-backed epoch sweep survives a deterministic
+ * Chaos test: a registry-backed epoch sweep (mapCells() over a
+ * registrySnapshots() provider) survives a deterministic
  * storm of injected faults -- snapshot reads failing, store files
  * corrupted on disk, persists dropped, cells blowing up mid-flight --
  * and still converges to results bit-identical to a clean serial
@@ -19,6 +20,7 @@
 
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
+#include "epoch_cells.hh"
 #include "harness/scheduler.hh"
 #include "harness/snapshot_registry.hh"
 
@@ -39,25 +41,6 @@ std::vector<sim::GpuConfig>
 chaosConfigs()
 {
     return {sim::GpuConfig::config1(), sim::GpuConfig::config2()};
-}
-
-void
-expectCellsIdentical(const std::vector<EpochCellResult> &a,
-                     const std::vector<EpochCellResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].workload, b[i].workload) << "cell " << i;
-        EXPECT_EQ(a[i].config, b[i].config) << "cell " << i;
-        EXPECT_EQ(a[i].iterations, b[i].iterations) << "cell " << i;
-        EXPECT_EQ(a[i].trainSec, b[i].trainSec) << "cell " << i;
-        EXPECT_EQ(a[i].evalSec, b[i].evalSec) << "cell " << i;
-        EXPECT_EQ(a[i].throughput, b[i].throughput) << "cell " << i;
-        EXPECT_EQ(a[i].counters.busySec, b[i].counters.busySec)
-            << "cell " << i;
-        EXPECT_EQ(a[i].counters.dramBytes, b[i].counters.dramBytes)
-            << "cell " << i;
-    }
 }
 
 /** Flip one payload byte of a store file (checksum now fails). */
@@ -88,7 +71,7 @@ TEST(Chaos, FaultStormSweepConvergesToCleanResults)
 
     // The clean reference: serial, registry-free, no faults.
     ExperimentScheduler serial(1);
-    auto clean = serial.epochSweep(workloads, configs);
+    auto clean = epochCells(serial, workloads, configs);
     ASSERT_EQ(clean.size(), 4u);
 
     // Warm a store so the chaos sweep has files to lose.
@@ -98,7 +81,8 @@ TEST(Chaos, FaultStormSweepConvergesToCleanResults)
     {
         SnapshotRegistry warm(dir);
         ExperimentScheduler warmer(2);
-        auto warmed = warmer.epochSweep(workloads, configs, warm);
+        auto warmed = epochCells(warmer, workloads, configs,
+                                 registrySnapshots(warm, workloads));
         expectCellsIdentical(warmed, clean);
     }
 
@@ -129,15 +113,16 @@ TEST(Chaos, FaultStormSweepConvergesToCleanResults)
     SnapshotRegistry reg(dir);
     ExperimentScheduler chaos(2);
     chaos.setCellRetries(3); // outlasts the capped cell faults
-    chaos.setRetryBackoff(0.0);
     std::vector<CellTiming> timings;
-    auto stormy = chaos.epochSweep(workloads, configs, reg, &timings);
+    auto stormy = epochCells(chaos, workloads, configs,
+                             registrySnapshots(reg, workloads), &timings);
 
     // Every cell survived (retries + degradation absorbed the storm)
     // and every result is bit-identical to the clean serial run.
-    for (size_t i = 0; i < stormy.size(); ++i)
-        EXPECT_FALSE(stormy[i].failed)
-            << "cell " << i << ": " << stormy[i].error;
+    ASSERT_EQ(timings.size(), stormy.size());
+    for (size_t i = 0; i < timings.size(); ++i)
+        EXPECT_FALSE(timings[i].outcome.failed)
+            << "cell " << i << ": " << timings[i].outcome.error;
     expectCellsIdentical(stormy, clean);
 
     // The corrupted files were quarantined (not silently adopted,
@@ -158,7 +143,6 @@ TEST(Chaos, FaultStormSweepConvergesToCleanResults)
 
     // Every injected cell fault was absorbed by a retry: exactly the
     // faulted cells took more than one attempt.
-    ASSERT_EQ(timings.size(), stormy.size());
     uint64_t retried = 0;
     for (const CellTiming &t : timings)
         retried += t.outcome.attempts > 1;

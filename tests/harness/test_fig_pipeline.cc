@@ -16,6 +16,9 @@
 #include <map>
 #include <string>
 
+#include "common/fault_injection.hh"
+#include "common/logging.hh"
+#include "epoch_cells.hh"
 #include "harness/figures.hh"
 #include "harness/snapshot_io.hh"
 
@@ -174,18 +177,14 @@ TEST(ModelSnapshot, SeededSchedulerCellsMatchColdCells)
     auto snap = donor.snapshot(configs[0]);
 
     ExperimentScheduler sched(2);
-    auto cold = sched.epochSweep({ds2()}, configs);
-    auto seeded = sched.epochSweep({ds2()}, configs, {snap});
-    ASSERT_EQ(cold.size(), seeded.size());
-    for (size_t i = 0; i < cold.size(); ++i) {
-        EXPECT_EQ(cold[i].workload, seeded[i].workload);
-        EXPECT_EQ(cold[i].config, seeded[i].config);
-        EXPECT_EQ(cold[i].iterations, seeded[i].iterations);
-        EXPECT_EQ(cold[i].trainSec, seeded[i].trainSec);
-        EXPECT_EQ(cold[i].evalSec, seeded[i].evalSec);
-        EXPECT_EQ(cold[i].throughput, seeded[i].throughput);
-        EXPECT_TRUE(cold[i].counters == seeded[i].counters);
-    }
+    auto cold = epochCells(sched, {ds2()}, configs);
+    auto seeded = epochCells(
+        sched, {ds2()}, configs,
+        [&snap](std::size_t, const sim::GpuConfig &, Experiment &) {
+            return snap;
+        });
+    ASSERT_EQ(cold.size(), configs.size());
+    expectCellsIdentical(cold, seeded);
 }
 
 TEST(FigurePipeline, RegistryWarmedSweepsByteIdenticalToSerial)
@@ -284,31 +283,106 @@ TEST(FigurePipeline, RegistryEpochSweepMatchesPlainSweep)
         sim::GpuConfig::config1(), sim::GpuConfig::config2()};
 
     ExperimentScheduler sched(2);
-    auto plain = sched.epochSweep(workloads, configs);
+    auto plain = epochCells(sched, workloads, configs);
 
-    // The registry-aware sweep acquires one snapshot per cell; a
+    // The registry-backed sweep acquires one snapshot per cell; a
     // second sweep over the same registry replays from memory. All
     // three runs must agree exactly.
     SnapshotRegistry reg;
-    auto warmed_build = sched.epochSweep(workloads, configs, reg);
+    auto warmed_build = epochCells(sched, workloads, configs,
+                                   registrySnapshots(reg, workloads));
     EXPECT_EQ(reg.stats().builds, configs.size());
-    auto warmed_replay = sched.epochSweep(workloads, configs, reg);
+    auto warmed_replay = epochCells(sched, workloads, configs,
+                                    registrySnapshots(reg, workloads));
     EXPECT_EQ(reg.stats().builds, configs.size());
     EXPECT_GE(reg.stats().memoryHits, configs.size());
 
-    ASSERT_EQ(plain.size(), warmed_build.size());
-    ASSERT_EQ(plain.size(), warmed_replay.size());
-    for (size_t i = 0; i < plain.size(); ++i) {
-        for (const auto *other : {&warmed_build[i], &warmed_replay[i]}) {
-            EXPECT_EQ(plain[i].workload, other->workload);
-            EXPECT_EQ(plain[i].config, other->config);
-            EXPECT_EQ(plain[i].iterations, other->iterations);
-            EXPECT_EQ(plain[i].trainSec, other->trainSec);
-            EXPECT_EQ(plain[i].evalSec, other->evalSec);
-            EXPECT_EQ(plain[i].throughput, other->throughput);
-            EXPECT_TRUE(plain[i].counters == other->counters);
-        }
+    ASSERT_EQ(plain.size(), configs.size());
+    expectCellsIdentical(plain, warmed_build);
+    expectCellsIdentical(plain, warmed_replay);
+}
+
+/**
+ * Run `sweep` expecting it to fail: @return the CellFailed message it
+ * threw ("" and a test failure when it returned or threw otherwise).
+ */
+template <typename Sweep>
+std::string
+cellFailureOf(Sweep sweep)
+{
+    try {
+        (void)sweep();
+    } catch (const RecoverableError &e) {
+        EXPECT_EQ(e.status().code(), ErrorCode::CellFailed);
+        return e.status().message();
     }
+    ADD_FAILURE() << "a sweep with a failed cell returned";
+    return "";
+}
+
+TEST(FigurePipeline, CellFailingEveryAttemptFailsTheSweep)
+{
+    // Cells 0/1 and 0/3 fail on both of their attempts. Each sweep
+    // must fail with the first failed cell's error in cell order
+    // (config#2's, whichever cell failed first in time) instead of
+    // returning a column of defaults.
+    auto &inj = FaultInjector::instance();
+    auto cfgs = sim::GpuConfig::table2();
+    setQuietLogging(true);
+    auto armBothCells = [&inj] {
+        inj.reset();
+        inj.armAt("scheduler.cell", "0/1", {1, 2}, ErrorCode::IoError);
+        inj.armAt("scheduler.cell", "0/3", {1, 2}, ErrorCode::IoError);
+    };
+
+    armBothCells();
+    std::string fig = cellFailureOf(
+        [] { return runFigureSweepScheduled(ds2(), 2, nullptr, 1); });
+    EXPECT_EQ(inj.fired("scheduler.cell"), 4u);
+
+    armBothCells();
+    std::string sens = cellFailureOf([] {
+        return runSensitivitySweepScheduled(ds2(), 60, 220, 40, 2,
+                                            nullptr, 1);
+    });
+    EXPECT_EQ(inj.fired("scheduler.cell"), 4u);
+
+    for (const std::string &msg : {fig, sens}) {
+        EXPECT_NE(msg.find("cell " + cfgs[1].name + " failed after 2 "
+                           "attempt(s): io_error: injected fault at "
+                           "scheduler.cell:0/1"),
+                  std::string::npos)
+            << msg;
+    }
+    EXPECT_EQ(fig.rfind("figure sweep: ", 0), 0u) << fig;
+    EXPECT_EQ(sens.rfind("sensitivity sweep: ", 0), 0u) << sens;
+    inj.reset();
+    setQuietLogging(false);
+}
+
+TEST(FigurePipeline, CellRetriedPastOneFaultMatchesSerialSweep)
+{
+    // One fault on cell 0/2 under a one-retry budget: the retry
+    // converges, and each sweep is bit-identical to the serial one.
+    auto &inj = FaultInjector::instance();
+    setQuietLogging(true);
+
+    inj.reset();
+    inj.armAt("scheduler.cell", "0/2", {1}, ErrorCode::IoError);
+    FigureSweep fig = runFigureSweepScheduled(ds2(), 2, nullptr, 1);
+    EXPECT_EQ(inj.fired("scheduler.cell"), 1u);
+    EXPECT_TRUE(fig.identicalTo(runFigureSweepSerial(ds2(), 1)));
+
+    inj.reset();
+    inj.armAt("scheduler.cell", "0/2", {1}, ErrorCode::IoError);
+    SensitivitySweep sens =
+        runSensitivitySweepScheduled(ds2(), 60, 220, 40, 2, nullptr, 1);
+    EXPECT_EQ(inj.fired("scheduler.cell"), 1u);
+    EXPECT_TRUE(
+        sens.identicalTo(runSensitivitySweepSerial(ds2(), 60, 220, 40, 1)));
+
+    inj.reset();
+    setQuietLogging(false);
 }
 
 TEST(ModelSnapshotDeathTest, MisuseFailsLoudly)

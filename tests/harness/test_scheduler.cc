@@ -2,7 +2,9 @@
  * @file
  * Tests for the parallel experiment scheduler: the parallel sweep
  * must be byte-identical to the serial sweep, merge order must be
- * deterministic, and cells must be isolated from one another.
+ * deterministic, cells must be isolated from one another, and a
+ * failing cell must be contained, retried and recorded in its
+ * CellTiming outcome.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
+#include "epoch_cells.hh"
 #include "harness/scheduler.hh"
 #include "models/gnmt.hh"
 
@@ -39,27 +42,6 @@ fourConfigs()
             sim::GpuConfig::config3(), sim::GpuConfig::config4()};
 }
 
-void
-expectCellsIdentical(const std::vector<EpochCellResult> &a,
-                     const std::vector<EpochCellResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].workload, b[i].workload) << "cell " << i;
-        EXPECT_EQ(a[i].config, b[i].config) << "cell " << i;
-        EXPECT_EQ(a[i].iterations, b[i].iterations) << "cell " << i;
-        EXPECT_EQ(a[i].trainSec, b[i].trainSec) << "cell " << i;
-        EXPECT_EQ(a[i].evalSec, b[i].evalSec) << "cell " << i;
-        EXPECT_EQ(a[i].throughput, b[i].throughput) << "cell " << i;
-        EXPECT_EQ(a[i].counters.busySec, b[i].counters.busySec)
-            << "cell " << i;
-        EXPECT_EQ(a[i].counters.dramBytes, b[i].counters.dramBytes)
-            << "cell " << i;
-        EXPECT_EQ(a[i].counters.kernelsLaunched,
-                  b[i].counters.kernelsLaunched) << "cell " << i;
-    }
-}
-
 TEST(ExperimentScheduler, ParallelSweepByteIdenticalToSerial)
 {
     // The acceptance sweep: 3 workloads x 4 configs, serial vs
@@ -70,8 +52,8 @@ TEST(ExperimentScheduler, ParallelSweepByteIdenticalToSerial)
     ExperimentScheduler serial(1);
     ExperimentScheduler parallel(4);
 
-    auto a = serial.epochSweep(workloads, configs);
-    auto b = parallel.epochSweep(workloads, configs);
+    auto a = epochCells(serial, workloads, configs);
+    auto b = epochCells(parallel, workloads, configs);
     ASSERT_EQ(a.size(), 12u);
     expectCellsIdentical(a, b);
 }
@@ -144,8 +126,8 @@ TEST(ExperimentScheduler, MatchesDirectSerialExperimentLoop)
 {
     auto configs = fourConfigs();
     ExperimentScheduler sched(4);
-    auto cells = sched.epochSweep({[] { return makeDs2Workload(); }},
-                                  configs);
+    auto cells =
+        epochCells(sched, {[] { return makeDs2Workload(); }}, configs);
     ASSERT_EQ(cells.size(), configs.size());
 
     Experiment exp(makeDs2Workload());
@@ -161,7 +143,8 @@ TEST(ExperimentScheduler, MatchesDirectSerialExperimentLoop)
 
 TEST(ExperimentScheduler, MergeOrderIsWorkloadMajorConfigMinor)
 {
-    auto cells = ExperimentScheduler(4).epochSweep(
+    auto cells = epochCells(
+        ExperimentScheduler(4),
         {[] { return makeCnnWorkload(); },
          [] { return makeDs2Workload(); }},
         {sim::GpuConfig::config1(), sim::GpuConfig::config2()});
@@ -199,9 +182,9 @@ TEST(ExperimentScheduler, CellTimingsCoverEveryCellWithoutSkew)
     auto configs = fourConfigs();
 
     std::vector<CellTiming> timings;
-    auto timed = ExperimentScheduler(4).epochSweep(workloads, configs,
-                                                   {}, &timings);
-    auto plain = ExperimentScheduler(4).epochSweep(workloads, configs);
+    auto timed = epochCells(ExperimentScheduler(4), workloads, configs,
+                            {}, &timings);
+    auto plain = epochCells(ExperimentScheduler(4), workloads, configs);
     expectCellsIdentical(timed, plain);
 
     ASSERT_EQ(timings.size(), timed.size());
@@ -211,14 +194,16 @@ TEST(ExperimentScheduler, CellTimingsCoverEveryCellWithoutSkew)
         EXPECT_GE(timings[i].totalSec, timings[i].setupSec)
             << "cell " << i;
         EXPECT_GE(timings[i].evalSec(), 0.0) << "cell " << i;
+        EXPECT_FALSE(timings[i].outcome.failed) << "cell " << i;
+        EXPECT_EQ(timings[i].outcome.attempts, 1u) << "cell " << i;
     }
 }
 
 TEST(ExperimentScheduler, EmptyGridIsEmptyResult)
 {
     ExperimentScheduler sched(4);
-    EXPECT_TRUE(sched.epochSweep({}, fourConfigs()).empty());
-    EXPECT_TRUE(sched.epochSweep(threeWorkloads(), {}).empty());
+    EXPECT_TRUE(epochCells(sched, {}, fourConfigs()).empty());
+    EXPECT_TRUE(epochCells(sched, threeWorkloads(), {}).empty());
 }
 
 TEST(ExperimentScheduler, DefaultThreadsPositive)
@@ -248,16 +233,16 @@ TEST(ExperimentSchedulerFaults, FailedCellIsContainedAndMarked)
     auto configs = twoConfigs();
 
     ExperimentScheduler sched(2);
-    auto clean = sched.epochSweep(workloads, configs);
+    auto clean = epochCells(sched, workloads, configs);
 
     // Fault cell (1, 0) -- DS2 on config#1 -- with no retry budget:
     // the sweep must still complete, the other three cells must be
-    // bit-identical to the clean run, and the failed cell must say
-    // so instead of smuggling default-constructed zeros.
+    // bit-identical to the clean run, and the failed cell's outcome
+    // must say so while its result slot stays default-constructed.
     FaultInjector::instance().armAt("scheduler.cell", "1/0", {1},
                                     ErrorCode::IoError);
     std::vector<CellTiming> timings;
-    auto faulted = sched.epochSweep(workloads, configs, {}, &timings);
+    auto faulted = epochCells(sched, workloads, configs, {}, &timings);
     ASSERT_EQ(faulted.size(), 4u);
     ASSERT_EQ(timings.size(), 4u);
 
@@ -265,23 +250,21 @@ TEST(ExperimentSchedulerFaults, FailedCellIsContainedAndMarked)
     for (std::size_t i = 0; i < faulted.size(); ++i) {
         if (i == failed_cell)
             continue;
-        EXPECT_FALSE(faulted[i].failed) << "cell " << i;
+        EXPECT_FALSE(timings[i].outcome.failed) << "cell " << i;
+        EXPECT_TRUE(timings[i].outcome.error.empty()) << "cell " << i;
         EXPECT_EQ(faulted[i].trainSec, clean[i].trainSec)
             << "cell " << i;
         EXPECT_EQ(faulted[i].throughput, clean[i].throughput)
             << "cell " << i;
     }
-    const EpochCellResult &bad = faulted[failed_cell];
+    const CellOutcome &bad = timings[failed_cell].outcome;
     EXPECT_TRUE(bad.failed);
+    EXPECT_EQ(bad.attempts, 1u);
     EXPECT_NE(bad.error.find("injected fault"), std::string::npos)
         << bad.error;
     EXPECT_NE(bad.error.find("io_error"), std::string::npos);
-    EXPECT_EQ(bad.config, configs[0].name);
-    EXPECT_EQ(bad.workload, clean[failed_cell].workload)
-        << "failed cell should borrow its row's workload name";
-    EXPECT_EQ(bad.iterations, 0u); // result slot stayed default
-    EXPECT_TRUE(timings[failed_cell].outcome.failed);
-    EXPECT_EQ(timings[failed_cell].outcome.attempts, 1u);
+    EXPECT_EQ(faulted[failed_cell].iterations, 0u); // slot stayed default
+    EXPECT_TRUE(faulted[failed_cell].workload.empty());
 
     FaultInjector::instance().reset();
     setQuietLogging(false);
@@ -295,7 +278,7 @@ TEST(ExperimentSchedulerFaults, RetriedCellConvergesToCleanResult)
     auto configs = twoConfigs();
 
     ExperimentScheduler serial(1);
-    auto clean = serial.epochSweep(workloads, configs);
+    auto clean = epochCells(serial, workloads, configs);
 
     // Two consecutive faults on cell (0, 1); a budget of two retries
     // (three attempts) outlasts them, so the sweep must converge to
@@ -303,13 +286,12 @@ TEST(ExperimentSchedulerFaults, RetriedCellConvergesToCleanResult)
     FaultInjector::instance().armAt("scheduler.cell", "0/1", {1, 2});
     ExperimentScheduler sched(2);
     sched.setCellRetries(2);
-    sched.setRetryBackoff(0.0);
     std::vector<CellTiming> timings;
-    auto retried = sched.epochSweep(workloads, configs, {}, &timings);
+    auto retried = epochCells(sched, workloads, configs, {}, &timings);
 
     expectCellsIdentical(retried, clean);
-    for (const EpochCellResult &r : retried)
-        EXPECT_FALSE(r.failed);
+    for (const CellTiming &t : timings)
+        EXPECT_FALSE(t.outcome.failed);
     const std::size_t faulted_cell = 0 * configs.size() + 1;
     EXPECT_EQ(timings[faulted_cell].outcome.attempts, 3u);
     EXPECT_FALSE(timings[faulted_cell].outcome.failed);
@@ -335,7 +317,7 @@ TEST(ExperimentSchedulerFaults, PlainExceptionInCellBodyIsContained)
                 throw std::runtime_error("synthetic body failure");
             return 7;
         },
-        ExperimentScheduler::Snapshots{}, &timings);
+        {}, &timings);
 
     ASSERT_EQ(results.size(), 4u);
     const std::size_t bad = 1 * 2 + 1;

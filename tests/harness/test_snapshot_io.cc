@@ -63,6 +63,15 @@ ds2Snapshot()
     return snap;
 }
 
+/** Load `path` expecting a valid snapshot of identity `key`. */
+std::shared_ptr<const ModelSnapshot>
+loadValid(const std::string &path, const SnapshotKey &key)
+{
+    auto result = tryLoadSnapshot(path, &key);
+    EXPECT_TRUE(result.ok()) << result.status().toString();
+    return result.ok() ? result.take() : nullptr;
+}
+
 /**
  * `file` as another build would have stamped it: the header's build
  * identity (bytes 4..11) rewritten in place, everything else kept.
@@ -100,7 +109,7 @@ TEST(SnapshotIo, SaveLoadSeedsBitIdenticallyDs2)
     ASSERT_TRUE(saveSnapshot(*snap, path));
 
     SnapshotKey key = snapshotKeyOf(*snap);
-    auto loaded = loadSnapshot(path, &key);
+    auto loaded = loadValid(path, key);
     ASSERT_TRUE(loaded != nullptr);
 
     // Seeding from the file must reproduce both the live-snapshot
@@ -139,7 +148,8 @@ TEST(SnapshotIo, SaveLoadSeedsBitIdenticallyGnmt)
     std::string path = tmpPath("gnmt_roundtrip.bin");
     ASSERT_TRUE(saveSnapshot(*snap, path));
     SnapshotKey key = snapshotKeyOf(*snap);
-    auto loaded = loadSnapshot(path, &key);
+    auto loaded = loadValid(path, key);
+    ASSERT_TRUE(loaded != nullptr);
 
     EXPECT_EQ(encodeSnapshotPayload(*loaded),
               encodeSnapshotPayload(*snap));
@@ -153,7 +163,22 @@ TEST(SnapshotIo, SaveLoadSeedsBitIdenticallyGnmt)
         snap->selections.at(core::SelectorKind::SeqPoint));
 }
 
-TEST(SnapshotIoDeathTest, RejectsBadFilesLoudly)
+/**
+ * Expect `path` to be rejected with `code` and a message containing
+ * `msg`.
+ */
+void
+expectRejected(const std::string &path, const SnapshotKey &key,
+               ErrorCode code, const std::string &msg)
+{
+    auto result = tryLoadSnapshot(path, &key);
+    ASSERT_FALSE(result.ok()) << path;
+    EXPECT_EQ(result.status().code(), code) << path;
+    EXPECT_NE(result.status().message().find(msg), std::string::npos)
+        << path << ": " << result.status().message();
+}
+
+TEST(SnapshotIo, RejectsBadFilesClassified)
 {
     auto snap = ds2Snapshot();
     std::string path = tmpPath("ds2_victim.bin");
@@ -166,47 +191,51 @@ TEST(SnapshotIoDeathTest, RejectsBadFilesLoudly)
     std::string bad_magic = bytes;
     bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x5a);
     writeFile(tmpPath("bad_magic.bin"), bad_magic);
-    EXPECT_DEATH((void)loadSnapshot(tmpPath("bad_magic.bin"), &key),
-                 "not a snapshot");
+    expectRejected(tmpPath("bad_magic.bin"), key, ErrorCode::Corruption,
+                   "not a snapshot");
 
     // Written by another build (bytes 4..11, little-endian u64).
     writeFile(tmpPath("other_build.bin"), fromOtherBuild(bytes));
-    EXPECT_DEATH((void)loadSnapshot(tmpPath("other_build.bin"), &key),
-                 "written by build");
+    expectRejected(tmpPath("other_build.bin"), key,
+                   ErrorCode::VersionMismatch, "written by build");
 
     // Truncated payload: header promises more bytes than exist.
     writeFile(tmpPath("truncated.bin"),
               bytes.substr(0, bytes.size() - 64));
-    EXPECT_DEATH((void)loadSnapshot(tmpPath("truncated.bin"), &key),
-                 "truncated");
+    expectRejected(tmpPath("truncated.bin"), key, ErrorCode::Corruption,
+                   "truncated");
 
     // Flipped payload byte: checksum mismatch.
     std::string corrupt = bytes;
     corrupt[bytes.size() / 2] =
         static_cast<char>(corrupt[bytes.size() / 2] ^ 0x01);
     writeFile(tmpPath("corrupt.bin"), corrupt);
-    EXPECT_DEATH((void)loadSnapshot(tmpPath("corrupt.bin"), &key),
-                 "checksum");
+    expectRejected(tmpPath("corrupt.bin"), key, ErrorCode::Corruption,
+                   "checksum");
 
     // Valid file, wrong expected config: the caller wanted config#2.
     Workload ds2 = makeDs2Workload();
     SnapshotKey cfg2_key = snapshotKeyFor(
         ds2, Experiment::defaultOptions(), sim::GpuConfig::config2());
-    EXPECT_DEATH((void)loadSnapshot(path, &cfg2_key),
-                 "config signature mismatch");
+    expectRejected(path, cfg2_key, ErrorCode::Corruption,
+                   "config signature mismatch");
 
     // Valid file, wrong expected run parameters (other seed).
     Workload variant = makeDs2Workload(31);
     SnapshotKey variant_key = snapshotKeyFor(
         variant, Experiment::defaultOptions(),
         sim::GpuConfig::config1());
-    EXPECT_DEATH((void)loadSnapshot(path, &variant_key),
-                 "run-parameter mismatch");
+    expectRejected(path, variant_key, ErrorCode::Corruption,
+                   "run-parameter mismatch");
 
     // Valid file, wrong expected workload.
     SnapshotKey gnmt_key = key;
     gnmt_key.workload = "GNMT";
-    EXPECT_DEATH((void)loadSnapshot(path, &gnmt_key), "workload");
+    expectRejected(path, gnmt_key, ErrorCode::Corruption,
+                   "is for workload");
+
+    // The pristine file itself still loads.
+    EXPECT_TRUE(loadValid(path, key) != nullptr);
 }
 
 TEST(SnapshotRegistry, MemoryThenDiskHits)

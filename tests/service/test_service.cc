@@ -8,6 +8,10 @@
  * snapshot whose save a fault dropped), and a death-free chaos run
  * under the PR 6 fault storm.
  *
+ * An 8-client x 8-worker cold round over six pairs, with duplicates
+ * in flight together, must build each pair once and answer every
+ * query bit-identically.
+ *
  * Warm entries are checked too: every config field keys its own
  * entry, a NaN-valued config builds once and then answers warm, and
  * concurrent warm hits on pre-warmed pairs answer as their pre-warm
@@ -137,6 +141,97 @@ TEST(QueryService, ConcurrentDuplicatesShareOneBuild)
     EXPECT_EQ(svc.registry().stats().builds, 1u);
     EXPECT_EQ(svc.stats().coldBuilds, 1u);
     EXPECT_EQ(svc.stats().warmHits, 7u);
+}
+
+TEST(QueryService, EightClientsColdRoundBuildsOncePerPair)
+{
+    // The heaviest interleaving the service sees: 8 clients on an
+    // 8-worker service over a store directory, every one of 6
+    // (workload, config) pairs asked three times in one interleaved
+    // cold round, so duplicates of each pair are in flight together.
+    // Every answer must be bit-identical to a direct Experiment, the
+    // duplicates must ride exactly one build per pair, and a warm
+    // round after it must answer from resident state.
+    std::string dir = tmpStore("service_8x8_store");
+    std::vector<std::pair<std::string, harness::WorkloadFactory>>
+        workloads = {
+            {"GNMT", [] { return harness::makeGnmtWorkload(); }},
+            {"DS2", [] { return harness::makeDs2Workload(); }},
+            {"Transformer",
+             [] { return harness::makeTransformerWorkload(); }},
+        };
+    std::vector<QueryRequest> pairs;
+    std::vector<QueryAnswer> want;
+    for (const auto &[name, make] : workloads) {
+        for (const sim::GpuConfig &c :
+             {sim::GpuConfig::config1(), sim::GpuConfig::config2()}) {
+            QueryRequest req;
+            req.workload = name;
+            req.config = c;
+            pairs.push_back(req);
+            want.push_back(directAnswer(make(), c));
+        }
+    }
+
+    ServiceConfig cfg;
+    cfg.workers = 8;
+    cfg.queueCapacity = 64;
+    cfg.storeDir = dir;
+    QueryService svc(cfg);
+    for (const auto &[name, make] : workloads)
+        svc.registerWorkload(name, make);
+    svc.start();
+
+    // Each client loops synchronous queries over a shared index into
+    // `mix`; result i answers mix[i], which is pairs[i % 6].
+    auto round = [&svc, &pairs](unsigned repeats) {
+        std::vector<QueryRequest> mix;
+        for (unsigned d = 0; d < repeats; ++d)
+            mix.insert(mix.end(), pairs.begin(), pairs.end());
+        std::vector<QueryResult> results(mix.size());
+        std::atomic<std::size_t> next{0};
+        std::vector<std::thread> clients;
+        for (unsigned c = 0; c < 8; ++c) {
+            clients.emplace_back([&] {
+                for (;;) {
+                    std::size_t i = next.fetch_add(1);
+                    if (i >= mix.size())
+                        return;
+                    results[i] = svc.query(mix[i]);
+                }
+            });
+        }
+        for (std::thread &t : clients)
+            t.join();
+        return results;
+    };
+
+    std::vector<QueryResult> cold = round(3);
+    unsigned cold_builds = 0;
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+        ASSERT_TRUE(cold[i].status.ok()) << cold[i].status.toString();
+        EXPECT_TRUE(answersMatch(cold[i].answer, want[i % pairs.size()]))
+            << "cold query " << i;
+        cold_builds += cold[i].coldBuild;
+    }
+    EXPECT_EQ(cold_builds, pairs.size());
+    EXPECT_EQ(svc.registry().stats().builds, pairs.size());
+    EXPECT_EQ(svc.stats().coldBuilds, pairs.size());
+
+    std::vector<QueryResult> warm = round(4);
+    for (std::size_t i = 0; i < warm.size(); ++i) {
+        ASSERT_TRUE(warm[i].status.ok()) << warm[i].status.toString();
+        EXPECT_FALSE(warm[i].coldBuild) << "warm query " << i;
+        EXPECT_TRUE(answersMatch(warm[i].answer, want[i % pairs.size()]))
+            << "warm query " << i;
+    }
+    EXPECT_EQ(svc.registry().stats().builds, pairs.size());
+    ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.completed, cold.size() + warm.size());
+    EXPECT_EQ(stats.coldBuilds, pairs.size());
+    svc.drain();
+    std::error_code ec;
+    fs::remove_all(dir, ec);
 }
 
 TEST(QueryService, OverloadShedsClassified)
@@ -335,6 +430,7 @@ TEST(QueryService, ChaosUnderLoadIsDeathFree)
     inj.armSeeded("snapshot_io.read", "", 0xc4a05, 0.5, 2);
     inj.armSeeded("registry.load", "", 0x10adf, 0.5, 2);
     inj.armAt("registry.save", "", {1});
+    inj.armSeeded("snapshot_io.write", "", 0x717e5, 0.5, 1);
 
     QueryAnswer want_gnmt =
         directAnswer(harness::makeGnmtWorkload(), c1);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 
@@ -140,6 +141,7 @@ TEST(LintFixtures, ViolationsTreeTripsEveryRule)
     EXPECT_TRUE(rules.count("nondeterminism"));
     EXPECT_TRUE(rules.count("float-reduce"));
     EXPECT_TRUE(rules.count("fuzz-coverage"));
+    EXPECT_TRUE(rules.count("stale-pin"));
 }
 
 TEST(LintFixtures, ViolationsRenderAsJson)
@@ -297,6 +299,57 @@ TEST_F(DeterminismRules, NewDecoderWithoutHarnessTrips)
     patchFile("src/codec2.cc", "struct ByteReader;",
               "struct ByteReader;\nint decodeOther(ByteReader &r);\n");
     EXPECT_TRUE(lintRules().count("fuzz-coverage"));
+}
+
+TEST_F(DeterminismRules, DeadPinInEveryAllowlistIsReportedAtItsLine)
+{
+    // One pin that matches no site, appended to each allowlist: each
+    // is reported as stale at its own line, and nothing else trips.
+    const std::map<std::string, std::string> dead = {
+        {"checkpoint_allowlist.txt", "src/work.cc#0123456789abcdef"},
+        {"status_discard_allowlist.txt", "src/work.cc:saveThing"},
+        {"determinism_allowlist.txt", "src/det.cc#0123456789abcdef"},
+        {"nondeterminism_allowlist.txt", "src/work.cc:system_clock"},
+        {"float_reduce_allowlist.txt", "src/det.cc#0123456789abcdef"},
+        {"fuzz_coverage_allowlist.txt", "src/codec2.cc:decodeGone"},
+    };
+    std::map<std::string, int> want; // allowlist path -> pin line
+    for (const auto &[name, pin] : dead) {
+        std::string rel = "tools/seqpoint_lint/" + name;
+        std::ifstream in(root_ / rel);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        if (!text.empty() && text.back() != '\n')
+            text += '\n';
+        want[rel] = static_cast<int>(
+                        std::count(text.begin(), text.end(), '\n')) + 1;
+        writeFile(root_ / rel, text + pin + "\n");
+    }
+
+    std::vector<Violation> vs;
+    ASSERT_TRUE(runLint(opts_, vs));
+    std::map<std::string, int> got;
+    for (const Violation &v : vs) {
+        EXPECT_EQ(v.rule, "stale-pin") << v.file << ": " << v.message;
+        got[v.file] = v.line;
+    }
+    EXPECT_EQ(got, want);
+}
+
+TEST_F(DeterminismRules, PinOfAFixedSiteGoesStale)
+{
+    // The pinned cheap loop gains a checkpoint: its pin now matches
+    // no flagged site and must go.
+    patchFile("src/work.cc", "for (int k = 0; k < 3; ++k)\n        use(k);",
+              "for (int k = 0; k < 3; ++k)\n        cancelCheckpoint(\"k\");");
+    std::vector<Violation> vs;
+    ASSERT_TRUE(runLint(opts_, vs));
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_EQ(vs[0].rule, "stale-pin");
+    EXPECT_EQ(vs[0].file, "tools/seqpoint_lint/checkpoint_allowlist.txt");
+    EXPECT_NE(vs[0].message.find("src/work.cc#10a47d50b37d283d"),
+              std::string::npos)
+        << vs[0].message;
 }
 
 TEST_F(DeterminismRules, MissingRegistryIsAConfigError)

@@ -49,16 +49,21 @@ trim(const std::string &s)
  * comments skipped. A '#' marks a comment only at line start or
  * after whitespace -- allowlist keys embed '#' as a separator.
  * False when the file cannot be opened.
+ *
+ * @param lines When non-null, receives each entry's 1-based line.
  */
 bool
-readListFile(const fs::path &path, std::vector<std::string> &out)
+readListFile(const fs::path &path, std::vector<std::string> &out,
+             std::vector<int> *lines = nullptr)
 {
     std::string text;
     if (!readFile(path, text))
         return false;
     std::istringstream in(text);
     std::string line;
+    int line_no = 0;
     while (std::getline(in, line)) {
+        ++line_no;
         for (std::size_t i = 0; i < line.size(); ++i) {
             if (line[i] != '#')
                 continue;
@@ -68,11 +73,65 @@ readListFile(const fs::path &path, std::vector<std::string> &out)
             }
         }
         line = trim(line);
-        if (!line.empty())
-            out.push_back(line);
+        if (line.empty())
+            continue;
+        out.push_back(line);
+        if (lines)
+            lines->push_back(line_no);
     }
     return true;
 }
+
+/**
+ * A rule's committed allowlist (optional: a missing file is empty).
+ * The rule asks allows() only for a site it would otherwise flag, so
+ * a pin it never matched sanctions nothing in today's tree -- it
+ * would only silently sanction a future site -- and reportUnused()
+ * flags it.
+ */
+class Allowlist
+{
+  public:
+    Allowlist(const Options &opts, const std::string &name)
+        : rel_("tools/seqpoint_lint/" + name)
+    {
+        std::vector<std::string> keys;
+        std::vector<int> lines;
+        readListFile(fs::path(opts.root) / rel_, keys, &lines);
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            pins_.emplace(keys[i], lines[i]);
+    }
+
+    /** @return True when `key` is pinned; records the pin as used. */
+    bool
+    allows(const std::string &key)
+    {
+        if (!pins_.count(key))
+            return false;
+        used_.insert(key);
+        return true;
+    }
+
+    /** Append a "stale-pin" violation for every pin never used. */
+    void
+    reportUnused(const std::string &rule,
+                 std::vector<Violation> &out) const
+    {
+        for (const auto &[key, line] : pins_) {
+            if (used_.count(key))
+                continue;
+            out.push_back(
+                {"stale-pin", rel_, line,
+                 "pin '" + key + "' matches no site the " + rule +
+                 " rule flags; remove it"});
+        }
+    }
+
+  private:
+    std::string rel_;
+    std::map<std::string, int> pins_; ///< Key -> first line.
+    std::set<std::string> used_;
+};
 
 /** 1-based line number of `pos` in `text`. */
 int
@@ -365,14 +424,13 @@ bool
 ruleCheckpoint(const Options &opts, std::vector<Violation> &out)
 {
     fs::path cfg = fs::path(opts.root) / "tools" / "seqpoint_lint";
-    std::vector<std::string> paths, allow;
+    std::vector<std::string> paths;
     if (!readListFile(cfg / "checkpoint_paths.txt", paths)) {
         out.push_back({"config", "tools/seqpoint_lint/checkpoint_paths.txt",
                        0, "cannot read checkpoint path registry"});
         return false;
     }
-    readListFile(cfg / "checkpoint_allowlist.txt", allow); // optional
-    std::set<std::string> allowed(allow.begin(), allow.end());
+    Allowlist allowed(opts, "checkpoint_allowlist.txt");
 
     for (const std::string &rel : paths) {
         std::string src;
@@ -386,7 +444,7 @@ ruleCheckpoint(const Options &opts, std::vector<Violation> &out)
             if (loop.checked)
                 continue;
             std::string key = loopKey(rel, loop);
-            if (allowed.count(key))
+            if (allowed.allows(key))
                 continue;
             out.push_back(
                 {"checkpoint", rel, loop.line,
@@ -396,6 +454,7 @@ ruleCheckpoint(const Options &opts, std::vector<Violation> &out)
                  "seqpoint_lint --list-loops)"});
         }
     }
+    allowed.reportUnused("checkpoint", out);
     return true;
 }
 
@@ -493,8 +552,7 @@ chainStart(const std::string &text, std::size_t ident_start)
 void
 scanDiscards(const std::string &stripped,
              const std::set<std::string> &names,
-             const std::string &rel,
-             const std::set<std::string> &allowed,
+             const std::string &rel, Allowlist &allowed,
              std::vector<Violation> &out)
 {
     for (std::size_t i = 0; i < stripped.size(); ++i) {
@@ -553,7 +611,7 @@ scanDiscards(const std::string &stripped,
         }
         if (!stmt && !void_cast)
             continue;
-        if (allowed.count(rel + ":" + word))
+        if (allowed.allows(rel + ":" + word))
             continue;
         out.push_back(
             {"status-discard", rel, lineOf(stripped, start),
@@ -567,10 +625,7 @@ scanDiscards(const std::string &stripped,
 bool
 ruleStatusDiscard(const Options &opts, std::vector<Violation> &out)
 {
-    fs::path cfg = fs::path(opts.root) / "tools" / "seqpoint_lint";
-    std::vector<std::string> allow;
-    readListFile(cfg / "status_discard_allowlist.txt", allow);
-    std::set<std::string> allowed(allow.begin(), allow.end());
+    Allowlist allowed(opts, "status_discard_allowlist.txt");
 
     fs::path src_root = fs::path(opts.root) / "src";
     std::error_code ec;
@@ -603,6 +658,7 @@ ruleStatusDiscard(const Options &opts, std::vector<Violation> &out)
     // Pass 2: statement-position and (void) discards of those names.
     for (const auto &f : files)
         scanDiscards(f.second, names, f.first, allowed, out);
+    allowed.reportUnused("status-discard", out);
     return true;
 }
 
@@ -796,15 +852,14 @@ bool
 ruleUnorderedIter(const Options &opts, std::vector<Violation> &out)
 {
     fs::path cfg = fs::path(opts.root) / "tools" / "seqpoint_lint";
-    std::vector<std::string> paths, allow;
+    std::vector<std::string> paths;
     if (!readListFile(cfg / "determinism_paths.txt", paths)) {
         out.push_back({"config",
                        "tools/seqpoint_lint/determinism_paths.txt", 0,
                        "cannot read determinism path registry"});
         return false;
     }
-    readListFile(cfg / "determinism_allowlist.txt", allow); // optional
-    std::set<std::string> allowed(allow.begin(), allow.end());
+    Allowlist allowed(opts, "determinism_allowlist.txt");
 
     for (const std::string &rel : paths) {
         std::string src;
@@ -842,7 +897,7 @@ ruleUnorderedIter(const Options &opts, std::vector<Violation> &out)
                               "seqlint:canonical-order"))
                 continue;
             std::string key = loopKey(rel, loop);
-            if (allowed.count(key))
+            if (allowed.allows(key))
                 continue;
             out.push_back(
                 {"unordered-iter", rel, loop.line,
@@ -854,6 +909,7 @@ ruleUnorderedIter(const Options &opts, std::vector<Violation> &out)
                  " in determinism_allowlist.txt"});
         }
     }
+    allowed.reportUnused("unordered-iter", out);
     return true;
 }
 
@@ -864,11 +920,7 @@ ruleUnorderedIter(const Options &opts, std::vector<Violation> &out)
 bool
 ruleNondeterminism(const Options &opts, std::vector<Violation> &out)
 {
-    fs::path cfg = fs::path(opts.root) / "tools" / "seqpoint_lint";
-    std::vector<std::string> allow;
-    readListFile(cfg / "nondeterminism_allowlist.txt",
-                 allow); // optional
-    std::set<std::string> allowed(allow.begin(), allow.end());
+    Allowlist allowed(opts, "nondeterminism_allowlist.txt");
 
     static const char *const tokens[] = {
         "rand",          "srand",        "drand48",
@@ -884,8 +936,6 @@ ruleNondeterminism(const Options &opts, std::vector<Violation> &out)
             continue;
         std::string stripped = stripComments(text, true);
         for (const char *token : tokens) {
-            if (allowed.count(rel + ":" + token))
-                continue;
             std::size_t pos = 0;
             std::string tok(token);
             while ((pos = stripped.find(tok, pos)) !=
@@ -894,6 +944,9 @@ ruleNondeterminism(const Options &opts, std::vector<Violation> &out)
                 std::size_t end = pos + tok.size();
                 bool rb = end >= stripped.size() ||
                           !isIdentChar(stripped[end]);
+                // A pin sanctions every use of its token in its file.
+                if (lb && rb && allowed.allows(rel + ":" + tok))
+                    break;
                 if (lb && rb) {
                     out.push_back(
                         {"nondeterminism", rel,
@@ -908,6 +961,7 @@ ruleNondeterminism(const Options &opts, std::vector<Violation> &out)
             }
         }
     }
+    allowed.reportUnused("nondeterminism", out);
     return true;
 }
 
@@ -949,11 +1003,7 @@ lambdaIndexName(const std::string &args)
 bool
 ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
 {
-    fs::path cfg = fs::path(opts.root) / "tools" / "seqpoint_lint";
-    std::vector<std::string> allow;
-    readListFile(cfg / "float_reduce_allowlist.txt",
-                 allow); // optional
-    std::set<std::string> allowed(allow.begin(), allow.end());
+    Allowlist allowed(opts, "float_reduce_allowlist.txt");
 
     static const char *const ops[] = {"+=", "-=", "*="};
 
@@ -1011,7 +1061,7 @@ ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
                         continue;
                     std::string key =
                         rel + "#" + hashHex(fnv1a64(stmt));
-                    if (allowed.count(key))
+                    if (allowed.allows(key))
                         continue;
                     out.push_back(
                         {"float-reduce", rel, line,
@@ -1027,6 +1077,7 @@ ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
             }
         }
     }
+    allowed.reportUnused("float-reduce", out);
     return true;
 }
 
@@ -1100,7 +1151,7 @@ bool
 ruleFuzzCoverage(const Options &opts, std::vector<Violation> &out)
 {
     fs::path cfg = fs::path(opts.root) / "tools" / "seqpoint_lint";
-    std::vector<std::string> codec_files, harnesses, allow;
+    std::vector<std::string> codec_files, harnesses;
     if (!readListFile(cfg / "fuzz_codec_files.txt", codec_files)) {
         out.push_back({"config",
                        "tools/seqpoint_lint/fuzz_codec_files.txt", 0,
@@ -1113,9 +1164,7 @@ ruleFuzzCoverage(const Options &opts, std::vector<Violation> &out)
                        "cannot read fuzz harness registry"});
         return false;
     }
-    readListFile(cfg / "fuzz_coverage_allowlist.txt",
-                 allow); // optional
-    std::set<std::string> allowed(allow.begin(), allow.end());
+    Allowlist allowed(opts, "fuzz_coverage_allowlist.txt");
 
     std::map<std::string, FuzzEntry> entries;
     for (const std::string &rel : codec_files) {
@@ -1144,15 +1193,13 @@ ruleFuzzCoverage(const Options &opts, std::vector<Violation> &out)
     for (const auto &[ident, e] : entries) {
         std::string key = e.rel + ":" +
             (e.method ? "ByteReader::" + e.name : e.name);
-        if (allowed.count(key))
-            continue;
         bool covered = e.method
             ? (harness_all.find("." + e.name + "(") !=
                    std::string::npos ||
                harness_all.find("->" + e.name + "(") !=
                    std::string::npos)
             : containsWord(harness_all, e.name);
-        if (covered)
+        if (covered || allowed.allows(key))
             continue;
         out.push_back(
             {"fuzz-coverage", e.rel, e.line,
@@ -1161,6 +1208,7 @@ ruleFuzzCoverage(const Options &opts, std::vector<Violation> &out)
              "tools/fuzz/, or pin '" + key +
              "' in fuzz_coverage_allowlist.txt"});
     }
+    allowed.reportUnused("fuzz-coverage", out);
     return true;
 }
 

@@ -30,6 +30,12 @@
  *      harness listed in fuzz_harnesses.txt (new codecs cannot ship
  *      unfuzzed).
  *
+ * Every allowlist pin must match a site its rule would otherwise
+ * flag: a pin that matches none (its loop was rewritten, its file or
+ * token is gone) is reported as a "stale-pin" violation at its line
+ * in the allowlist, so a dead pin cannot silently sanction a future
+ * site.
+ *
  * The scans run on comment/string-stripped text, so commentary never
  * trips rules 1-2 and string contents never unbalance the brace
  * matcher. Escape-hatch annotations (rules 4 and 6) are comments and
