@@ -64,6 +64,19 @@ paramDigest(const std::string &dataset, unsigned batch,
         static_cast<unsigned>(opts.repPick));
 }
 
+/** The config part of both key builders: its encoded bytes, as hex. */
+std::string
+configHex(const sim::GpuConfig &cfg)
+{
+    static constexpr char kDigits[] = "0123456789abcdef";
+    ByteWriter w;
+    sim::encodeGpuConfig(w, cfg);
+    std::string hex;
+    for (unsigned char b : w.data())
+        hex.append({kDigits[b >> 4], kDigits[b & 0xf]});
+    return hex;
+}
+
 void
 encodeProfileMap(ByteWriter &w,
                  const std::map<int64_t, prof::IterationProfile> &map)
@@ -143,7 +156,7 @@ snapshotKeyFor(const Workload &wl, const core::SeqPointOptions &opts,
 {
     SnapshotKey key;
     key.workload = wl.name;
-    key.configSignature = cfg.signature();
+    key.configSignature = configHex(cfg);
     key.paramDigest =
         paramDigest(wl.dataset.name, wl.batchSize, wl.policy, wl.seed,
                     wl.evalCostMultiplier, opts);
@@ -155,7 +168,7 @@ snapshotKeyOf(const ModelSnapshot &snap)
 {
     SnapshotKey key;
     key.workload = snap.workload;
-    key.configSignature = snap.config.signature();
+    key.configSignature = configHex(snap.config);
     key.paramDigest =
         paramDigest(snap.dataset, snap.batchSize, snap.policy,
                     snap.seed, snap.evalCostMultiplier, snap.opts);

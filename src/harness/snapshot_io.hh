@@ -67,7 +67,8 @@ bool otherBuildsStoreFile(const std::string &name);
  */
 struct SnapshotKey {
     std::string workload;        ///< Workload name.
-    std::string configSignature; ///< GpuConfig::signature() (lossless).
+    /** sim::encodeGpuConfig()'s bytes as hex (bit-exact). */
+    std::string configSignature;
     std::string paramDigest;     ///< Lossless run-parameter render.
 
     /** @return The registry cache key (all three parts joined). */

@@ -225,19 +225,22 @@ std::shared_ptr<const ModelSnapshot>
 SnapshotRegistry::acquire(const WorkloadFactory &make,
                           const sim::GpuConfig &cfg,
                           unsigned profile_threads,
-                          const core::SeqPointOptions &opts)
+                          const core::SeqPointOptions &opts, bool *built)
 {
     Workload wl = make();
     SnapshotKey key = snapshotKeyFor(wl, opts, cfg);
     // The workload is moved into the builder's experiment; on a hit
     // the builder never runs and the instance is simply dropped.
-    return acquire(key, [&wl, &cfg, profile_threads, &opts] {
+    return acquire(key, [&wl, &cfg, profile_threads, &opts, built] {
         Experiment exp(std::move(wl), opts);
         exp.setProfileThreads(
             profile_threads
                 ? profile_threads
                 : std::max(1u, std::thread::hardware_concurrency()));
-        return exp.snapshot(cfg);
+        auto snap = exp.snapshot(cfg);
+        if (built)
+            *built = true;
+        return snap;
     });
 }
 

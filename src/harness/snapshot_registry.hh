@@ -3,11 +3,13 @@
  * Persistent snapshot registry: the process-wide (and optionally
  * on-disk) cache of ModelSnapshot cold starts, keyed by the full
  * identity the snapshotted state is a pure function of -- workload,
- * GpuConfig::signature(), and the run-parameter digest. One build of
- * a (workload, configuration) pair is paid once, then every later
- * consumer -- concurrent scheduler cells, sibling fig benches in the
- * same process, or a different bench binary in a later CI run --
- * seeds from it bit-identically.
+ * the configuration's sim::encodeGpuConfig() bytes (as hex, so two
+ * configs share a snapshot only when every field matches bit for
+ * bit), and the run-parameter digest. One build of a (workload,
+ * configuration) pair is paid once, then every later consumer --
+ * concurrent scheduler cells, sibling fig benches in the same
+ * process, the query service, or a different bench binary in a later
+ * CI run -- reads it bit-identically.
  */
 
 #ifndef SEQPOINT_HARNESS_SNAPSHOT_REGISTRY_HH
@@ -117,12 +119,15 @@ class SnapshotRegistry
      *                        (0 = hardware concurrency; never changes
      *                        results).
      * @param opts SeqPoint tunables of the consuming experiments.
+     * @param built Set to true when this call built the snapshot
+     *              (left alone on a hit); may be null.
      */
     std::shared_ptr<const ModelSnapshot>
     acquire(const WorkloadFactory &make, const sim::GpuConfig &cfg,
             unsigned profile_threads = 0,
             const core::SeqPointOptions &opts =
-                Experiment::defaultOptions());
+                Experiment::defaultOptions(),
+            bool *built = nullptr);
 
     /**
      * Acquire keyed off an already-built workload: `wl` supplies the

@@ -12,25 +12,26 @@
 
 #include "common/bytestream.hh"
 #include "common/logging.hh"
+#include "common/stats_math.hh"
 #include "common/strutil.hh"
-#include "harness/snapshot_io.hh"
+#include "core/projection.hh"
 #include "sim/gpu_config.hh"
 
 namespace seqpoint {
 namespace service {
+
+/** The watchdog reports a worker busy on one request this long. */
+constexpr double kWatchdogStuckSec = 30.0;
+/** The watchdog's scan interval. */
+constexpr std::chrono::milliseconds kWatchdogPoll{500};
+/** drain()'s budget for queued and in-flight requests. */
+constexpr double kDrainTimeoutSec = 60.0;
 
 PendingQuery::PendingQuery(QueryRequest r)
     : req(std::move(r)), submitSec(CancelToken::now())
 {
     if (std::isfinite(req.deadlineSec))
         token_.armAfter(req.deadlineSec);
-}
-
-bool
-PendingQuery::done() const
-{
-    MutexLock lock(mu);
-    return done_;
 }
 
 QueryResult
@@ -65,7 +66,7 @@ QueryService::QueryService(ServiceConfig cfg)
 QueryService::~QueryService()
 {
     if (running_.load())
-        drain(config_.drainTimeoutSec);
+        drain();
 }
 
 void
@@ -148,6 +149,29 @@ QueryService::query(QueryRequest req)
     return submit(std::move(req))->wait();
 }
 
+QueryService::Answers
+QueryService::answersFrom(const harness::ModelSnapshot &snap)
+{
+    // The values a seeded Experiment would read: the memoised
+    // selection, Eq. 1 over the snapshot's per-SL train profiles, and
+    // the epoch's own train time.
+    Answers out;
+    for (std::size_t k = 0; k < out.size(); ++k) {
+        QueryAnswer &a = out[k];
+        a.selection =
+            snap.selections.at(static_cast<core::SelectorKind>(k));
+        a.projectedSec = core::projectTrainingTime(
+            a.selection, [&snap](int64_t sl) {
+                return snap.trainProfiles.at(sl).timeSec;
+            });
+        a.actualSec = snap.log.trainSec;
+        a.errorPct = a.actualSec > 0.0
+            ? relError(a.projectedSec, a.actualSec) * 100.0
+            : 0.0;
+    }
+    return out;
+}
+
 QueryAnswer
 QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
 {
@@ -157,7 +181,12 @@ QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
             ErrorCode::CellFailed,
             csprintf("unknown workload '%s'", req.workload.c_str())));
     }
-    const harness::WorkloadFactory &make = fit->second;
+    const auto kind = static_cast<std::size_t>(req.selector);
+    if (kind >= std::tuple_size_v<Answers>) {
+        throw RecoverableError(Status::error(
+            ErrorCode::CellFailed,
+            csprintf("unknown selector %zu", kind)));
+    }
 
     // The length prefix keeps the key prefix-free: no two
     // (workload, config) pairs encode to the same bytes.
@@ -174,52 +203,33 @@ QueryService::answerQuery(const QueryRequest &req, bool &cold_build)
     }
 
     // Same-pair requests serialise on the entry (the second of two
-    // concurrent identical queries piggybacks here and finds warm
-    // state); different pairs proceed independently. Lock order is
+    // concurrent identical queries piggybacks here and finds the
+    // answers); different pairs proceed independently. Lock order is
     // entry -> registry slot, never the reverse.
-    MutexLock entry_lock(entry->mu);
-    cancelCheckpoint("service.entry");
-
-    if (!entry->exp) {
-        // Cold for this process: stand up the warm Experiment, whose
-        // workload also names the snapshot, then acquire that
-        // snapshot (single-flight in the registry; disk hit, or a
-        // build whose inner loops observe this request's cancel
-        // token) and seed from it. A build runs on its own Experiment
-        // that is then dropped: a seeded Experiment holds far less
-        // live memory than a cold-built one. A thrown cancellation
-        // leaves both the registry slot and this entry unset and
-        // reusable.
-        auto exp = std::make_unique<harness::Experiment>(make());
-        exp->setProfileThreads(std::max(1u, config_.profileThreads));
-        harness::SnapshotKey key = harness::snapshotKeyFor(
-            exp->workload(), exp->options(), req.config);
-        bool built = false;
-        auto snap = registry_.acquire(key, [&] {
-            built = true;
-            harness::Experiment cold(make());
-            cold.setProfileThreads(
-                std::max(1u, config_.profileThreads));
-            return cold.snapshot(req.config);
-        });
-        cold_build = built;
-
-        exp->seedFrom(snap);
-        entry->exp = std::move(exp);
+    std::shared_ptr<const Answers> answers;
+    {
+        MutexLock entry_lock(entry->mu);
+        cancelCheckpoint("service.entry");
+        if (!entry->answers) {
+            // Cold for this process. The registry calls the factory
+            // once: that workload names the snapshot and, on a miss,
+            // moves into the Experiment that builds it. The acquire is
+            // single-flight: a memory or disk hit, or a build whose
+            // inner loops observe this request's cancel token. A
+            // thrown cancellation leaves both the registry slot and
+            // this entry unset and reusable.
+            auto snap = registry_.acquire(
+                fit->second, req.config,
+                std::max(1u, config_.profileThreads),
+                harness::Experiment::defaultOptions(), &cold_build);
+            entry->answers =
+                std::make_shared<const Answers>(answersFrom(*snap));
+        }
+        answers = entry->answers;
     }
 
     cancelCheckpoint("service.answer");
-    harness::Experiment &exp = *entry->exp;
-    QueryAnswer ans;
-    ans.selection = exp.buildSelection(req.selector, req.config);
-    ans.projectedSec =
-        exp.projectedTrainSec(ans.selection, req.config);
-    ans.actualSec = exp.actualTrainSec(req.config);
-    ans.errorPct = ans.actualSec > 0.0
-        ? std::abs(ans.projectedSec - ans.actualSec) / ans.actualSec *
-            100.0
-        : 0.0;
-    return ans;
+    return (*answers)[kind];
 }
 
 void
@@ -291,11 +301,8 @@ QueryService::watchdogLoop()
     for (;;) {
         {
             MutexLock lock(watchdogMu);
-            const auto deadline = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(
-                        std::max(0.01, config_.watchdogPollSec)));
+            const auto deadline =
+                std::chrono::steady_clock::now() + kWatchdogPoll;
             while (!stopWatchdog) {
                 if (watchdogCv.waitUntil(watchdogMu, deadline) ==
                     std::cv_status::timeout)
@@ -311,7 +318,7 @@ QueryService::watchdogLoop()
             if (!ws.current || ws.reported)
                 continue;
             double busy = now - ws.busySince;
-            if (busy < config_.watchdogStuckSec)
+            if (busy < kWatchdogStuckSec)
                 continue;
             ws.reported = true;
             stats_.stuckReports.fetch_add(1, std::memory_order_relaxed);
@@ -324,7 +331,7 @@ QueryService::watchdogLoop()
 }
 
 void
-QueryService::drain(double timeout_sec)
+QueryService::drain()
 {
     MutexLock lock(lifecycleMu);
     if (!running_.load())
@@ -337,7 +344,7 @@ QueryService::drain(double timeout_sec)
 
     // Phase 2: the polite window -- queued and in-flight requests may
     // finish on their own until the budget runs out.
-    double deadline = CancelToken::now() + std::max(0.0, timeout_sec);
+    double deadline = CancelToken::now() + kDrainTimeoutSec;
     for (;;) {
         {
             MutexLock out_lock(outstandingMu);

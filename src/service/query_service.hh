@@ -6,11 +6,12 @@
  *
  * The paper's value proposition is that this query is orders of
  * magnitude cheaper than full-epoch profiling once the per-SL
- * profiles exist; the service keeps them resident. One shared
- * SnapshotRegistry supplies cold-start state (single-flight per
- * identity, optionally disk-persistent), and a warm Experiment per
- * (workload, config) pair answers repeat queries from memos in
- * microseconds.
+ * profiles exist: an answer is Eq. 1 over a handful of
+ * representative SLs. One shared SnapshotRegistry supplies each
+ * (workload, config) pair's snapshot (single-flight per identity,
+ * optionally disk-persistent). The first query on a pair computes
+ * all five selectors' answers from that snapshot once and keeps them
+ * as an immutable record; every later query on the pair copies one.
  *
  * Robustness is the design center, not throughput:
  *
@@ -24,8 +25,8 @@
  *   - Dedup: concurrent identical queries ride one underlying build
  *     through the registry's single-flight slot (plus the per-pair
  *     warm entry), so a thundering herd pays one cold start.
- *   - Graceful drain: stop admitting, give in-flight requests until
- *     the drain deadline, cancel the stragglers, persist any
+ *   - Graceful drain: stop admitting, give in-flight requests a
+ *     fixed budget to finish, cancel the stragglers, persist any
  *     snapshot the store missed, then join everything.
  *   - Watchdog: a background thread reports workers that have been
  *     busy on one request suspiciously long.
@@ -34,6 +35,7 @@
 #ifndef SEQPOINT_SERVICE_QUERY_SERVICE_HH
 #define SEQPOINT_SERVICE_QUERY_SERVICE_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -52,7 +54,6 @@
 #include "common/thread_annotations.hh"
 #include "core/baselines.hh"
 #include "core/seqpoint.hh"
-#include "harness/experiment.hh"
 #include "harness/snapshot_registry.hh"
 #include "harness/workloads.hh"
 #include "sim/gpu.hh"
@@ -104,9 +105,6 @@ class PendingQuery
     /** Fire the token: the request unwinds at its next checkpoint. */
     void cancel() { token_.cancel(); }
 
-    /** @return True once the result is available. */
-    bool done() const SEQ_EXCLUDES(mu);
-
     /** Block until the result is available and return it. */
     QueryResult wait() SEQ_EXCLUDES(mu);
 
@@ -134,11 +132,6 @@ struct ServiceConfig {
     std::size_t queueCapacity = 16; ///< Admission-control bound.
     unsigned profileThreads = 1;   ///< Inner sweep width per build.
     std::string storeDir;          ///< Snapshot store ("" = memory).
-    /** Report a worker busy on one request longer than this. */
-    double watchdogStuckSec = 30.0;
-    double watchdogPollSec = 0.5;  ///< Watchdog scan interval.
-    /** Default drain budget (destructor, drain() without an arg). */
-    double drainTimeoutSec = 60.0;
 };
 
 /** Service-level accounting (all monotonic counters). */
@@ -164,7 +157,7 @@ class QueryService
   public:
     explicit QueryService(ServiceConfig cfg = ServiceConfig());
 
-    /** Drains (with the configured default budget) if still running. */
+    /** Drains if still running. */
     ~QueryService();
 
     QueryService(const QueryService &) = delete;
@@ -193,18 +186,13 @@ class QueryService
 
     /**
      * Graceful shutdown: stop admitting (later submits shed with
-     * Overloaded), let queued + in-flight requests finish until
-     * `timeout_sec` elapses, cancel whatever is still running (each
-     * unwinds at its next checkpoint with a Cancelled result), join
-     * the workers, persist any snapshot the store does not hold yet,
-     * and stop the watchdog. Idempotent.
-     *
-     * @param timeout_sec Budget for the polite phase; <= 0 cancels
-     *        in-flight work immediately. NAN/default uses the
-     *        configured drainTimeoutSec.
+     * Overloaded), let queued + in-flight requests finish for up to
+     * 60 seconds, cancel whatever is still running (each unwinds at
+     * its next checkpoint with a Cancelled result), join the workers,
+     * persist any snapshot the store does not hold yet, and stop the
+     * watchdog. Idempotent.
      */
-    void drain(double timeout_sec);
-    void drain() { drain(config_.drainTimeoutSec); }
+    void drain();
 
     /** @return True between start() and drain(). */
     bool running() const { return running_.load(); }
@@ -215,21 +203,19 @@ class QueryService
     /** @return The shared snapshot registry (thread-safe). */
     harness::SnapshotRegistry &registry() { return registry_; }
 
-    /** @return The service configuration. */
-    const ServiceConfig &config() const { return config_; }
-
   private:
+    /** One answer per core::SelectorKind, indexed by its value. */
+    using Answers = std::array<QueryAnswer, 5>;
+
     /**
-     * Warm per-(workload, config) state: an Experiment seeded once
-     * from the pair's snapshot; later queries on the pair are memo
-     * hits. Experiment::seedFrom must precede the first per-config
-     * query, which is why the granularity is per pair, not per
-     * workload.
+     * Warm per-(workload, config) state: every selector's answer,
+     * read from the pair's snapshot by the first query on the pair
+     * and never changed after. The mutex makes that first query
+     * single-flight; later ones only copy an answer out.
      */
     struct WarmEntry {
         Mutex mu;
-        std::unique_ptr<harness::Experiment> exp SEQ_GUARDED_BY(mu)
-            SEQ_PT_GUARDED_BY(mu);
+        std::shared_ptr<const Answers> answers SEQ_GUARDED_BY(mu);
     };
 
     /** Per-worker heartbeat the watchdog reads. */
@@ -274,8 +260,8 @@ class QueryService
      *  followed by sim::encodeGpuConfig's byte image of the config
      *  (IEEE bit patterns, name included), compared byte for byte.
      *  Unlike GpuConfig::operator==, a NaN field still finds its own
-     *  entry, and -0.0 stays distinct from 0.0 as under signature();
-     *  unlike signature(), building the key formats nothing.
+     *  entry, and -0.0 stays distinct from 0.0, exactly as in the
+     *  pair's SnapshotKey.
      *  Lock order: a WarmEntry::mu is taken after entriesMu is
      *  released and may be held across registry-slot acquisition
      *  (entry -> registry slot, never the reverse). */
@@ -301,6 +287,9 @@ class QueryService
 
     /** Classify-and-publish one finished request. */
     void finish(const PendingPtr &p, QueryResult r);
+
+    /** Every selector's answer on `snap`, indexed by SelectorKind. */
+    static Answers answersFrom(const harness::ModelSnapshot &snap);
 
     /**
      * Answer one query on the calling worker thread (the caller's

@@ -7,8 +7,6 @@
 
 #include <bit>
 
-#include "common/strutil.hh"
-
 namespace seqpoint {
 namespace sim {
 
@@ -83,21 +81,6 @@ GpuConfig::config5()
     cfg.name = "config#5";
     cfg.l2SizeBytes = 0;
     return cfg;
-}
-
-std::string
-GpuConfig::signature() const
-{
-    // %.17g round-trips every double; integral fields print exactly.
-    return csprintf(
-        "%s|%.17g|%u|%u|%u|%u|%u|%llu|%u|%llu|%u|%u|%.17g|%.17g|%.17g|"
-        "%.17g|%.17g|%.17g",
-        name.c_str(), gclkHz, numCus, simdsPerCu, lanesPerSimd,
-        maxWavesPerCu, waveSize,
-        static_cast<unsigned long long>(l1SizeBytes), l1Assoc,
-        static_cast<unsigned long long>(l2SizeBytes), l2Assoc,
-        lineBytes, l1BytesPerCycle, l2BytesPerCycle, dramBandwidth,
-        dramEfficiency, launchOverheadSec, writeDrainFraction);
 }
 
 std::vector<GpuConfig>

@@ -98,15 +98,6 @@ struct GpuConfig {
     bool hasL2() const { return l2SizeBytes > 0; }
 
     /**
-     * Full configuration signature: the name plus every parameter,
-     * rendered losslessly. Two configurations compare equal under
-     * this string exactly when every field matches (i.e. exactly
-     * when operator== holds), so it is a correct external key for
-     * per-configuration artifacts.
-     */
-    std::string signature() const;
-
-    /**
      * Field-wise equality over every parameter. The name alone is
      * NOT sufficient identity: per-configuration state keyed by it
      * silently aliases differently-parameterised configs.
@@ -133,9 +124,13 @@ struct GpuConfig {
 };
 
 /**
- * Serialize every configuration parameter (snapshot store). The
- * decoded configuration compares equal under operator== -- and
- * therefore under signature() -- to the encoded one.
+ * Serialize every configuration parameter, the name included, with
+ * each double as its IEEE bit pattern. The byte image is the
+ * configuration's one identity: the snapshot key (as hex) and the
+ * query service's warm key are built from it, and decodeGpuConfig()
+ * gives back a configuration with the same image. Unlike
+ * GpuConfig::operator==, it tells -0.0 from 0.0 and one NaN payload
+ * from another, and a NaN field matches itself.
  */
 void encodeGpuConfig(ByteWriter &w, const GpuConfig &cfg);
 
@@ -144,10 +139,11 @@ GpuConfig decodeGpuConfig(ByteReader &r);
 
 /**
  * Whether two configurations have the same encodeGpuConfig() byte
- * image, field by field and without encoding: the equality the query
- * service's warm key uses. Unlike GpuConfig::operator==, a NaN field
- * matches itself (so a NaN config resolves to one state) and -0.0
- * stays apart from 0.0.
+ * image, field by field and without encoding (Experiment::state runs
+ * it on every per-SL lookup): the equality an Experiment's
+ * per-configuration states use. Unlike GpuConfig::operator==, a NaN
+ * field matches itself (so a NaN config resolves to one state) and
+ * -0.0 stays apart from 0.0.
  */
 bool sameEncodedConfig(const GpuConfig &a, const GpuConfig &b);
 

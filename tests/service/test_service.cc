@@ -1,21 +1,23 @@
 /**
  * @file
  * Tests for the deadline-aware query service: answer correctness
- * against a direct Experiment (bit-identical), warm-vs-cold
- * accounting, single-flight dedup of concurrent identical queries,
- * admission-control shedding, deadline and cancellation unwinds that
- * leave the service reusable, graceful drain (including persisting a
- * snapshot whose save a fault dropped), and a death-free chaos run
- * under the PR 6 fault storm.
+ * against a direct Experiment (bit-identical for every selector,
+ * network and Table II config), warm-vs-cold accounting, one factory
+ * call per cold pair, single-flight dedup of concurrent identical
+ * queries, admission-control shedding, deadline and cancellation
+ * unwinds that leave the service reusable, classified refusal of an
+ * unknown workload or selector, graceful drain (including persisting
+ * a snapshot whose save a fault dropped), and a death-free chaos run
+ * under a fault storm.
  *
  * An 8-client x 8-worker cold round over six pairs, with duplicates
  * in flight together, must build each pair once and answer every
  * query bit-identically.
  *
  * Warm entries are checked too: every config field keys its own
- * entry, a NaN-valued config builds once and then answers warm, and
- * concurrent warm hits on pre-warmed pairs answer as their pre-warm
- * queries did.
+ * entry (two NaN payloads included), a NaN-valued config builds once
+ * and then answers warm, and concurrent warm hits on pre-warmed pairs
+ * answer as their pre-warm queries did.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -32,6 +35,7 @@
 #include "common/fault_injection.hh"
 #include "common/logging.hh"
 #include "harness/experiment.hh"
+#include "harness/figures.hh"
 #include "harness/workloads.hh"
 #include "service/query_service.hh"
 
@@ -52,23 +56,42 @@ tmpStore(const std::string &name)
 
 /** The clean serial answer the service must reproduce exactly. */
 QueryAnswer
+directAnswer(harness::Experiment &exp, const sim::GpuConfig &cfg,
+             core::SelectorKind kind = core::SelectorKind::SeqPoint)
+{
+    QueryAnswer want;
+    want.selection = exp.buildSelection(kind, cfg);
+    want.projectedSec = exp.projectedTrainSec(want.selection, cfg);
+    want.actualSec = exp.actualTrainSec(cfg);
+    want.errorPct = want.actualSec > 0.0
+        ? std::abs(want.projectedSec - want.actualSec) /
+            want.actualSec * 100.0
+        : 0.0;
+    return want;
+}
+
+QueryAnswer
 directAnswer(harness::Workload wl, const sim::GpuConfig &cfg)
 {
     harness::Experiment exp(std::move(wl));
     exp.setProfileThreads(1);
-    QueryAnswer want;
-    want.selection =
-        exp.buildSelection(core::SelectorKind::SeqPoint, cfg);
-    want.projectedSec = exp.projectedTrainSec(want.selection, cfg);
-    want.actualSec = exp.actualTrainSec(cfg);
-    return want;
+    return directAnswer(exp, cfg);
 }
 
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+/** The same selection and the same bit pattern in every double. */
 bool
 answersMatch(const QueryAnswer &a, const QueryAnswer &b)
 {
     return a.selection == b.selection &&
-        a.projectedSec == b.projectedSec && a.actualSec == b.actualSec;
+        bits(a.projectedSec) == bits(b.projectedSec) &&
+        bits(a.actualSec) == bits(b.actualSec) &&
+        bits(a.errorPct) == bits(b.errorPct);
 }
 
 QueryRequest
@@ -82,34 +105,92 @@ ds2Request(const sim::GpuConfig &cfg = sim::GpuConfig::config1())
 
 TEST(QueryService, AnswersBitIdenticalToDirectExperiment)
 {
+    // Every selector on every Table II config of both networks: the
+    // first query on a pair is cold, every later one warm, and each
+    // answer equals a direct Experiment's bit for bit.
+    const std::vector<std::pair<std::string, harness::WorkloadFactory>>
+        workloads = {
+            {"DS2", [] { return harness::makeDs2Workload(); }},
+            {"GNMT", [] { return harness::makeGnmtWorkload(); }},
+        };
     ServiceConfig cfg;
     cfg.workers = 2;
     QueryService svc(cfg);
-    svc.registerWorkload("DS2",
-                         [] { return harness::makeDs2Workload(); });
+    for (const auto &[name, make] : workloads)
+        svc.registerWorkload(name, make);
     svc.start();
 
+    uint64_t queries = 0;
+    for (const auto &[name, make] : workloads) {
+        harness::Experiment exp(make());
+        exp.setProfileThreads(1);
+        for (const sim::GpuConfig &c : sim::GpuConfig::table2()) {
+            bool first = true;
+            for (core::SelectorKind kind : harness::selectorOrder()) {
+                SCOPED_TRACE(testing::Message()
+                             << name << " " << c.name << " "
+                             << core::selectorName(kind));
+                QueryRequest req;
+                req.workload = name;
+                req.config = c;
+                req.selector = kind;
+                QueryResult r = svc.query(req);
+                ++queries;
+                ASSERT_TRUE(r.status.ok()) << r.status.toString();
+                EXPECT_EQ(r.coldBuild, first);
+                EXPECT_GT(r.latencySec, 0.0);
+                EXPECT_TRUE(answersMatch(r.answer,
+                                         directAnswer(exp, c, kind)));
+                first = false;
+            }
+        }
+    }
+
+    const uint64_t pairs =
+        workloads.size() * sim::GpuConfig::table2().size();
+    ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.admitted, queries);
+    EXPECT_EQ(stats.completed, queries);
+    EXPECT_EQ(stats.coldBuilds, pairs);
+    EXPECT_EQ(stats.warmHits, queries - pairs);
+    svc.drain();
+    EXPECT_FALSE(svc.running());
+}
+
+TEST(QueryService, ColdPairCallsItsFactoryOnce)
+{
+    std::atomic<unsigned> calls{0};
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    QueryService svc(cfg);
+    svc.registerWorkload("DS2", [&calls] {
+        ++calls;
+        return harness::makeDs2Workload();
+    });
+    svc.start();
+
+    // A cold pair builds one workload: it names the snapshot and
+    // then runs the build. A warm hit builds none.
     QueryResult cold = svc.query(ds2Request());
     ASSERT_TRUE(cold.status.ok()) << cold.status.toString();
     EXPECT_TRUE(cold.coldBuild);
+    EXPECT_EQ(calls.load(), 1u);
 
-    QueryResult warm = svc.query(ds2Request());
-    ASSERT_TRUE(warm.status.ok()) << warm.status.toString();
-    EXPECT_FALSE(warm.coldBuild);
+    QueryRequest other = ds2Request();
+    other.selector = core::SelectorKind::Worst;
+    for (const QueryRequest &req : {ds2Request(), other}) {
+        QueryResult warm = svc.query(req);
+        ASSERT_TRUE(warm.status.ok()) << warm.status.toString();
+        EXPECT_FALSE(warm.coldBuild);
+    }
+    EXPECT_EQ(calls.load(), 1u);
 
-    QueryAnswer want = directAnswer(harness::makeDs2Workload(),
-                                    sim::GpuConfig::config1());
-    EXPECT_TRUE(answersMatch(cold.answer, want));
-    EXPECT_TRUE(answersMatch(warm.answer, want));
-    EXPECT_GT(cold.latencySec, 0.0);
-
-    ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.admitted, 2u);
-    EXPECT_EQ(stats.completed, 2u);
-    EXPECT_EQ(stats.coldBuilds, 1u);
-    EXPECT_EQ(stats.warmHits, 1u);
+    QueryResult other_cfg =
+        svc.query(ds2Request(sim::GpuConfig::config2()));
+    ASSERT_TRUE(other_cfg.status.ok()) << other_cfg.status.toString();
+    EXPECT_TRUE(other_cfg.coldBuild);
+    EXPECT_EQ(calls.load(), 2u);
     svc.drain();
-    EXPECT_FALSE(svc.running());
 }
 
 TEST(QueryService, ConcurrentDuplicatesShareOneBuild)
@@ -342,6 +423,27 @@ TEST(QueryService, UnknownWorkloadClassifiedNotFatal)
     EXPECT_TRUE(svc.query(ds2Request()).status.ok());
 }
 
+TEST(QueryService, UnknownSelectorClassifiedNotFatal)
+{
+    ServiceConfig cfg;
+    cfg.workers = 1;
+    QueryService svc(cfg);
+    svc.registerWorkload("DS2",
+                         [] { return harness::makeDs2Workload(); });
+    svc.start();
+
+    // Refused before any work: no snapshot is built for it.
+    QueryRequest bogus = ds2Request();
+    bogus.selector = static_cast<core::SelectorKind>(5);
+    QueryResult r = svc.query(bogus);
+    ASSERT_FALSE(r.status.ok());
+    EXPECT_EQ(r.status.code(), ErrorCode::CellFailed);
+    EXPECT_EQ(svc.stats().failed, 1u);
+    EXPECT_EQ(svc.registry().stats().builds, 0u);
+
+    EXPECT_TRUE(svc.query(ds2Request()).status.ok());
+}
+
 TEST(QueryService, DrainPersistsDroppedSnapshotAndIsIdempotent)
 {
     std::string dir = tmpStore("service_drain_store");
@@ -489,8 +591,9 @@ TEST(QueryService, ChaosUnderLoadIsDeathFree)
 TEST(QueryService, EveryConfigFieldKeysItsOwnEntry)
 {
     // One config per GpuConfig field (the name included), each
-    // differing from the base in that field only, plus a -0.0 / 0.0
-    // pair that operator== calls equal but signature() keeps apart.
+    // differing from the base in that field only, two NaNs whose
+    // payloads differ, and a -0.0 / 0.0 pair that operator== calls
+    // equal. Each is its own snapshot and its own warm entry.
     const sim::GpuConfig base = sim::GpuConfig::config1();
     std::vector<sim::GpuConfig> variants;
     auto vary = [&](auto mutate) {
@@ -516,6 +619,15 @@ TEST(QueryService, EveryConfigFieldKeysItsOwnEntry)
     vary([](sim::GpuConfig &c) { c.dramEfficiency = 0.7; });
     vary([](sim::GpuConfig &c) { c.launchOverheadSec *= 2.0; });
     vary([](sim::GpuConfig &c) { c.writeDrainFraction = 0.6; });
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double other_nan =
+        std::bit_cast<double>(std::bit_cast<uint64_t>(nan) | 1);
+    ASSERT_TRUE(std::isnan(other_nan));
+    ASSERT_NE(bits(nan), bits(other_nan));
+    vary([nan](sim::GpuConfig &c) { c.writeDrainFraction = nan; });
+    vary([other_nan](sim::GpuConfig &c) {
+        c.writeDrainFraction = other_nan;
+    });
     vary([](sim::GpuConfig &c) { c.launchOverheadSec = 0.0; });
     vary([](sim::GpuConfig &c) { c.launchOverheadSec = -0.0; });
     ASSERT_TRUE(variants[variants.size() - 2] == variants.back());
@@ -536,8 +648,9 @@ TEST(QueryService, EveryConfigFieldKeysItsOwnEntry)
     ASSERT_TRUE(ask(base).coldBuild);
 
     uint64_t builds = 1;
-    for (const sim::GpuConfig &c : variants) {
-        SCOPED_TRACE(c.signature());
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "variant " << i);
+        const sim::GpuConfig &c = variants[i];
         QueryAnswer want = directAnswer(harness::makeCnnWorkload(), c);
         QueryResult first = ask(c);
         ASSERT_TRUE(first.status.ok()) << first.status.toString();
