@@ -6,7 +6,6 @@
 #include "common/bytestream.hh"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -58,68 +57,6 @@ void
 ByteWriter::f64(double v)
 {
     u64(std::bit_cast<uint64_t>(v));
-}
-
-void
-ByteWriter::vu64(uint64_t v)
-{
-    while (v >= 0x80) {
-        u8(static_cast<uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    u8(static_cast<uint8_t>(v));
-}
-
-void
-ByteWriter::vi64(int64_t v)
-{
-    // Zigzag: small magnitudes of either sign stay small.
-    vu64((static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63));
-}
-
-namespace {
-
-/** Tag bytes of the packed double form. */
-enum PackedTag : uint8_t {
-    kPackedSame = 0,     ///< Bit-identical to the previous value.
-    kPackedIntegral = 1, ///< Zigzag varint (delta when prev integral).
-    kPackedRaw = 2,      ///< Raw IEEE-754 bit pattern.
-};
-
-/**
- * Whether `v` survives an int64 round trip exactly. -0.0 is
- * excluded: its integer image decodes as +0.0, which would break the
- * bit-exactness contract.
- */
-bool
-packsIntegral(double v)
-{
-    if (v == 0.0)
-        return !std::signbit(v);
-    if (!(v >= -9007199254740992.0 && v <= 9007199254740992.0))
-        return false; // out of exact-int64 range (or NaN)
-    return v == static_cast<double>(static_cast<int64_t>(v));
-}
-
-} // anonymous namespace
-
-void
-ByteWriter::f64Packed(double v, double prev)
-{
-    if (std::bit_cast<uint64_t>(v) == std::bit_cast<uint64_t>(prev)) {
-        u8(kPackedSame);
-        return;
-    }
-    if (packsIntegral(v)) {
-        int64_t base =
-            packsIntegral(prev) ? static_cast<int64_t>(prev) : 0;
-        u8(kPackedIntegral);
-        vi64(static_cast<int64_t>(v) - base);
-        return;
-    }
-    u8(kPackedRaw);
-    f64(v);
 }
 
 void
@@ -198,57 +135,6 @@ double
 ByteReader::f64()
 {
     return std::bit_cast<double>(u64());
-}
-
-uint64_t
-ByteReader::vu64()
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        uint8_t byte = u8();
-        uint64_t bits = static_cast<uint64_t>(byte & 0x7f);
-        if (shift == 63 && bits > 1) {
-            fail(csprintf("%s: varint overflows 64 bits at offset %zu",
-                          what_.c_str(), pos - 1));
-        }
-        v |= bits << shift;
-        if (!(byte & 0x80))
-            return v;
-        if (shift == 63) {
-            fail(csprintf("%s: varint longer than 10 bytes at offset %zu",
-                          what_.c_str(), pos - 1));
-        }
-    }
-    return v; // unreachable
-}
-
-int64_t
-ByteReader::vi64()
-{
-    uint64_t z = vu64();
-    return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-double
-ByteReader::f64Packed(double prev)
-{
-    uint8_t tag = u8();
-    switch (tag) {
-      case kPackedSame:
-        return prev;
-      case kPackedIntegral: {
-        int64_t base =
-            packsIntegral(prev) ? static_cast<int64_t>(prev) : 0;
-        // Wrap-around add: a corrupted delta must decode to a garbage
-        // value (rejected downstream), not overflow into UB.
-        return static_cast<double>(addWrap(base, vi64()));
-      }
-      case kPackedRaw:
-        return f64();
-      default:
-        fail(csprintf("%s: invalid packed-double tag %u at offset %zu",
-                      what_.c_str(), tag, pos - 1));
-    }
 }
 
 bool

@@ -36,29 +36,6 @@ class ByteWriter
     /** Append a double as its IEEE-754 bit pattern (lossless). */
     void f64(double v);
 
-    /**
-     * Append a 64-bit unsigned integer as a LEB128 varint (1 byte
-     * for values below 128, up to 10 bytes for the full range).
-     */
-    void vu64(uint64_t v);
-
-    /** Append a 64-bit signed integer zigzag-coded as a varint. */
-    void vi64(int64_t v);
-
-    /**
-     * Append a double in the packed tagged form (lossless): a tag
-     * byte selecting same-as-`prev` (bit-identical, nothing
-     * follows), integral (zigzag varint of the value's delta against
-     * `prev` when that is integral too -- simulator statistics are
-     * overwhelmingly exact integers near their neighbours), or a raw
-     * IEEE-754 pattern. Decode with ByteReader::f64Packed() passing
-     * the same `prev`.
-     *
-     * @param v Value to append.
-     * @param prev Previous value of the same field (delta base).
-     */
-    void f64Packed(double v, double prev);
-
     /** Append a bool as one byte (0 or 1). */
     void b(bool v) { u8(v ? 1 : 0); }
 
@@ -120,23 +97,6 @@ class ByteReader
     /** Read a double from its IEEE-754 bit pattern. */
     double f64();
 
-    /**
-     * Read a LEB128 varint; more than 10 bytes (or bits beyond the
-     * 64th) is a fatal error.
-     */
-    uint64_t vu64();
-
-    /** Read a zigzag-coded varint. */
-    int64_t vi64();
-
-    /**
-     * Read a double written by ByteWriter::f64Packed() with the same
-     * `prev`; an unknown tag byte is a fatal error.
-     *
-     * @param prev Previous value of the same field (delta base).
-     */
-    double f64Packed(double prev);
-
     /** Read a bool; any value other than 0/1 is a fatal error. */
     bool b();
 
@@ -171,25 +131,6 @@ class ByteReader
     /** fail() unless `n` more bytes are available. */
     void need(std::size_t n);
 };
-
-/**
- * Two's-complement wrap-around addition of two signed 64-bit values.
- * Delta decoders reconstruct absolute values as base + decoded delta;
- * on a corrupted stream that sum can exceed the int64 range, and a
- * plain `+` would be undefined behaviour. Computing in uint64 keeps
- * the wrap defined: a garbage delta yields a garbage (but
- * deterministic) value that downstream validation rejects, never UB.
- *
- * @param base Previous absolute value.
- * @param delta Decoded delta.
- * @return The wrapped sum.
- */
-inline int64_t
-addWrap(int64_t base, int64_t delta)
-{
-    return static_cast<int64_t>(static_cast<uint64_t>(base) +
-                                static_cast<uint64_t>(delta));
-}
 
 /**
  * FNV-1a 64-bit hash (store file names and other short keys).

@@ -6,6 +6,7 @@
 #include "harness/experiment.hh"
 
 #include "common/logging.hh"
+#include "harness/snapshot_io.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -54,7 +55,6 @@ Experiment::state(const sim::GpuConfig &cfg)
     for (const auto &seed : seeds) {
         if (!sim::sameEncodedConfig(seed->config, cfg))
             continue;
-        st.tuner.seed(seed->tunerEntries);
         st.profiler.seedTrainProfiles(seed->trainProfiles);
         st.profiler.seedInferProfiles(seed->inferProfiles);
         st.log = std::make_unique<prof::TrainLog>(seed->log);
@@ -235,7 +235,6 @@ Experiment::snapshot(const sim::GpuConfig &cfg)
     snap->seed = wl.seed;
     snap->evalCostMultiplier = wl.evalCostMultiplier;
     snap->opts = opts;
-    snap->tunerEntries = st.tuner.snapshotEntries();
     snap->trainProfiles = st.profiler.trainProfileSnapshot();
     snap->inferProfiles = st.profiler.inferProfileSnapshot();
     snap->log = *st.log;
@@ -262,12 +261,10 @@ Experiment::seedFrom(std::shared_ptr<const ModelSnapshot> snap)
     // Same name is not enough: the snapshotted state is a function of
     // the full run parameters, so a same-name variant (other seed,
     // batch size, policy, eval cost, dataset or tunables) must never
-    // be seeded with this run's results.
-    panic_if(snap->dataset != wl.dataset.name ||
-                 snap->batchSize != wl.batchSize ||
-                 snap->policy != wl.policy || snap->seed != wl.seed ||
-                 snap->evalCostMultiplier != wl.evalCostMultiplier ||
-                 !(snap->opts == opts),
+    // be seeded with this run's results. The snapshot key decides,
+    // bit for bit, as it does for the store.
+    panic_if(!(snapshotKeyOf(*snap) ==
+               snapshotKeyFor(wl, opts, snap->config)),
              "Experiment::seedFrom: snapshot run parameters differ "
              "from this experiment's (workload '%s': dataset/batch/"
              "policy/seed/eval-cost/options must all match)",

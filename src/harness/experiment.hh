@@ -84,12 +84,10 @@ class Experiment
      * Full-epoch training log on a configuration (memoized).
      *
      * Runs through the per-config profiler shared with iterTime()/
-     * iterProfile(), so the log's autotuneSec covers only tuning
-     * newly incurred by the epoch: profile queries made before the
-     * first epochLog() call on a config shift that (one-time) cost
-     * out of the log. Iterations, times and counters are pure
-     * functions of the workload and config, query order never
-     * affects them, and totalSec() excludes autotune by default.
+     * iterProfile(), so an SL either profiled is profiled once.
+     * Iterations, times and counters are pure functions of the
+     * workload and config, so query order never affects them; the
+     * one-time autotune phase is not part of the log.
      *
      * @param cfg Hardware configuration.
      */
@@ -180,8 +178,8 @@ class Experiment
     /**
      * Adopt a snapshot as shared cold-start state. When per-config
      * state is later created for a configuration equal to
-     * snap->config, it is seeded with the snapshot's caches,
-     * profiles, epoch log and selections instead of recomputing them;
+     * snap->config, it is seeded with the snapshot's profiles, epoch
+     * log and selections instead of recomputing them;
      * all other configurations stay cold. Seeded queries are
      * bit-identical to cold ones (everything seeded is a pure
      * function of workload x configuration).
@@ -190,7 +188,8 @@ class Experiment
      * adopt one snapshot per configuration -- e.g. every Table II
      * cold start a snapshot store already holds; adopting two
      * snapshots for the same configuration is a misuse panic, as is
-     * any workload/run-parameter mismatch.
+     * any workload/run-parameter mismatch (the snapshot's
+     * snapshotKeyOf() must equal this run's snapshotKeyFor()).
      *
      * @param snap Snapshot from Experiment::snapshot() (shared, not
      *             copied; null drops every adopted snapshot).

@@ -248,10 +248,10 @@ runSensitivitySweepScheduled(const WorkloadFactory &make, int64_t sl_lo,
     // Lookup-only seeding: a sensitivity sweep profiles a handful of
     // SLs and must never pay an epoch it does not need, so cells only
     // adopt snapshots the registry already holds (typically from a
-    // sibling figure sweep) -- the autotune decisions plus any
-    // overlapping per-SL profiles come for free, and the swept SLs
-    // they miss are lowered and their kernels timed afresh on the
-    // cell's device (bit-identically).
+    // sibling figure sweep) -- any overlapping per-SL profiles come
+    // for free, and the swept SLs they miss are folded from the
+    // network's shared table of tuned and timed ops, which resolves
+    // the ops no earlier cell used (bit-identically).
     ExperimentScheduler::SnapshotProvider provider;
     if (registry) {
         provider = [registry](std::size_t, const sim::GpuConfig &cfg,

@@ -72,8 +72,8 @@ FigureSweep runFigureSweepSerial(const WorkloadFactory &make,
 
 /**
  * Run the sweep on the scheduler with a shared cold start: the
- * reference configuration's epoch, profiles, autotune decisions and
- * selections are frozen once into a ModelSnapshot (inner-parallel
+ * reference configuration's epoch, profiles and selections are
+ * frozen once into a ModelSnapshot (inner-parallel
  * profiling sweep), then every configuration's column is evaluated as
  * an ExperimentScheduler cell seeded from that snapshot. The
  * reference cell replays entirely from the snapshot; other cells pay

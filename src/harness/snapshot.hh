@@ -9,10 +9,11 @@
  * hand the snapshot read-only to every cell that evaluates the same
  * pair -- seeded cells produce bit-identical results to cold ones.
  *
- * Kernel timings are not frozen: re-timing a kernel costs about as
- * much as inserting a stored timing, so a seeded cell that profiles
- * an SL its snapshot lacks times that SL's kernels afresh on its own
- * device (bit-identically, since the timing model is pure).
+ * Kernel timings and tile choices are not frozen: the network's
+ * shared nn::ResolvedOps table tunes and times each op once per
+ * process, so a seeded cell that profiles an SL its snapshot lacks
+ * resolves that SL's ops there (bit-identically, since tuning and
+ * the timing model are pure).
  */
 
 #ifndef SEQPOINT_HARNESS_SNAPSHOT_HH
@@ -27,7 +28,6 @@
 #include "core/seqpoint.hh"
 #include "core/sl_log.hh"
 #include "data/batching.hh"
-#include "nn/autotune.hh"
 #include "profiler/iteration_profile.hh"
 #include "profiler/trainer.hh"
 #include "sim/gpu_config.hh"
@@ -38,14 +38,13 @@ namespace harness {
 /**
  * Immutable snapshot of one Experiment's fully warmed per-config
  * state: the lowered-and-executed per-SL iteration profiles, the
- * frozen autotune decisions they were produced with, the epoch log,
- * and the selector sets built on it.
+ * epoch log, and the selector sets built on it.
  *
  * Captured by Experiment::snapshot() and consumed by
  * Experiment::seedFrom() (directly or via ExperimentScheduler's
  * snapshot-aware cells). The config-dependent parts only ever seed an
- * equal GpuConfig -- timings, profiles and tuning decisions are
- * functions of the configuration and must not cross configs; seeding
+ * equal GpuConfig -- profiles and the epoch are functions of the
+ * configuration and must not cross configs; seeding
  * a different config simply leaves the new state cold. Share it via
  * shared_ptr<const ModelSnapshot>; consumers copy what they need, so
  * one snapshot can seed any number of concurrent cells.
@@ -69,9 +68,6 @@ struct ModelSnapshot {
     uint64_t seed = 0;               ///< Run seed.
     double evalCostMultiplier = 1.0; ///< Eval cost vs forward pass.
     core::SeqPointOptions opts;      ///< Selection tunables.
-
-    /** Frozen autotune decisions (shape -> variant + probe cost). */
-    std::vector<nn::AutotuneEntry> tunerEntries;
 
     /** Per-SL training profiles (the digested lowered kernels). */
     std::map<int64_t, prof::IterationProfile> trainProfiles;

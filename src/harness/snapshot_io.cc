@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 
@@ -49,6 +50,13 @@ policyName(data::BatchPolicy policy)
     return "";
 }
 
+/** A double's bit pattern: every NaN payload and -0.0 its own. */
+unsigned long long
+bitsOf(double d)
+{
+    return std::bit_cast<uint64_t>(d);
+}
+
 /** The run-parameter digest shared by both key builders. */
 std::string
 paramDigest(const std::string &dataset, unsigned batch,
@@ -56,11 +64,12 @@ paramDigest(const std::string &dataset, unsigned batch,
             const core::SeqPointOptions &opts)
 {
     return csprintf(
-        "%s|%u|%s|%llu|%.17g|n%u|k%u|e%.17g|m%u|b%u|p%u",
+        "%s|%u|%s|%llu|%016llx|n%u|k%u|e%016llx|m%u|b%u|p%u",
         dataset.c_str(), batch, policyName(policy),
-        static_cast<unsigned long long>(seed), eval_cost,
-        opts.uniqueSlThreshold, opts.initialBins, opts.errorThreshold,
-        opts.maxBins, static_cast<unsigned>(opts.binning),
+        static_cast<unsigned long long>(seed), bitsOf(eval_cost),
+        opts.uniqueSlThreshold, opts.initialBins,
+        bitsOf(opts.errorThreshold), opts.maxBins,
+        static_cast<unsigned>(opts.binning),
         static_cast<unsigned>(opts.repPick));
 }
 
@@ -191,9 +200,6 @@ encodeSnapshotPayload(const ModelSnapshot &snap)
     w.f64(snap.evalCostMultiplier);
     core::encodeSeqPointOptions(w, snap.opts);
 
-    // Packed tuner section: shape-key order, delta/varint coded.
-    nn::encodeAutotuneSection(w, snap.tunerEntries);
-
     encodeProfileMap(w, snap.trainProfiles);
     encodeProfileMap(w, snap.inferProfiles);
 
@@ -229,8 +235,6 @@ decodeSnapshotPayload(std::string_view payload, const std::string &what,
     snap.seed = r.u64();
     snap.evalCostMultiplier = r.f64();
     snap.opts = core::decodeSeqPointOptions(r);
-
-    snap.tunerEntries = nn::decodeAutotuneSection(r);
 
     // The profile maps dominate decode time, so poll the cancel
     // context around them: a request whose deadline fires mid-decode

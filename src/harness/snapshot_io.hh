@@ -1,9 +1,9 @@
 /**
  * @file
  * Persistent ModelSnapshot serialization: an endian-stable binary
- * format that lets one process's cold start (model lowering,
- * autotune, the per-SL profiles, the reference epoch and every
- * selection) seed another process bit-identically -- the
+ * format that lets one process's cold start (the per-SL profiles,
+ * the reference epoch and every selection) seed another process
+ * bit-identically -- the
  * checkpoint-reuse discipline applied across bench binaries and CI
  * runs.
  *

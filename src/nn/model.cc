@@ -35,9 +35,6 @@ struct Model::ProgramMemo {
     /** Shape ids of the unresolved GEMMs' (M, N, K), dense. */
     std::map<std::tuple<int64_t, int64_t, int64_t>, uint32_t> shapeIds
         SEQ_GUARDED_BY(mu);
-    /** shapeIds' ids in key order, as of its last rebuild. */
-    std::shared_ptr<const std::vector<uint32_t>> shapeOrder
-        SEQ_GUARDED_BY(mu);
     /**
      * The intern index: a power-of-two table of op ids (kFree when
      * empty), kept at most half full and probed linearly from a slot
@@ -351,21 +348,6 @@ Model::resolvedOps(const sim::GpuConfig &cfg, Autotuner::Mode mode) const
     }
     std::rotate(tables.begin(), it, it + 1);
     return tables.front().second;
-}
-
-std::shared_ptr<const std::vector<uint32_t>>
-Model::shapeKeyOrder() const
-{
-    ProgramMemo &memo = net->memo;
-    MutexLock lock(memo.mu);
-    if (!memo.shapeOrder || memo.shapeOrder->size() != memo.shapeIds.size()) {
-        auto order = std::make_shared<std::vector<uint32_t>>();
-        order->reserve(memo.shapeIds.size());
-        for (const auto &[key, id] : memo.shapeIds)
-            order->push_back(id);
-        memo.shapeOrder = std::move(order);
-    }
-    return memo.shapeOrder;
 }
 
 std::size_t

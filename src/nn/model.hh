@@ -185,14 +185,6 @@ class Model
     std::shared_ptr<ResolvedOps> resolvedOps(const sim::GpuConfig &cfg,
                                              Autotuner::Mode mode) const;
 
-    /**
-     * @return Every GEMM shape id interned so far (copyOps()), in
-     *         (M, N, K) key order: what lets a tuner sum shapes it
-     *         recorded by id in key order (Autotuner::record()).
-     *         Rebuilt only when new shapes were interned.
-     */
-    std::shared_ptr<const std::vector<uint32_t>> shapeKeyOrder() const;
-
     /** @return ResolvedOps tables the network holds right now. */
     std::size_t resolvedOpTables() const;
 

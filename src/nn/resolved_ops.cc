@@ -56,19 +56,17 @@ ResolvedOps::shapeSlots(const std::vector<uint32_t> &shapes,
 }
 
 void
-ResolvedOps::fill(OpSlot &slot, const sim::KernelDesc &op,
-                  uint32_t shape_id, ShapeSlot *shape)
+ResolvedOps::fill(OpSlot &slot, const sim::KernelDesc &op, ShapeSlot *shape)
 {
     slot.fill([&] {
         sim::KernelDesc kd = op;
         if (shape) {
-            const AutotuneEntry &tuned = shape->fill([&] {
+            kd = resolveKernel(op, shape->fill([&] {
                 return prober.tune(op.gemmM, op.gemmN, op.gemmK);
-            });
-            kd = resolveKernel(op, tuned.variant);
+            }));
         }
         const sim::KernelTiming t = sim::timeKernel(kd, gpu.config());
-        return ResolvedOp{t.timeSec, t.counters, shape_id, kd.klass};
+        return ResolvedOp{t.timeSec, t.counters, kd.klass};
     });
 }
 

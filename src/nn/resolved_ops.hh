@@ -8,7 +8,7 @@
  * (network, configuration, op) resolved only once. A ResolvedOps
  * table holds that for one (configuration, tuner mode): per op id of
  * the network's program memo, the op's per-launch timing and class;
- * per GEMM shape id, the tuned variant and what probing it cost.
+ * per GEMM shape id, the tuned variant.
  * nn::Model keeps one table per (configuration bytes, mode) for every
  * handle on the network (Model::resolvedOps()), so every Experiment
  * of the network reuses what earlier ones resolved.
@@ -16,8 +16,7 @@
  * Each slot is filled once -- by whichever thread claims it first --
  * and published only after it is written; its address never changes
  * once published, so readers keep plain pointers to it. A table is
- * filled only from its own probes and timings, never from another
- * tuner's (possibly snapshot-seeded) entries.
+ * filled only from its own probes and timings.
  */
 
 #ifndef SEQPOINT_NN_RESOLVED_OPS_HH
@@ -44,7 +43,6 @@ namespace nn {
 struct ResolvedOp {
     double timeSec = 0.0;       ///< Per-launch wall time.
     sim::PerfCounters counters; ///< Per-launch counters.
-    uint32_t shape = kNoShape;  ///< The op's GEMM shape id, if any.
     sim::KernelClass klass{};   ///< Class of the resolved kernel.
 };
 
@@ -113,7 +111,7 @@ class ResolvedOps
 {
   public:
     using OpSlot = OnceSlot<ResolvedOp>;       ///< One op's slot.
-    using ShapeSlot = OnceSlot<AutotuneEntry>; ///< One shape's slot.
+    using ShapeSlot = OnceSlot<GemmVariant>; ///< One shape's slot.
 
     /**
      * @param cfg Device configuration ops are tuned and timed on.
@@ -152,11 +150,9 @@ class ResolvedOps
      *
      * @param slot The op's slot.
      * @param op The op, unresolved (Model::copyOps()).
-     * @param shape_id The op's shape id, or kNoShape.
-     * @param shape The shape's slot; null for kNoShape.
+     * @param shape The slot of the op's shape; null for kNoShape.
      */
-    void fill(OpSlot &slot, const sim::KernelDesc &op, uint32_t shape_id,
-              ShapeSlot *shape);
+    void fill(OpSlot &slot, const sim::KernelDesc &op, ShapeSlot *shape);
 
     /** @return Bytes held by the allocated slot chunks. */
     std::size_t residentBytes() const;
@@ -178,7 +174,7 @@ class ResolvedOps
     mutable Mutex mu;
     std::vector<std::unique_ptr<Chunk<ResolvedOp>>> opChunks
         SEQ_GUARDED_BY(mu);
-    std::vector<std::unique_ptr<Chunk<AutotuneEntry>>> shapeChunks
+    std::vector<std::unique_ptr<Chunk<GemmVariant>>> shapeChunks
         SEQ_GUARDED_BY(mu);
 };
 

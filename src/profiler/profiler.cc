@@ -65,7 +65,7 @@ Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
     if (ops > opSlot.size())
         opSlot.resize(ops);
 
-    // The ops we have not accounted yet, each once, in first-use order.
+    // The ops we have not remembered yet, each once, in first-use order.
     std::vector<uint32_t> fresh;
     std::vector<bool> queued(opSlot.size());
     for (const nn::Program *prog : progs) {
@@ -108,36 +108,16 @@ Profiler::timeNewOps(const std::vector<const nn::Program *> &progs,
         table->shapeSlots(shapes, shape_slots);
         forEachIndex(todo.size(), threads, [&](std::size_t i) {
             cancelCheckpoint("profiler.resolve");
-            table->fill(*slots[todo[i]], descs[i], shapes[i],
-                        shape_slots[i]);
+            table->fill(*slots[todo[i]], descs[i], shape_slots[i]);
         });
     }
 
-    // Account the ops: collect their slots and the GEMM shapes they
-    // use, record the shapes in our tuner with the stored probe cost,
-    // in one batch, as select() would have cached them, and only then
-    // remember the slots. No checkpoint runs between the record and
-    // the last slot written, so a cancelled sweep never leaves an op
-    // accounted whose shape the tuner lacks.
-    std::vector<const nn::ResolvedOp *> accounted(fresh.size());
-    std::vector<uint32_t> shapes;
+    // Remember the ops' slots, all published now. An op a cancelled
+    // sweep leaves unremembered is fresh again on the next sweep.
     for (std::size_t i = 0; i < fresh.size(); ++i) {
         cancelCheckpoint("profiler.resolve");
-        accounted[i] = &slots[i]->value();
-        if (accounted[i]->shape != nn::kNoShape)
-            shapes.push_back(accounted[i]->shape);
+        opSlot[fresh[i]] = &slots[i]->value();
     }
-    std::vector<nn::ResolvedOps::ShapeSlot *> shape_slots;
-    table->shapeSlots(shapes, shape_slots);
-    std::vector<std::pair<uint32_t, const nn::AutotuneEntry *>> tuned(
-        shapes.size());
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-        cancelCheckpoint("profiler.resolve");
-        tuned[i] = {shapes[i], &shape_slots[i]->value()};
-    }
-    tuner.record(table, model.shapeKeyOrder(), tuned);
-    for (std::size_t i = 0; i < accounted.size(); ++i)
-        opSlot[fresh[i]] = accounted[i];
 }
 
 IterationProfile
@@ -213,7 +193,7 @@ Profiler::warmProfiles(const std::vector<int64_t> &sls, unsigned threads,
         return;
 
     // Three phases, each fanned out per index: fetch (or lower) the
-    // programs, account (and, where no profiler of the network has,
+    // programs, remember (and, where no profiler of the network has,
     // time) the ops no earlier program of ours used, then fold. Our
     // slot index is only written in the middle phase, so the folds
     // read it without locks. The checkpoints observe the caller's cancel

@@ -39,9 +39,8 @@ namespace prof {
  * sim::timeKernel() on the configuration gives the per-launch timing
  * -- and every later profiler of any workload of the network reuses
  * it. The profiler keeps, per op id, the address of each slot its
- * programs use (null until it has accounted the op), records each
- * GEMM shape those ops use in its own tuner with the stored probe
- * cost, and folds programs out of the slots with sim::accountLaunch(),
+ * programs use (null until it has remembered the op), and folds
+ * programs out of the slots with sim::accountLaunch(),
  * the arithmetic Gpu::executeAll() uses. Profiles are bit-identical
  * to executing Model::lowerIteration() on the device, because tile
  * choice and timing are pure functions of (op, configuration).
@@ -161,7 +160,7 @@ class Profiler
     std::shared_ptr<nn::ResolvedOps> table;
 
     /** Indexed by op id: the op's published slot in `table`, or null
-     *  until a program of ours has used the op and it is accounted. */
+     *  until a program of ours has used the op. */
     std::vector<const nn::ResolvedOp *> opSlot;
 
     const IterationProfile &memoized(

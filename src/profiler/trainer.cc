@@ -15,12 +15,9 @@ namespace seqpoint {
 namespace prof {
 
 double
-TrainLog::totalSec(bool include_autotune) const
+TrainLog::totalSec() const
 {
-    double t = trainSec + evalSec;
-    if (include_autotune)
-        t += autotuneSec;
-    return t;
+    return trainSec + evalSec;
 }
 
 double
@@ -57,7 +54,6 @@ encodeTrainLog(ByteWriter &w, const TrainLog &log)
     }
     w.f64(log.trainSec);
     w.f64(log.evalSec);
-    w.f64(log.autotuneSec);
     sim::encodeCounters(w, log.counters);
 }
 
@@ -82,7 +78,6 @@ decodeTrainLog(ByteReader &r)
     }
     log.trainSec = r.f64();
     log.evalSec = r.f64();
-    log.autotuneSec = r.f64();
     log.counters = sim::decodeCounters(r);
     return log;
 }
@@ -150,11 +145,6 @@ runTrainingEpoch(Profiler &profiler, const data::Dataset &dataset,
             data::BatchPolicy::Bucketed, rng);
     }
 
-    // One-time autotune cost newly incurred by this epoch: with a
-    // fresh profiler the delta is the tuner's whole cost, matching
-    // the historical accounting.
-    double tune_before = profiler.autotuner().tuningCostSec();
-
     // Fill the per-SL memo up front: each unique SL is profiled
     // exactly once (in ascending order, on the sweep pool when
     // profileThreads > 1). The assembly below then runs entirely out
@@ -202,7 +192,6 @@ runTrainingEpoch(Profiler &profiler, const data::Dataset &dataset,
         }
     }
 
-    log.autotuneSec = profiler.autotuner().tuningCostSec() - tune_before;
     return log;
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Epoch trainer: runs one full training epoch of a model over a
  * dataset on a simulated device, producing the per-iteration log that
- * SeqPoint consumes plus the non-training accounts (autotune and
- * evaluation phases) the paper's section IV-C discusses.
+ * SeqPoint consumes plus the evaluation phase's time. The one-time
+ * autotune phase the paper's section IV-C sets aside is not
+ * accounted: training-time figures leave it out.
  */
 
 #ifndef SEQPOINT_PROFILER_TRAINER_HH
@@ -54,20 +55,13 @@ struct TrainLog {
     std::vector<IterationLog> iterations; ///< In execution order.
     double trainSec = 0.0;    ///< Sum of training-iteration times.
     double evalSec = 0.0;     ///< Evaluation-phase time.
-    double autotuneSec = 0.0; ///< One-time autotune cost.
     sim::PerfCounters counters; ///< Training-iteration counters.
 
     /** @return Iteration count in the epoch. */
     size_t numIterations() const { return iterations.size(); }
 
-    /**
-     * Epoch wall time. Autotune is excluded by default, matching the
-     * paper's observation that the one-time tuning phase should be
-     * ignored when characterising steady-state training.
-     *
-     * @param include_autotune Include the tuning cost.
-     */
-    double totalSec(bool include_autotune = false) const;
+    /** @return Epoch wall time: training plus evaluation. */
+    double totalSec() const;
 
     /**
      * Training throughput in samples/s (the paper's speedup metric).
@@ -79,9 +73,7 @@ struct TrainLog {
     /**
      * Bit-exact equality of iteration logs, times and counters (the
      * identity guard shared by the trainer, snapshot and scheduler
-     * tests). autotuneSec is deliberately excluded: persistent and
-     * snapshot-seeded profilers legitimately account the one-time
-     * tuning cost to an earlier run.
+     * tests).
      *
      * @param other Log to compare against.
      */
@@ -91,7 +83,7 @@ struct TrainLog {
 /**
  * Serialize an epoch log (snapshot store). Iteration order, times and
  * counters round-trip bit-exactly: decode(encode(log)).identicalTo(log)
- * always holds, and autotuneSec is preserved too.
+ * always holds.
  */
 void encodeTrainLog(ByteWriter &w, const TrainLog &log);
 
@@ -152,9 +144,7 @@ TrainLog runTrainingEpoch(const sim::Gpu &gpu, const nn::Model &model,
  * calls, so consecutive epochs -- and any other queries sharing the
  * profiler -- only pay for sequence lengths they have not seen
  * before. Iteration logs, times and counters are bit-identical to
- * the fresh-profiler overload; autotuneSec reports only the tuning
- * cost newly incurred during this call (a fresh profiler reproduces
- * the old accounting exactly).
+ * the fresh-profiler overload.
  *
  * @param profiler Profiler bound to the device and model; its batch
  *                 size and autotuner mode must match cfg.

@@ -212,8 +212,6 @@ TEST(SharedPrograms, ProfilesMatchExecuteAllOnEveryConfig)
                                       want, where);
                 }
             }
-            EXPECT_EQ(tuner.tuningCostSec(), fresh_tuner.tuningCostSec())
-                << c.name << ", " << cfg.name;
         }
     }
 }

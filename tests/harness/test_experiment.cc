@@ -15,7 +15,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/stats_math.hh"
@@ -362,7 +361,6 @@ struct ColdAnswer {
     double actualSec = 0.0;
     prof::TrainLog log;   ///< The target's epoch log.
     std::string snapshot; ///< The target's encoded snapshot payload.
-    size_t tunedShapes = 0; ///< The target tuner's cacheSize().
     uint32_t opCount = 0; ///< The model's interned ops afterwards.
 };
 
@@ -385,7 +383,6 @@ coldQuery(Workload wl,
     a.log = exp.epochLog(target);
     const auto snap = exp.snapshot(target);
     a.snapshot = encodeSnapshotPayload(*snap);
-    a.tunedShapes = snap->tunerEntries.size();
     a.opCount = exp.workload().model.opCount();
     return a;
 }
@@ -405,8 +402,6 @@ expectIdentical(const ColdAnswer &got, const ColdAnswer &want)
     EXPECT_EQ(got.projectedSec, want.projectedSec);
     EXPECT_EQ(got.actualSec, want.actualSec);
     EXPECT_TRUE(got.log.identicalTo(want.log));
-    EXPECT_EQ(got.log.autotuneSec, want.log.autotuneSec);
-    EXPECT_EQ(got.tunedShapes, want.tunedShapes);
     EXPECT_TRUE(got.snapshot == want.snapshot);
 }
 
@@ -540,7 +535,7 @@ TEST(SharedNetwork, ConcurrentFirstFillOnFreshConfig)
     }
 }
 
-/** One config's epoch answer, with the tuner state it leaves. */
+/** One config's epoch answer and its encoded snapshot. */
 struct EpochAnswer {
     prof::TrainLog log;
     std::string snapshot; ///< Encoded snapshot payload.
@@ -561,7 +556,6 @@ void
 expectIdentical(const EpochAnswer &got, const EpochAnswer &want)
 {
     EXPECT_TRUE(got.log.identicalTo(want.log));
-    EXPECT_EQ(got.log.autotuneSec, want.log.autotuneSec);
     EXPECT_TRUE(got.snapshot == want.snapshot);
 }
 
@@ -628,62 +622,6 @@ TEST(SharedNetwork, ResolvedOpTablesAreCappedAndKeyed)
     EXPECT_EQ(model.resolvedOps(nan, nn::Autotuner::Mode::Measured),
               model.resolvedOps(nan, nn::Autotuner::Mode::Measured));
     EXPECT_LE(model.resolvedOpTables(), cap);
-}
-
-TEST(SharedNetwork, SeededTunerEntriesStayOutOfTheTable)
-{
-    // A snapshot whose tuner names a wrong tile for one shape seeds an
-    // Experiment that then profiles an SL the snapshot lacks, filling
-    // new ops into the network's table. The table must hold its own
-    // probe's tile, so a later unseeded query stays exact.
-    constexpr uint64_t kSeed = 2301;
-    const sim::GpuConfig cfg = nudged(sim::GpuConfig::config2(), 1);
-    for (const Network &net : kNetworks) {
-        SCOPED_TRACE(net.name);
-        Experiment donor(withFreshModel(net.make(kSeed), net.build()));
-        donor.setProfileThreads(1);
-        auto snap = std::make_shared<ModelSnapshot>(*donor.snapshot(cfg));
-
-        int64_t sl = 1;
-        while (snap->trainProfiles.count(sl))
-            ++sl;
-
-        // Doctor the tile of a shape that SL's programs share with a
-        // snapshotted SL's, so later queries use it too.
-        nn::Model fresh = net.build();
-        nn::Autotuner lower_tuner(nn::Autotuner::Mode::Heuristic);
-        std::set<std::tuple<int64_t, int64_t, int64_t>> new_shapes;
-        for (const sim::KernelDesc &kd :
-             fresh.lowerIteration(snap->batchSize, sl, lower_tuner)) {
-            if (kd.klass == sim::KernelClass::Gemm)
-                new_shapes.emplace(kd.gemmM, kd.gemmN, kd.gemmK);
-        }
-        bool doctored = false;
-        for (const sim::KernelDesc &kd : fresh.lowerIteration(
-                 snap->batchSize, snap->trainProfiles.begin()->first,
-                 lower_tuner)) {
-            for (nn::AutotuneEntry &e : snap->tunerEntries) {
-                if (doctored || kd.klass != sim::KernelClass::Gemm ||
-                    e.m != kd.gemmM || e.n != kd.gemmN ||
-                    e.k != kd.gemmK || !new_shapes.count({e.m, e.n, e.k}))
-                    continue;
-                e.variant = e.variant.tileM == 16
-                    ? nn::GemmVariant{128, 128, 16}
-                    : nn::GemmVariant{16, 16, 16};
-                doctored = true;
-            }
-        }
-        ASSERT_TRUE(doctored);
-
-        Experiment seeded(net.make(kSeed));
-        seeded.setProfileThreads(1);
-        seeded.seedFrom(snap);
-        seeded.iterTime(cfg, sl);
-
-        const ColdAnswer want = coldQuery(
-            withFreshModel(net.make(kSeed + 1), net.build()), cfg, cfg);
-        expectIdentical(coldQuery(net.make(kSeed + 1), cfg, cfg), want);
-    }
 }
 
 } // anonymous namespace

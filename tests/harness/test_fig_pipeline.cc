@@ -115,7 +115,6 @@ TEST(ModelSnapshot, SeededExperimentBitIdenticalToCold)
                               "seeded-test"));
     EXPECT_EQ(snap->workload, "DS2");
     ASSERT_FALSE(snap->trainProfiles.empty());
-    EXPECT_FALSE(snap->tunerEntries.empty());
     EXPECT_EQ(snap->selections.size(), 5u);
 
     // A seeded experiment must reproduce a cold experiment bit for

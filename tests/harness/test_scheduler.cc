@@ -58,20 +58,10 @@ TEST(ExperimentScheduler, ParallelSweepByteIdenticalToSerial)
     expectCellsIdentical(a, b);
 }
 
-/** @return A tuner section's encoded bytes (bit-exact costs). */
-std::string
-tunerBytes(const std::vector<nn::AutotuneEntry> &entries)
-{
-    ByteWriter w;
-    nn::encodeAutotuneSection(w, entries);
-    return w.data();
-}
-
 /** One cell's epoch answer and the thread that computed it. */
 struct SharedTableCell {
     std::thread::id thread;
     prof::TrainLog log;
-    std::vector<nn::AutotuneEntry> tuned;
 };
 
 TEST(ExperimentScheduler, CellsOfOneNetworkAndConfigRaceOnOneTable)
@@ -98,7 +88,6 @@ TEST(ExperimentScheduler, CellsOfOneNetworkAndConfigRaceOnOneTable)
             SharedTableCell cell;
             cell.thread = std::this_thread::get_id();
             cell.log = exp.epochLog(c);
-            cell.tuned = exp.snapshot(c)->tunerEntries;
             return cell;
         };
     const auto cells = ExperimentScheduler(2).mapCells<SharedTableCell>(
@@ -116,9 +105,6 @@ TEST(ExperimentScheduler, CellsOfOneNetworkAndConfigRaceOnOneTable)
         exp.setProfileThreads(1);
         const prof::TrainLog &log = exp.epochLog(cfg);
         EXPECT_TRUE(cells[i].log.identicalTo(log));
-        EXPECT_EQ(cells[i].log.autotuneSec, log.autotuneSec);
-        EXPECT_EQ(tunerBytes(cells[i].tuned),
-                  tunerBytes(exp.snapshot(cfg)->tunerEntries));
     }
 }
 

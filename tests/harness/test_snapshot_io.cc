@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -236,6 +238,48 @@ TEST(SnapshotIo, RejectsBadFilesClassified)
 
     // The pristine file itself still loads.
     EXPECT_TRUE(loadValid(path, key) != nullptr);
+}
+
+/** A double with the quiet-NaN exponent and the given payload bits. */
+double
+nanWithPayload(uint64_t payload)
+{
+    return std::bit_cast<double>(0x7ff8000000000000ull | payload);
+}
+
+TEST(SnapshotIo, NanRunParametersKeyBitExactly)
+{
+    // NaNs that differ only in their payload are different run
+    // parameters, so they must never share a key: both doubles of the
+    // run-parameter digest are rendered by bit pattern.
+    const core::SeqPointOptions opts = Experiment::defaultOptions();
+    const sim::GpuConfig cfg = sim::GpuConfig::config1();
+    Workload a = makeDs2Workload();
+    Workload b = makeDs2Workload();
+    a.evalCostMultiplier = nanWithPayload(0);
+    b.evalCostMultiplier = nanWithPayload(1);
+    EXPECT_FALSE(snapshotKeyFor(a, opts, cfg) == snapshotKeyFor(b, opts, cfg));
+    EXPECT_TRUE(snapshotKeyFor(a, opts, cfg) == snapshotKeyFor(a, opts, cfg));
+
+    core::SeqPointOptions nan0 = opts, nan1 = opts;
+    nan0.errorThreshold = nanWithPayload(0);
+    nan1.errorThreshold = nanWithPayload(1);
+    EXPECT_FALSE(snapshotKeyFor(a, nan0, cfg) == snapshotKeyFor(a, nan1, cfg));
+
+    // A NaN-cost workload adopts its own snapshot (its key equals the
+    // run's bit for bit), and the seeded state answers as the donor.
+    Experiment donor(std::move(a));
+    donor.setProfileThreads(1);
+    auto snap = donor.snapshot(cfg);
+    Workload same = makeDs2Workload();
+    same.evalCostMultiplier = nanWithPayload(0);
+    Experiment seeded(std::move(same));
+    seeded.seedFrom(snap);
+    const prof::TrainLog &log = seeded.epochLog(cfg);
+    EXPECT_TRUE(std::isnan(log.evalSec));
+    EXPECT_EQ(std::bit_cast<uint64_t>(log.evalSec),
+              std::bit_cast<uint64_t>(snap->log.evalSec));
+    EXPECT_EQ(log.trainSec, snap->log.trainSec);
 }
 
 TEST(SnapshotRegistry, MemoryThenDiskHits)

@@ -24,15 +24,13 @@ namespace prof {
  *
  * @param dataset Dataset supplying sample sequence lengths.
  * @param cfg Training-run parameters.
- * @param tuner The tuner behind both callbacks; its total cost
- *              becomes the log's autotuneSec.
  * @param train Training profile of one batch: int64_t -> profile.
  * @param infer Inference profile of one batch: int64_t -> profile.
  */
 template <typename TrainFn, typename InferFn>
 TrainLog
 referenceEpoch(const data::Dataset &dataset, const TrainConfig &cfg,
-               const nn::Autotuner &tuner, TrainFn train, InferFn infer)
+               TrainFn train, InferFn infer)
 {
     Rng rng;
     std::vector<data::Batch> batches =
@@ -55,7 +53,6 @@ referenceEpoch(const data::Dataset &dataset, const TrainConfig &cfg,
             log.evalSec += infer(b.seqLen).timeSec * cfg.evalCostMultiplier;
     }
 
-    log.autotuneSec = tuner.tuningCostSec();
     return log;
 }
 
@@ -96,8 +93,7 @@ unmemoizedEpoch(const nn::Model &model, const data::Dataset &dataset,
                                       cfg.batchSize, sl, train);
         };
     };
-    return referenceEpoch(dataset, cfg, tuner, profile(true),
-                          profile(false));
+    return referenceEpoch(dataset, cfg, profile(true), profile(false));
 }
 
 } // namespace prof

@@ -17,17 +17,6 @@ namespace seqpoint {
 namespace prof {
 namespace {
 
-/** Full bit-exact comparison of two epoch logs. */
-void
-expectLogsIdentical(const TrainLog &a, const TrainLog &b,
-                    bool compare_autotune = true)
-{
-    EXPECT_TRUE(a.identicalTo(b));
-    if (compare_autotune) {
-        EXPECT_EQ(a.autotuneSec, b.autotuneSec);
-    }
-}
-
 TrainConfig
 gnmtConfig(const harness::Workload &wl)
 {
@@ -50,14 +39,14 @@ TEST(EpochReplay, ReplayBitIdenticalToPerIterationPath)
     nn::Autotuner tuner(tc.tunerMode, &ref_gpu);
     Profiler profiler(ref_gpu, wl.model, tuner, wl.batchSize);
     TrainLog per_iter = referenceEpoch(
-        wl.dataset, tc, tuner,
+        wl.dataset, tc,
         [&](int64_t sl) { return profiler.profileIteration(sl); },
         [&](int64_t sl) { return profiler.profileInference(sl); });
 
     sim::Gpu gpu(sim::GpuConfig::config1());
     TrainLog replay = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
-    expectLogsIdentical(per_iter, replay);
+    EXPECT_TRUE(per_iter.identicalTo(replay));
 }
 
 TEST(EpochReplay, ReplayBitIdenticalToUnmemoizedBaseline)
@@ -71,7 +60,7 @@ TEST(EpochReplay, ReplayBitIdenticalToUnmemoizedBaseline)
     sim::Gpu gpu(sim::GpuConfig::config1());
     TrainLog replay = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
 
-    expectLogsIdentical(baseline, replay);
+    EXPECT_TRUE(baseline.identicalTo(replay));
 }
 
 TEST(EpochReplay, PersistentProfilerReusesProfilesAcrossEpochs)
@@ -85,17 +74,15 @@ TEST(EpochReplay, PersistentProfilerReusesProfilesAcrossEpochs)
     TrainLog first = runTrainingEpoch(profiler, wl.dataset, tc);
     size_t profiles_after_first = profiler.cacheSize();
     EXPECT_GT(profiles_after_first, 0u);
-    EXPECT_GT(first.autotuneSec, 0.0);
 
-    // Same seed again: no new SLs, no new profiles, no new tuning --
-    // and a log bit-identical to the fresh-profiler overload's.
+    // Same seed again: no new SLs, no new profiles -- and a log
+    // bit-identical to the fresh-profiler overload's.
     TrainLog second = runTrainingEpoch(profiler, wl.dataset, tc);
     EXPECT_EQ(profiler.cacheSize(), profiles_after_first);
-    EXPECT_EQ(second.autotuneSec, 0.0);
-    expectLogsIdentical(first, second, /*compare_autotune=*/false);
+    EXPECT_TRUE(first.identicalTo(second));
 
     TrainLog fresh = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
-    expectLogsIdentical(fresh, second, /*compare_autotune=*/false);
+    EXPECT_TRUE(fresh.identicalTo(second));
 }
 
 TEST(EpochReplay, PersistentProfilerMatchesFreshAcrossSeeds)
@@ -112,11 +99,7 @@ TEST(EpochReplay, PersistentProfilerMatchesFreshAcrossSeeds)
 
         sim::Gpu gpu(sim::GpuConfig::config1());
         TrainLog fresh = runTrainingEpoch(gpu, wl.model, wl.dataset, tc);
-        expectLogsIdentical(fresh, persistent,
-                            /*compare_autotune=*/false);
-        // A persistent profiler never pays more tuning than a fresh
-        // run; after the first epoch it pays none for repeated SLs.
-        EXPECT_LE(persistent.autotuneSec, fresh.autotuneSec);
+        EXPECT_TRUE(fresh.identicalTo(persistent));
     }
 }
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -111,34 +110,11 @@ TEST(Profiler, ClassSharesSumToOne)
     EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-/** Expect two tuners to hold bit-identical accounts. */
-void
-expectSameTunerAccount(const nn::Autotuner &got, const nn::Autotuner &want)
-{
-    EXPECT_EQ(got.cacheSize(), want.cacheSize());
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.tuningCostSec()),
-              std::bit_cast<uint64_t>(want.tuningCostSec()));
-    const std::vector<nn::AutotuneEntry> g = got.snapshotEntries();
-    const std::vector<nn::AutotuneEntry> w = want.snapshotEntries();
-    ASSERT_EQ(g.size(), w.size());
-    for (size_t i = 0; i < g.size(); ++i) {
-        EXPECT_EQ(g[i].m, w[i].m);
-        EXPECT_EQ(g[i].n, w[i].n);
-        EXPECT_EQ(g[i].k, w[i].k);
-        EXPECT_EQ(g[i].variant.tileM, w[i].variant.tileM);
-        EXPECT_EQ(g[i].variant.tileN, w[i].variant.tileN);
-        EXPECT_EQ(g[i].variant.tileK, w[i].variant.tileK);
-        EXPECT_EQ(std::bit_cast<uint64_t>(g[i].costSec),
-                  std::bit_cast<uint64_t>(w[i].costSec));
-    }
-}
-
 TEST(Profiler, CancelledSweepResumesBitIdentically)
 {
     // A deadline firing part-way through a sweep leaves some ops timed
-    // and the rest not; the next sweep must time exactly the rest,
-    // fold what an uninterrupted profiler folds and leave its tuner
-    // with the account an uninterrupted sweep leaves.
+    // and the rest not; the next sweep must time exactly the rest and
+    // fold what an uninterrupted profiler folds.
     std::vector<int64_t> sls;
     for (int64_t sl = 40; sl <= 440; sl += 8)
         sls.push_back(sl);
@@ -147,13 +123,12 @@ TEST(Profiler, CancelledSweepResumesBitIdentically)
     nn::Autotuner ref_tuner(nn::Autotuner::Mode::Measured, &gpu);
     Profiler ref(gpu, model, ref_tuner, 64);
     ref.warmTrainProfiles(sls, 1);
-    ASSERT_GT(ref_tuner.cacheSize(), 0u);
 
     // Every later profiler runs on config1 under a name of its own:
     // the same timings, but a table no other profiler has filled, so
     // a sweep is mostly probing and timing ops (the programs are
     // lowered now) and deadlines spread over one sweep's length land
-    // inside the fill and its accounting.
+    // inside the fill and the remembering of the ops.
     auto renamed = [](int k) {
         sim::GpuConfig cfg = sim::GpuConfig::config1();
         cfg.name += "-cancelled-sweep-" + std::to_string(k);
@@ -194,7 +169,6 @@ TEST(Profiler, CancelledSweepResumesBitIdentically)
             EXPECT_EQ(got.launches, want.launches);
             EXPECT_TRUE(got.classTimeSec == want.classTimeSec);
         }
-        expectSameTunerAccount(tuner, ref_tuner);
     }
     EXPECT_GT(cancelled, 0u);
 }
@@ -268,10 +242,7 @@ TEST(Trainer, EpochLogAccounting)
         sum += it.timeSec;
     EXPECT_NEAR(sum, log.trainSec, 1e-9);
     EXPECT_GT(log.evalSec, 0.0);
-    EXPECT_GT(log.autotuneSec, 0.0); // Measured autotune by default
     EXPECT_DOUBLE_EQ(log.totalSec(), log.trainSec + log.evalSec);
-    EXPECT_DOUBLE_EQ(log.totalSec(true),
-                     log.trainSec + log.evalSec + log.autotuneSec);
     EXPECT_NEAR(log.throughput(64), 640.0 / log.trainSec, 1e-9);
 }
 

@@ -5,7 +5,7 @@
  * Builds one real, fully warmed snapshot (the DS2 workload on
  * config1, single-threaded so the build is deterministic) and slices
  * it into seed inputs for each harness: real encodings exercise every
- * branch of the packed/delta coders, which pure random inputs take a
+ * branch of the section decoders, which pure random inputs take a
  * long time to reach. Each file is the harness's input format: a mode
  * byte followed by the section payload (fuzz_bytestream takes the op
  * stream directly).
@@ -29,7 +29,6 @@
 #include "harness/experiment.hh"
 #include "harness/snapshot_io.hh"
 #include "harness/workloads.hh"
-#include "nn/autotune.hh"
 #include "profiler/trainer.hh"
 #include "sim/counters.hh"
 #include "sim/gpu_config.hh"
@@ -84,8 +83,6 @@ main(int argc, char **argv)
     // small. The fuzzer mutates its way to larger shapes from here.
     ModelSnapshot snapStorage = *full;
     ModelSnapshot *snap = &snapStorage;
-    if (snap->tunerEntries.size() > 16)
-        snap->tunerEntries.resize(16);
     auto trimMap = [](auto &m) {
         while (m.size() > 4)
             m.erase(std::prev(m.end()));
@@ -136,27 +133,15 @@ main(int argc, char **argv)
         ok &= writeSeed(root, "fuzz_snapshot_load",
                         "iteration_profile", mode(6, w.data()));
     }
-    if (!snap->tunerEntries.empty()) {
-        ByteWriter w;
-        nn::encodeAutotuneEntry(w, snap->tunerEntries.front());
-        ok &= writeSeed(root, "fuzz_snapshot_load", "autotune_entry",
-                        mode(7, w.data()));
-    }
-    {
-        ByteWriter w;
-        nn::encodeAutotuneSection(w, snap->tunerEntries);
-        ok &= writeSeed(root, "fuzz_snapshot_load", "autotune_section",
-                        mode(8, w.data()));
-    }
     if (!snap->trainProfiles.empty()) {
         ByteWriter w;
         sim::encodeCounters(w, snap->trainProfiles.begin()->second.counters);
         ok &= writeSeed(root, "fuzz_snapshot_load", "counters",
-                        mode(9, w.data()));
+                        mode(7, w.data()));
     }
 
     // fuzz_bytestream: an op script touching every primitive. Each op
-    // byte's low 3 bits select the reader primitive that consumes the
+    // byte modulo 6 selects the reader primitive that consumes the
     // bytes after it (see fuzz_bytestream.cc).
     {
         ByteWriter w;
@@ -166,16 +151,11 @@ main(int argc, char **argv)
         w.u32(0xdeadbeef);
         w.u8(2); // op: u64
         w.u64(0x0123456789abcdefull);
-        w.u8(3); // op: vu64
-        w.vu64(300);
-        w.u8(4); // op: vi64
-        w.vi64(-4096);
-        w.u8(5); // op: f64 prev + packed
-        w.f64(1.0);
-        w.f64Packed(3.0, 1.0);
-        w.u8(6); // op: bool
+        w.u8(3); // op: f64
+        w.f64(-1.5);
+        w.u8(4); // op: bool
         w.b(true);
-        w.u8(7); // op: str
+        w.u8(5); // op: str
         w.str("seqpoint");
         ok &= writeSeed(root, "fuzz_bytestream", "ops", w.data());
     }

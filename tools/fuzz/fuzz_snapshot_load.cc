@@ -19,7 +19,6 @@
 #include "core/seqpoint.hh"
 #include "core/sl_log.hh"
 #include "harness/snapshot_io.hh"
-#include "nn/autotune.hh"
 #include "profiler/iteration_profile.hh"
 #include "profiler/trainer.hh"
 #include "sim/counters.hh"
@@ -77,7 +76,7 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
     std::string_view payload(reinterpret_cast<const char *>(data) + 1,
                              size - 1);
     try {
-        switch (data[0] % 10) {
+        switch (data[0] % 8) {
           case 0:
             fuzzPayload(payload);
             break;
@@ -138,25 +137,6 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
                         });
             break;
           case 7:
-            fuzzSection(payload, "fuzz-autotune-entry",
-                        [](ByteReader &r) {
-                            return nn::decodeAutotuneEntry(r);
-                        },
-                        [](ByteWriter &w, const nn::AutotuneEntry &v) {
-                            nn::encodeAutotuneEntry(w, v);
-                        });
-            break;
-          case 8:
-            fuzzSection(payload, "fuzz-autotune-section",
-                        [](ByteReader &r) {
-                            return nn::decodeAutotuneSection(r);
-                        },
-                        [](ByteWriter &w,
-                           const std::vector<nn::AutotuneEntry> &v) {
-                            nn::encodeAutotuneSection(w, v);
-                        });
-            break;
-          case 9:
             fuzzSection(payload, "fuzz-counters",
                         [](ByteReader &r) {
                             return sim::decodeCounters(r);

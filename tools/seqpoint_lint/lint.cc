@@ -1087,7 +1087,7 @@ ruleFloatReduce(const Options &opts, std::vector<Violation> &out)
 
 /** One codec entry point that must be reachable from a harness. */
 struct FuzzEntry {
-    std::string name; ///< Function name ("decodeCounters", "vu64").
+    std::string name; ///< Function name ("decodeCounters", "u64").
     std::string rel;  ///< File that defines/declares it.
     int line = 0;
     bool method = false; ///< ByteReader method vs free decode*().
