@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "common/bytestream.hh"
 #include "common/stats_math.hh"
+#include "common/strutil.hh"
 #include "data/batching.hh"
 #include "data/dataset.hh"
 #include "data/distributions.hh"
@@ -65,6 +70,62 @@ TEST(Dataset, FactoriesProduceDocumentedSizes)
 
     Dataset wmt = synthWmt16(23);
     EXPECT_GT(wmt.trainSize(), 5 * iw.trainSize());
+}
+
+/** FNV-1a digest of a length list, each length a little-endian i64. */
+uint64_t
+lensDigest(const std::vector<int64_t> &lens)
+{
+    ByteWriter w;
+    for (int64_t len : lens)
+        w.i64(len);
+    return fnv1a64Words(w.data());
+}
+
+std::string
+hex(uint64_t v)
+{
+    return csprintf("0x%016llx", static_cast<unsigned long long>(v));
+}
+
+TEST(Dataset, GoldenDigests)
+{
+    // Pins every draw of the three dataset factories: any change to the
+    // generators, the Rng or its distributions moves a digest.
+    struct Case {
+        const char *name;
+        Dataset (*synth)(uint64_t);
+        uint64_t seed;
+        uint64_t train;
+        uint64_t eval;
+    };
+    const Case cases[] = {
+        {"IWSLT15", synthIwslt15, 1,
+         0xae67d1d2926bb8dbULL, 0x405aa6a351dfd34bULL},
+        {"IWSLT15", synthIwslt15, 7,
+         0x0e64b973b8f164beULL, 0x2eb163d01231da47ULL},
+        {"IWSLT15", synthIwslt15, 23,
+         0xf8a7e7aa11d022daULL, 0xd7719c845028835fULL},
+        {"WMT16", synthWmt16, 1,
+         0x682e43630c41a538ULL, 0x8f5483fefb485c50ULL},
+        {"WMT16", synthWmt16, 7,
+         0x17a751e015554001ULL, 0xcc666332e6d2e523ULL},
+        {"WMT16", synthWmt16, 23,
+         0x38de19188b209338ULL, 0xbb9bef74e25bd25bULL},
+        {"LibriSpeech100", synthLibriSpeech100, 1,
+         0xf85724f7ac011b02ULL, 0xc065cdb61d74c187ULL},
+        {"LibriSpeech100", synthLibriSpeech100, 7,
+         0xf65711fd98f83c5fULL, 0x9d1a6dff2448a6b2ULL},
+        {"LibriSpeech100", synthLibriSpeech100, 23,
+         0xcbf71fb6994a9a18ULL, 0x0d53ef10ea837e61ULL},
+    };
+    for (const Case &c : cases) {
+        Dataset ds = c.synth(c.seed);
+        EXPECT_EQ(hex(lensDigest(ds.trainLens)), hex(c.train))
+            << c.name << " seed " << c.seed << " train";
+        EXPECT_EQ(hex(lensDigest(ds.evalLens)), hex(c.eval))
+            << c.name << " seed " << c.seed << " eval";
+    }
 }
 
 TEST(Dataset, Helpers)
