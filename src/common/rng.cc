@@ -11,33 +11,37 @@
 
 namespace seqpoint {
 
+BoxMuller
+BoxMuller::of(double u1, double u2)
+{
+    return {std::sqrt(-2.0 * std::log(u1)), std::cos(2.0 * M_PI * u2),
+            std::sin(2.0 * M_PI * u2)};
+}
+
+double
+BoxMuller::first(double mean, double stdev) const
+{
+    return mean + stdev * mag * cosine;
+}
+
+double
+BoxMuller::spare() const
+{
+    return mag * sine;
+}
+
+double
+BoxMuller::second(double mean, double stdev) const
+{
+    return mean + stdev * spare();
+}
+
 Rng::Rng(uint64_t seed, uint64_t stream)
     : state(0), inc((stream << 1u) | 1u)
 {
     next32();
     state += seed;
     next32();
-}
-
-uint32_t
-Rng::next32()
-{
-    uint64_t old = state;
-    state = old * 6364136223846793005ULL + inc;
-    uint32_t xorshifted =
-        static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
-    uint32_t rot = static_cast<uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
-}
-
-uint64_t
-Rng::next64()
-{
-    // Two statements, so the high word is drawn first on every
-    // compiler (the operands of | are unsequenced).
-    uint64_t hi = next32();
-    uint64_t lo = next32();
-    return (hi << 32) | lo;
 }
 
 int64_t
@@ -55,13 +59,6 @@ Rng::uniformInt(int64_t lo, int64_t hi)
         v = next64();
     } while (v >= limit);
     return lo + static_cast<int64_t>(v % span);
-}
-
-double
-Rng::uniformDouble()
-{
-    // 53 random mantissa bits.
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -84,10 +81,10 @@ Rng::normal(double mean, double stdev)
         u1 = uniformDouble();
     } while (u1 <= 0.0);
     u2 = uniformDouble();
-    double mag = std::sqrt(-2.0 * std::log(u1));
-    spareNormal = mag * std::sin(2.0 * M_PI * u2);
+    BoxMuller pair = BoxMuller::of(u1, u2);
+    spareNormal = pair.spare();
     haveSpareNormal = true;
-    return mean + stdev * mag * std::cos(2.0 * M_PI * u2);
+    return pair.first(mean, stdev);
 }
 
 double

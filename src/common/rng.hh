@@ -5,6 +5,14 @@
  * All stochastic choices in the repository (dataset synthesis, batch
  * shuffling, cache address streams) flow through this generator so a
  * given seed reproduces a run bit-for-bit on any platform.
+ *
+ * The raw draws (next32, next64, uniformDouble) are integer operations
+ * defined inline here, so hot sampling loops pay no call per draw.
+ * Every normal sample goes through one libm Box-Muller helper
+ * (BoxMuller::of in rng.cc). data::iwsltLengths and data::wmtLengths
+ * compute the same pairs from tables, and recompute through that
+ * helper any pair whose approximation lands near a length edge, so
+ * their lengths match normal() draw for draw (see distributions.hh).
  */
 
 #ifndef SEQPOINT_COMMON_RNG_HH
@@ -16,6 +24,37 @@
 #include <vector>
 
 namespace seqpoint {
+
+/**
+ * One Box-Muller transform evaluated with libm: the magnitude
+ * sqrt(-2 ln u1) and the cosine and sine of the angle 2 pi u2. The
+ * scaled halves are computed out of line in rng.cc, so every caller
+ * rounds them the same way.
+ */
+struct BoxMuller
+{
+    double mag;
+    double cosine;
+    double sine;
+
+    /**
+     * @param u1 Uniform in (0, 1).
+     * @param u2 Uniform in [0, 1).
+     */
+    static BoxMuller of(double u1, double u2);
+
+    /** @return The first normal, scaled: mean + stdev * mag * cosine. */
+    double first(double mean, double stdev) const;
+
+    /** @return The second normal, unscaled: mag * sine. */
+    double spare() const;
+
+    /**
+     * @return The second normal, scaled: mean + stdev * spare(), as
+     *         Rng::normal returns its spare.
+     */
+    double second(double mean, double stdev) const;
+};
 
 /**
  * PCG32 (XSH-RR variant) pseudo-random generator.
@@ -37,10 +76,27 @@ class Rng
                  uint64_t stream = 0xda3e39cb94b95bdbULL);
 
     /** @return The next raw 32-bit value. */
-    uint32_t next32();
+    uint32_t
+    next32()
+    {
+        uint64_t old = state;
+        state = old * 6364136223846793005ULL + inc;
+        uint32_t xorshifted =
+            static_cast<uint32_t>(((old >> 18u) ^ old) >> 27u);
+        uint32_t rot = static_cast<uint32_t>(old >> 59u);
+        return (xorshifted >> rot) | (xorshifted << ((-rot) & 31u));
+    }
 
     /** @return The next raw 64-bit value. */
-    uint64_t next64();
+    uint64_t
+    next64()
+    {
+        // Two statements, so the high word is drawn first on every
+        // compiler (the operands of | are unsequenced).
+        uint64_t hi = next32();
+        uint64_t lo = next32();
+        return (hi << 32) | lo;
+    }
 
     /**
      * Uniform integer in [lo, hi], inclusive on both ends.
@@ -52,8 +108,12 @@ class Rng
      */
     int64_t uniformInt(int64_t lo, int64_t hi);
 
-    /** @return Uniform double in [0, 1). */
-    double uniformDouble();
+    /** @return Uniform double in [0, 1): 53 random mantissa bits. */
+    double
+    uniformDouble()
+    {
+        return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+    }
 
     /**
      * Uniform double in [lo, hi).
@@ -64,12 +124,18 @@ class Rng
     double uniformDouble(double lo, double hi);
 
     /**
-     * Normal (Gaussian) sample via Box-Muller.
+     * Normal (Gaussian) sample via Box-Muller. Draws u1 (redrawn while
+     * 0) and u2, returns BoxMuller::of(u1, u2).first(mean, stdev) and
+     * keeps spare() for the next call, which returns
+     * mean + stdev * spare and draws nothing.
      *
      * @param mean Distribution mean.
      * @param stdev Distribution standard deviation (>= 0).
      */
     double normal(double mean, double stdev);
+
+    /** @return True when the next normal() returns the kept spare. */
+    bool spareNormalPending() const { return haveSpareNormal; }
 
     /**
      * Log-normal sample: exp(N(mu, sigma)).

@@ -11,6 +11,7 @@
 #ifndef SEQPOINT_DATA_DISTRIBUTIONS_HH
 #define SEQPOINT_DATA_DISTRIBUTIONS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,10 @@ std::vector<int64_t> librispeechLengths(Rng &rng, size_t count);
 /**
  * IWSLT'15-like sentence lengths in tokens, range roughly [4, 220]:
  * a broad log-normal body with substantial mass across the range.
+ * Each length is round(exp(x)) clamped to [4, 220], x = 3.2 + 0.7 z
+ * for the Rng's next normal z, and a draw with exp(x) > 220 is redrawn;
+ * lengthkernel below computes exactly these lengths without per-draw
+ * libm calls.
  *
  * @param rng Random source.
  * @param count Number of samples to draw.
@@ -61,6 +66,108 @@ std::vector<int64_t> wmtLengths(Rng &rng, size_t count);
  * @param hi Maximum allowed.
  */
 int64_t clampLen(double value, int64_t lo, int64_t hi);
+
+/**
+ * The log-normal length kernel behind iwsltLengths and wmtLengths,
+ * exposed for its tests.
+ *
+ * A length is a step function of x = mu + sigma z: it is kMinLen below
+ * the edge ln 4.5, k between the edges ln(k - 0.5) and ln(k + 0.5)
+ * (llround rounds halves up), kMaxLen from ln 219.5 to the rejection
+ * edge ln 220, and rejected above it. The kernel draws the uniforms of
+ * Rng::normal in the same order, 256 Box-Muller pairs at a time, and
+ * computes an approximate x~ from 256-entry log and sincos tables
+ * (built once with libm) plus short polynomials. It finds the cell of
+ * x~ between the edges by a grid lookup: no exp and no llround.
+ *
+ * Exactness: |x~ - x| <= kApproxBound, where x is the value
+ * BoxMuller::of and BoxMuller::first compute with libm (derivation in
+ * distributions.cc). A draw whose x~ lies within kEdgeMargin of an edge
+ * is recomputed from its pair's uniforms through BoxMuller -- the
+ * helper Rng::normal calls -- and then through exp, the > 220 reject
+ * and clampLen, exactly as the per-draw loop did. Every other draw is
+ * at least kEdgeMargin - kApproxBound from the edges, far more than
+ * the <= 1 ulp errors of libm's exp and of the edges themselves, so x
+ * and x~ lie in the same cell. Every length therefore equals the
+ * per-draw loop's by construction. The caller's Rng ends in the same
+ * state as well: a spare pending at entry is taken per draw, a batch
+ * never draws more pairs than the lengths still wanted can use, and a
+ * half-used last pair is redrawn through Rng::normal, which keeps its
+ * sine half as the spare.
+ */
+namespace lengthkernel {
+
+/** Shortest length; draws below ln 4.5 clamp to it. */
+constexpr int64_t kMinLen = 4;
+/** Longest length; draws with exp(x) > kMaxLen are rejected. */
+constexpr int64_t kMaxLen = 220;
+/** Box-Muller pairs computed per batch, and the most pairLengths takes. */
+constexpr size_t kBatchPairs = 256;
+/**
+ * Bound on |x~ - x| for |mu| <= 8 and 0 < sigma <= 1, the domain
+ * logNormalLengths accepts.
+ */
+constexpr double kApproxBound = 1e-13;
+/** A draw is recomputed exactly when x~ lies this close to an edge. */
+constexpr double kEdgeMargin = 1e-9;
+
+/** cellLength() of an x~ within kEdgeMargin of an edge. */
+constexpr int64_t kNearEdge = -1;
+/** Length of a rejected draw (exp(x) > kMaxLen). */
+constexpr int64_t kRejected = 0;
+
+/** Both draws of one Box-Muller pair, as x = mu + sigma z. */
+struct NormalPair
+{
+    /** The cosine half, which Rng::normal returns first. */
+    double first;
+    /** The sine half, which Rng::normal keeps as its spare. */
+    double second;
+};
+
+/** @return The table-driven x~ of both halves of pair (u1, u2). */
+NormalPair approxPair(double u1, double u2, double mu, double sigma);
+
+/** @return The exact x of both halves, as Rng::normal computes them. */
+NormalPair exactPair(double u1, double u2, double mu, double sigma);
+
+/**
+ * @return The length of exp(x) by cell lookup: a length, kRejected, or
+ *         kNearEdge when x lies within kEdgeMargin of an edge.
+ */
+int64_t cellLength(double x);
+
+/**
+ * @return The length of exp(x) the per-draw way: exp, kRejected above
+ *         kMaxLen, else clampLen(exp(x), kMinLen, kMaxLen).
+ */
+int64_t exactLength(double x);
+
+/**
+ * Append the lengths of pairs (u1[i], u2[i]) to lens in draw order,
+ * each pair's cosine half first, skipping rejected draws and stopping
+ * once lens holds want lengths.
+ *
+ * @param pairs Number of pairs, at most kBatchPairs.
+ * @return Number of draws consumed.
+ */
+size_t pairLengths(const double *u1, const double *u2, size_t pairs,
+                   double mu, double sigma, size_t want,
+                   std::vector<int64_t> &lens);
+
+/**
+ * count log-normal lengths from rng: what the per-draw loop
+ * `do v = rng.logNormal(mu, sigma); while (v > 220);
+ * push(clampLen(v, 4, 220))` returns, with rng left as that loop
+ * leaves it.
+ *
+ * @param mu Mean of the underlying normal, |mu| <= 8.
+ * @param sigma Its standard deviation, in (0, 1].
+ */
+std::vector<int64_t> logNormalLengths(Rng &rng, size_t count, double mu,
+                                      double sigma);
+
+} // namespace lengthkernel
 
 } // namespace data
 } // namespace seqpoint

@@ -32,16 +32,12 @@ TrainLog::throughput(unsigned batch) const
 bool
 TrainLog::identicalTo(const TrainLog &other) const
 {
-    if (iterations.size() != other.iterations.size() ||
-        trainSec != other.trainSec || evalSec != other.evalSec ||
-        !(counters == other.counters))
-        return false;
-    for (size_t i = 0; i < iterations.size(); ++i) {
-        if (iterations[i].seqLen != other.iterations[i].seqLen ||
-            iterations[i].timeSec != other.iterations[i].timeSec)
-            return false;
-    }
-    return true;
+    // The codec writes every field's bits, so a NaN equals its own
+    // copy and differs from another payload, and -0.0 differs from 0.0.
+    ByteWriter mine, theirs;
+    encodeTrainLog(mine, *this);
+    encodeTrainLog(theirs, other);
+    return mine.data() == theirs.data();
 }
 
 void

@@ -73,7 +73,8 @@ struct TrainLog {
     /**
      * Bit-exact equality of iteration logs, times and counters (the
      * identity guard shared by the trainer, snapshot and scheduler
-     * tests).
+     * tests): every double compares by bit pattern, so a log holding
+     * a NaN is identical to its copy.
      *
      * @param other Log to compare against.
      */

@@ -277,9 +277,7 @@ TEST(SnapshotIo, NanRunParametersKeyBitExactly)
     seeded.seedFrom(snap);
     const prof::TrainLog &log = seeded.epochLog(cfg);
     EXPECT_TRUE(std::isnan(log.evalSec));
-    EXPECT_EQ(std::bit_cast<uint64_t>(log.evalSec),
-              std::bit_cast<uint64_t>(snap->log.evalSec));
-    EXPECT_EQ(log.trainSec, snap->log.trainSec);
+    EXPECT_TRUE(log.identicalTo(snap->log));
 }
 
 TEST(SnapshotRegistry, MemoryThenDiskHits)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -301,6 +303,30 @@ TEST(Trainer, SameSlIterationsHaveSameTime)
         EXPECT_EQ(it.seqLen, 77);
         EXPECT_DOUBLE_EQ(it.timeSec, log.iterations[0].timeSec);
     }
+}
+
+TEST(Trainer, IdenticalToComparesBitPatterns)
+{
+    TrainLog log;
+    log.iterations = {{40, 0.25}, {41, std::nan("")}};
+    log.trainSec = 1.5;
+    log.evalSec = std::nan("");
+    log.counters.busySec = std::nan("");
+    TrainLog copy = log;
+    EXPECT_TRUE(log.identicalTo(copy));
+
+    // Another NaN payload, or -0.0 for 0.0, is a different log.
+    TrainLog other_nan = log;
+    other_nan.evalSec = std::bit_cast<double>(
+        std::bit_cast<uint64_t>(log.evalSec) | 1);
+    EXPECT_FALSE(log.identicalTo(other_nan));
+    TrainLog zero = log, negative_zero = log;
+    zero.iterations[0].timeSec = 0.0;
+    negative_zero.iterations[0].timeSec = -0.0;
+    EXPECT_FALSE(zero.identicalTo(negative_zero));
+    TrainLog longer = log;
+    longer.iterations.push_back({42, 0.5});
+    EXPECT_FALSE(log.identicalTo(longer));
 }
 
 } // anonymous namespace
