@@ -30,12 +30,6 @@ BoxMuller::spare() const
     return mag * sine;
 }
 
-double
-BoxMuller::second(double mean, double stdev) const
-{
-    return mean + stdev * spare();
-}
-
 Rng::Rng(uint64_t seed, uint64_t stream)
     : state(0), inc((stream << 1u) | 1u)
 {

@@ -27,9 +27,7 @@ namespace seqpoint {
 
 /**
  * One Box-Muller transform evaluated with libm: the magnitude
- * sqrt(-2 ln u1) and the cosine and sine of the angle 2 pi u2. The
- * scaled halves are computed out of line in rng.cc, so every caller
- * rounds them the same way.
+ * sqrt(-2 ln u1) and the cosine and sine of the angle 2 pi u2.
  */
 struct BoxMuller
 {
@@ -48,12 +46,6 @@ struct BoxMuller
 
     /** @return The second normal, unscaled: mag * sine. */
     double spare() const;
-
-    /**
-     * @return The second normal, scaled: mean + stdev * spare(), as
-     *         Rng::normal returns its spare.
-     */
-    double second(double mean, double stdev) const;
 };
 
 /**

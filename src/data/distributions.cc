@@ -48,20 +48,6 @@ librispeechLengths(Rng &rng, size_t count)
     return lens;
 }
 
-std::vector<int64_t>
-iwsltLengths(Rng &rng, size_t count)
-{
-    // Broad log-normal body: median ~25 tokens, long tail.
-    return lengthkernel::logNormalLengths(rng, count, 3.2, 0.70);
-}
-
-std::vector<int64_t>
-wmtLengths(Rng &rng, size_t count)
-{
-    // Same range as IWSLT, slightly longer median (news text).
-    return lengthkernel::logNormalLengths(rng, count, 3.35, 0.60);
-}
-
 namespace lengthkernel {
 
 /*
@@ -112,7 +98,7 @@ constexpr double kTwoPi = 2.0 * M_PI;
 
 struct Tables
 {
-    /** 1 / centre and log(centre) per log cell. */
+    /** 1 / centre and log(centre) per log cell; exactly 1 and 0 beside z = 1. */
     double invCentre[kTableSize];
     double logCentre[kTableSize];
     /** cos and sin of the centre of each of the 256 angle cells. */
@@ -122,6 +108,7 @@ struct Tables
     double edge[kEdges + 2];
     /** Lowest draw cell each grid cell can start in (0 below, kEdges above). */
     uint8_t gridStart[kGridCells + 2];
+    static_assert(kEdges <= UINT8_MAX);
     double gridScale;
 };
 
@@ -199,6 +186,12 @@ approx(const Tables &t, double u1, double u2, double mu, double sigma)
     return {mu + sigma * mag * cosine, mu + sigma * (mag * sine)};
 }
 
+/**
+ * The grid index may be one off for x within rounding of a grid line;
+ * then j is one cell off and x lies outside [edge[j] + margin,
+ * edge[j + 1] - margin), so the answer is kNearEdge, never a wrong
+ * length.
+ */
 inline int64_t
 cellOf(const Tables &t, double x)
 {
@@ -212,27 +205,7 @@ cellOf(const Tables &t, double x)
     return j == kEdges ? kRejected : kMinLen + static_cast<int64_t>(j);
 }
 
-} // namespace
-
-NormalPair
-approxPair(double u1, double u2, double mu, double sigma)
-{
-    return approx(tables(), u1, u2, mu, sigma);
-}
-
-NormalPair
-exactPair(double u1, double u2, double mu, double sigma)
-{
-    BoxMuller pair = BoxMuller::of(u1, u2);
-    return {pair.first(mu, sigma), pair.second(mu, sigma)};
-}
-
-int64_t
-cellLength(double x)
-{
-    return cellOf(tables(), x);
-}
-
+/** Length of exp(x) the per-draw way; kRejected above kMaxLen. */
 int64_t
 exactLength(double x)
 {
@@ -241,38 +214,16 @@ exactLength(double x)
                                             : clampLen(v, kMinLen, kMaxLen);
 }
 
-size_t
-pairLengths(const double *u1, const double *u2, size_t pairs, double mu,
-            double sigma, size_t want, std::vector<int64_t> &lens)
-{
-    panic_if(pairs > kBatchPairs, "pairLengths: %zu pairs > %zu", pairs,
-             kBatchPairs);
-    const Tables &t = tables();
-    double x[2 * kBatchPairs];
-    for (size_t i = 0; i < pairs; ++i) {
-        NormalPair p = approx(t, u1[i], u2[i], mu, sigma);
-        x[2 * i] = p.first;
-        x[2 * i + 1] = p.second;
-    }
-    size_t n = 0;
-    for (; n < 2 * pairs && lens.size() < want; ++n) {
-        int64_t len = cellOf(t, x[n]);
-        if (len == kNearEdge) {
-            NormalPair exact = exactPair(u1[n / 2], u2[n / 2], mu, sigma);
-            len = exactLength(n % 2 == 0 ? exact.first : exact.second);
-        }
-        if (len != kRejected)
-            lens.push_back(len);
-    }
-    return n;
-}
-
+/**
+ * count lengths of exp(mu + sigma z), z the Rng's next normals, with
+ * draws above kMaxLen rejected: what the per-draw loop
+ * `do v = rng.logNormal(mu, sigma); while (v > 220);
+ * push(clampLen(v, 4, 220))` returns, with rng left as that loop
+ * leaves it. |mu| <= 8 and 0 < sigma <= 1, where kApproxBound holds.
+ */
 std::vector<int64_t>
 logNormalLengths(Rng &rng, size_t count, double mu, double sigma)
 {
-    panic_if(!(std::fabs(mu) <= 8.0 && sigma > 0.0 && sigma <= 1.0),
-             "logNormalLengths: mu %g / sigma %g outside the bounded domain",
-             mu, sigma);
     std::vector<int64_t> lens;
     lens.reserve(count);
     // A spare left by an earlier call is the next draw: take it the
@@ -282,7 +233,7 @@ logNormalLengths(Rng &rng, size_t count, double mu, double sigma)
         if (len != kRejected)
             lens.push_back(len);
     }
-    double u1[kBatchPairs], u2[kBatchPairs];
+    double u1[kBatchPairs] = {}, u2[kBatchPairs] = {};
     while (lens.size() < count) {
         // No more pairs than the lengths still wanted can use, so only
         // the last pair's second half can go unused.
@@ -307,7 +258,68 @@ logNormalLengths(Rng &rng, size_t count, double mu, double sigma)
     return lens;
 }
 
+} // namespace
+
+NormalPair
+approxPair(double u1, double u2, double mu, double sigma)
+{
+    return approx(tables(), u1, u2, mu, sigma);
+}
+
+NormalPair
+exactPair(double u1, double u2, double mu, double sigma)
+{
+    BoxMuller pair = BoxMuller::of(u1, u2);
+    return {pair.first(mu, sigma), mu + sigma * pair.spare()};
+}
+
+int64_t
+cellLength(double x)
+{
+    return cellOf(tables(), x);
+}
+
+size_t
+pairLengths(const double *u1, const double *u2, size_t pairs, double mu,
+            double sigma, size_t want, std::vector<int64_t> &lens)
+{
+    panic_if(pairs > kBatchPairs, "pairLengths: %zu pairs > %zu", pairs,
+             kBatchPairs);
+    const Tables &t = tables();
+    double x[2 * kBatchPairs] = {};
+    for (size_t i = 0; i < pairs; ++i) {
+        NormalPair p = approx(t, u1[i], u2[i], mu, sigma);
+        x[2 * i] = p.first;
+        x[2 * i + 1] = p.second;
+    }
+    size_t n = 0;
+    for (; n < 2 * pairs && lens.size() < want; ++n) {
+        int64_t len = cellOf(t, x[n]);
+        if (len == kNearEdge) {
+            NormalPair exact = exactPair(u1[n / 2], u2[n / 2], mu, sigma);
+            len = exactLength(n % 2 == 0 ? exact.first : exact.second);
+        }
+        if (len != kRejected)
+            lens.push_back(len);
+    }
+    return n;
+}
+
 } // namespace lengthkernel
+
+std::vector<int64_t>
+iwsltLengths(Rng &rng, size_t count)
+{
+    // Broad log-normal body: median ~25 tokens, long tail.
+    return lengthkernel::logNormalLengths(rng, count, 3.2, 0.70);
+}
+
+std::vector<int64_t>
+wmtLengths(Rng &rng, size_t count)
+{
+    // Same range as IWSLT, slightly longer median (news text).
+    return lengthkernel::logNormalLengths(rng, count, 3.35, 0.60);
+}
 
 } // namespace data
 } // namespace seqpoint

@@ -103,10 +103,7 @@ constexpr int64_t kMinLen = 4;
 constexpr int64_t kMaxLen = 220;
 /** Box-Muller pairs computed per batch, and the most pairLengths takes. */
 constexpr size_t kBatchPairs = 256;
-/**
- * Bound on |x~ - x| for |mu| <= 8 and 0 < sigma <= 1, the domain
- * logNormalLengths accepts.
- */
+/** Bound on |x~ - x| for |mu| <= 8 and 0 < sigma <= 1. */
 constexpr double kApproxBound = 1e-13;
 /** A draw is recomputed exactly when x~ lies this close to an edge. */
 constexpr double kEdgeMargin = 1e-9;
@@ -138,15 +135,11 @@ NormalPair exactPair(double u1, double u2, double mu, double sigma);
 int64_t cellLength(double x);
 
 /**
- * @return The length of exp(x) the per-draw way: exp, kRejected above
- *         kMaxLen, else clampLen(exp(x), kMinLen, kMaxLen).
- */
-int64_t exactLength(double x);
-
-/**
  * Append the lengths of pairs (u1[i], u2[i]) to lens in draw order,
  * each pair's cosine half first, skipping rejected draws and stopping
- * once lens holds want lengths.
+ * once lens holds want lengths. A draw whose x~ is kNearEdge takes
+ * the length of its exactPair() x through exp, the reject and
+ * clampLen.
  *
  * @param pairs Number of pairs, at most kBatchPairs.
  * @return Number of draws consumed.
@@ -154,18 +147,6 @@ int64_t exactLength(double x);
 size_t pairLengths(const double *u1, const double *u2, size_t pairs,
                    double mu, double sigma, size_t want,
                    std::vector<int64_t> &lens);
-
-/**
- * count log-normal lengths from rng: what the per-draw loop
- * `do v = rng.logNormal(mu, sigma); while (v > 220);
- * push(clampLen(v, 4, 220))` returns, with rng left as that loop
- * leaves it.
- *
- * @param mu Mean of the underlying normal, |mu| <= 8.
- * @param sigma Its standard deviation, in (0, 1].
- */
-std::vector<int64_t> logNormalLengths(Rng &rng, size_t count, double mu,
-                                      double sigma);
 
 } // namespace lengthkernel
 
