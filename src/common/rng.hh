@@ -9,10 +9,13 @@
  * The raw draws (next32, next64, uniformDouble) are integer operations
  * defined inline here, so hot sampling loops pay no call per draw.
  * Every normal sample goes through one libm Box-Muller helper
- * (BoxMuller::of in rng.cc). data::iwsltLengths and data::wmtLengths
- * compute the same pairs from tables, and recompute through that
- * helper any pair whose approximation lands near a length edge, so
- * their lengths match normal() draw for draw (see distributions.hh).
+ * (BoxMuller::of in rng.cc). The dataset length kernels -- the
+ * log-normal data::iwsltLengths and data::wmtLengths, and
+ * data::librispeechLengths, which runs gamma()'s Marsaglia-Tsang
+ * trials -- compute the same pairs from tables, and recompute through
+ * that helper any draw whose approximation lands near a decision
+ * edge, so their lengths match normal() and gamma() draw for draw and
+ * leave the generator in the same state (see distributions.hh).
  */
 
 #ifndef SEQPOINT_COMMON_RNG_HH

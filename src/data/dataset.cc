@@ -5,36 +5,10 @@
 
 #include "data/dataset.hh"
 
-#include <algorithm>
-#include <set>
-
 #include "data/distributions.hh"
 
 namespace seqpoint {
 namespace data {
-
-int64_t
-Dataset::minLen() const
-{
-    if (trainLens.empty())
-        return 0;
-    return *std::min_element(trainLens.begin(), trainLens.end());
-}
-
-int64_t
-Dataset::maxLen() const
-{
-    if (trainLens.empty())
-        return 0;
-    return *std::max_element(trainLens.begin(), trainLens.end());
-}
-
-size_t
-Dataset::uniqueLenCount() const
-{
-    std::set<int64_t> uniq(trainLens.begin(), trainLens.end());
-    return uniq.size();
-}
 
 Dataset
 synthLibriSpeech100(uint64_t seed)

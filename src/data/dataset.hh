@@ -25,15 +25,6 @@ struct Dataset {
 
     /** @return Number of training samples. */
     size_t trainSize() const { return trainLens.size(); }
-
-    /** @return Smallest training SL (0 if empty). */
-    int64_t minLen() const;
-
-    /** @return Largest training SL (0 if empty). */
-    int64_t maxLen() const;
-
-    /** @return Number of distinct training SL values. */
-    size_t uniqueLenCount() const;
 };
 
 /**

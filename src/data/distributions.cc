@@ -6,6 +6,7 @@
 #include "data/distributions.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -19,33 +20,6 @@ clampLen(double value, int64_t lo, int64_t hi)
 {
     int64_t v = static_cast<int64_t>(std::llround(value));
     return std::clamp(v, lo, hi);
-}
-
-std::vector<int64_t>
-librispeechLengths(Rng &rng, size_t count)
-{
-    std::vector<int64_t> lens;
-    lens.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-        // Rejection-resample instead of clamping so no artificial
-        // probability mass piles up at the range edges.
-        double v;
-        do {
-            double u = rng.uniformDouble();
-            if (u < 0.55) {
-                // Dominant short-utterance mode.
-                v = 50.0 + rng.gamma(2.2, 22.0);
-            } else if (u < 0.80) {
-                // Mid-length audiobook sentences.
-                v = 160.0 + rng.gamma(3.0, 30.0);
-            } else {
-                // Long-utterance tail.
-                v = 260.0 + rng.gamma(2.0, 55.0);
-            }
-        } while (v > 450.0);
-        lens.push_back(clampLen(v, 50, 450));
-    }
-    return lens;
 }
 
 namespace lengthkernel {
@@ -258,6 +232,219 @@ logNormalLengths(Rng &rng, size_t count, double mu, double sigma)
     return lens;
 }
 
+/*
+ * Gamma error bounds. Here mu = 0 and sigma = 1, so |x~ - x| <= 1e-13
+ * and |x| < 8.6. Over the three modes c <= 0.2582, d <= 8/3 and
+ * scale d <= 91.7; each bound adds the roundings of both evaluations.
+ *
+ * - w = 1 + c x: c 1e-13 + 4 roundings of values <= 3.3 < 3e-14.
+ * - v = w^3: 3 w^2 3e-14 + roundings of v <= 34 < 1e-12; for
+ *   w >= kMinCubeBase the relative error is below 3 * 64 * 3e-14 +
+ *   4 * 2^-53 < 6e-12.
+ * - Squeeze 1 - 0.0331 x^4: 0.1324 |x|^3 1e-13 + roundings of
+ *   values <= 181 < 1e-11.
+ * - Log test x^2 / 2 + d (1 - v + log v): x 1e-13 for the first term,
+ *   and d (1e-12 + 6e-12 + libm's ulp) for the second: < 3e-11. Both
+ *   sides take libm's log u of the same u.
+ * - Length offset + scale d v: 91.7e-12 + roundings of values <= 3400
+ *   < 1e-10, and L + 0.5 adds 6e-14 below 512.
+ *
+ * Every bound is at least ten times below kGammaMargin, so a decision
+ * made outside the margin is the one x makes.
+ */
+
+/** A mode with Rng::gamma's per-draw constants hoisted. */
+struct HoistedMode
+{
+    double offset;
+    double d;
+    double c;
+    /** scale * d, the factor Rng::gamma's result scale * d * v takes. */
+    double sd;
+};
+
+const HoistedMode *
+hoistedModes()
+{
+    static const auto modes = [] {
+        std::array<HoistedMode, kSpeechModeCount> m;
+        for (size_t i = 0; i < kSpeechModeCount; ++i) {
+            const GammaMode &g = kSpeechModes[i];
+            double d = g.shape - 1.0 / 3.0;
+            m[i] = {g.offset, d, 1.0 / std::sqrt(9.0 * d), g.scale * d};
+        }
+        return m;
+    }();
+    return modes.data();
+}
+
+/** @return Index of the mode the mode uniform picks. */
+inline size_t
+modeOf(double pick)
+{
+    static_assert(kSpeechModeCount == 3);
+    return static_cast<size_t>(pick >= kSpeechModes[0].below) +
+        static_cast<size_t>(pick >= kSpeechModes[1].below);
+}
+
+/** One trial of Rng::gamma on x and u verbatim, then the length. */
+int64_t
+exactTrial(const HoistedMode &m, double x, double u)
+{
+    double v = 1.0 + m.c * x;
+    if (v <= 0.0)
+        return kTrialRejected;
+    v = v * v * v;
+    if (u < 1.0 - 0.0331 * x * x * x * x ||
+        (u > 0.0 &&
+         std::log(u) < 0.5 * x * x + m.d * (1.0 - v + std::log(v)))) {
+        double len = m.offset + m.sd * v;
+        return len > static_cast<double>(kSpeechMaxLen)
+            ? kRejected
+            : clampLen(len, kSpeechMinLen, kSpeechMaxLen);
+    }
+    return kTrialRejected;
+}
+
+/** exactTrial's decisions from x~, or kNearEdge inside a margin. */
+inline int64_t
+decide(const HoistedMode &m, double x, double u)
+{
+    double w = 1.0 + m.c * x;
+    if (w < kMinCubeBase)
+        return w <= -kGammaMargin ? kTrialRejected : kNearEdge;
+    double v = w * w * w;
+    double squeeze = 1.0 - 0.0331 * x * x * x * x;
+    if (u >= squeeze - kGammaMargin) {
+        if (u < squeeze + kGammaMargin)
+            return kNearEdge;
+        if (!(u > 0.0))
+            return kTrialRejected;
+        double log_u = std::log(u);
+        double bound = 0.5 * x * x + m.d * (1.0 - v + std::log(v));
+        if (log_u >= bound + kGammaMargin)
+            return kTrialRejected;
+        if (log_u > bound - kGammaMargin)
+            return kNearEdge;
+    }
+    // Lengths change at the half-integers; kSpeechMaxLen rejects.
+    double len = m.offset + m.sd * v;
+    if (len > static_cast<double>(kSpeechMaxLen) + kGammaMargin)
+        return kRejected;
+    double h = len + 0.5;
+    auto k = static_cast<int64_t>(h);
+    double frac = h - static_cast<double>(k);
+    if (frac < kGammaMargin || frac > 1.0 - kGammaMargin ||
+        len > static_cast<double>(kSpeechMaxLen) - kGammaMargin)
+        return kNearEdge;
+    return k;
+}
+
+/**
+ * One trial on the normal whose x~ is x: draw_u() draws the accept
+ * uniform when Rng::gamma would, and exact_x() gives x exactly for a
+ * trial that must be recomputed.
+ */
+template <typename ExactX, typename DrawU>
+inline int64_t
+trial(const HoistedMode &m, double x, ExactX exact_x, DrawU draw_u)
+{
+    double w = 1.0 + m.c * x;
+    if (w <= -kGammaMargin)
+        return kTrialRejected;
+    if (w < kGammaMargin) [[unlikely]] {
+        // Too close to 0 to tell from x~ whether u is drawn at all.
+        double exact = exact_x();
+        if (1.0 + m.c * exact <= 0.0)
+            return kTrialRejected;
+        return exactTrial(m, exact, draw_u());
+    }
+    double u = draw_u();
+    int64_t len = decide(m, x, u);
+    if (len == kNearEdge) [[unlikely]]
+        len = exactTrial(m, exact_x(), u);
+    return len;
+}
+
+/** @return The exact x of one half of pair (u1, u2), as Rng::normal. */
+double
+exactHalf(double u1, double u2, bool sine)
+{
+    NormalPair exact = exactPair(u1, u2, 0.0, 1.0);
+    return sine ? exact.second : exact.first;
+}
+
+/**
+ * count lengths of the LibriSpeech mixture: what the per-draw loop
+ * `do v = offset + rng.gamma(shape, scale) for the picked mode;
+ * while (v > 450); push(clampLen(v, 50, 450))` returns, with rng left
+ * as that loop leaves it.
+ */
+std::vector<int64_t>
+gammaLengths(Rng &rng, size_t count)
+{
+    std::vector<int64_t> lens;
+    lens.reserve(count);
+    if (count == 0)
+        return lens;
+    const Tables &t = tables();
+    const HoistedMode *modes = hoistedModes();
+    // A local copy keeps the generator's state out of memory.
+    Rng r = rng;
+    // The pair the normals come from: its uniforms, its sine half's x~
+    // while that is the next normal, and r before the pair was drawn.
+    Rng before_pair = r;
+    double u1 = 0.0, u2 = 0.0, sine_x = 0.0;
+    bool have_sine = false, sine_exact = false;
+    if (r.spareNormalPending()) {
+        // A spare left by an earlier call is the next normal; it is
+        // exact already.
+        sine_x = r.normal(0.0, 1.0);
+        have_sine = sine_exact = true;
+    }
+    auto draw_u = [&r] { return r.uniformDouble(); };
+    while (lens.size() < count) {
+        const HoistedMode &m = modes[modeOf(r.uniformDouble())];
+        int64_t len;
+        do {
+            bool sine = have_sine;
+            double x;
+            if (have_sine) {
+                x = sine_x;
+                have_sine = false;
+            } else {
+                before_pair = r;
+                do {
+                    u1 = r.uniformDouble();
+                } while (u1 <= 0.0);
+                u2 = r.uniformDouble();
+                NormalPair p = approx(t, u1, u2, 0.0, 1.0);
+                x = p.first;
+                sine_x = p.second;
+                have_sine = true;
+                sine_exact = false;
+            }
+            auto exact_x = [&] {
+                return sine && sine_exact ? x : exactHalf(u1, u2, sine);
+            };
+            len = trial(m, x, exact_x, draw_u);
+        } while (len == kTrialRejected);
+        if (len != kRejected)
+            lens.push_back(len);
+    }
+    if (have_sine) {
+        // Only the last length's accepted trial can leave a sine half,
+        // and the one uniform after its pair is that trial's u: redraw
+        // the pair per draw, which keeps the sine half as r's spare,
+        // then the u.
+        r = before_pair;
+        r.normal(0.0, 1.0);
+        r.uniformDouble();
+    }
+    rng = r;
+    return lens;
+}
+
 } // namespace
 
 NormalPair
@@ -305,7 +492,30 @@ pairLengths(const double *u1, const double *u2, size_t pairs, double mu,
     return n;
 }
 
+int64_t
+gammaDecision(size_t mode, double x, double u)
+{
+    panic_if(mode >= kSpeechModeCount, "gammaDecision: mode %zu", mode);
+    return decide(hoistedModes()[mode], x, u);
+}
+
+int64_t
+gammaTrial(size_t mode, double u1, double u2, bool sine, double u)
+{
+    panic_if(mode >= kSpeechModeCount, "gammaTrial: mode %zu", mode);
+    NormalPair approx_x = approxPair(u1, u2, 0.0, 1.0);
+    return trial(
+        hoistedModes()[mode], sine ? approx_x.second : approx_x.first,
+        [&] { return exactHalf(u1, u2, sine); }, [u] { return u; });
+}
+
 } // namespace lengthkernel
+
+std::vector<int64_t>
+librispeechLengths(Rng &rng, size_t count)
+{
+    return lengthkernel::gammaLengths(rng, count);
+}
 
 std::vector<int64_t>
 iwsltLengths(Rng &rng, size_t count)

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/rng.hh"
@@ -22,10 +23,15 @@ namespace data {
 
 /**
  * LibriSpeech-100h-like utterance lengths, in post-convolution time
- * steps (the DS2 GRU unroll factor), range roughly [50, 450].
+ * steps (the DS2 GRU unroll factor), range [50, 450].
  *
  * Mixture: a dominant short-utterance gamma mode, a secondary
- * mid-length mode (audiobook sentences), and a thin long tail.
+ * mid-length mode (audiobook sentences), and a thin long tail
+ * (lengthkernel::kSpeechModes). Each length draws a mode uniform u,
+ * picks the first mode with u below its bound, draws
+ * v = offset + Rng::gamma(shape, scale), redraws the mode and v while
+ * v > 450, and rounds v with clampLen. lengthkernel below computes
+ * exactly these lengths without per-draw libm calls.
  *
  * @param rng Random source.
  * @param count Number of samples to draw.
@@ -68,9 +74,11 @@ std::vector<int64_t> wmtLengths(Rng &rng, size_t count);
 int64_t clampLen(double value, int64_t lo, int64_t hi);
 
 /**
- * The log-normal length kernel behind iwsltLengths and wmtLengths,
- * exposed for its tests.
+ * The length kernels behind iwsltLengths and wmtLengths (log-normal)
+ * and librispeechLengths (gamma), exposed for their tests. Both take
+ * their normals from the same Box-Muller tables.
  *
+ * Log-normal kernel.
  * A length is a step function of x = mu + sigma z: it is kMinLen below
  * the edge ln 4.5, k between the edges ln(k - 0.5) and ln(k + 0.5)
  * (llround rounds halves up), kMaxLen from ln 219.5 to the rejection
@@ -94,6 +102,30 @@ int64_t clampLen(double value, int64_t lo, int64_t hi);
  * never draws more pairs than the lengths still wanted can use, and a
  * half-used last pair is redrawn through Rng::normal, which keeps its
  * sine half as the spare.
+ *
+ * Gamma kernel. Each LibriSpeech trial is one Marsaglia-Tsang step of
+ * Rng::gamma on a normal x: w = 1 + c x (rejected before its accept
+ * uniform u is drawn when w <= 0), v = w^3, accepted when
+ * u < 1 - 0.0331 x^4 or log u < x^2 / 2 + d (1 - v + log v), and
+ * giving the length llround(offset + scale d v), or a redrawn mode
+ * above kSpeechMaxLen. The kernel hoists d, c and scale d per mode
+ * (with Rng::gamma's own expressions), draws the mode, u1, u2 and
+ * accept uniforms inline in the per-draw order, and takes each x~ from
+ * the Box-Muller tables. Since v is a polynomial in x, every decision
+ * is made on x~ without exp or cbrt; only the log test, which about
+ * one trial in ten reaches, calls log.
+ *
+ * Exactness: each decision's value computed from x~ -- w, the squeeze
+ * bound, the log test's right side and offset + scale d v -- is within
+ * 1e-10 of the value computed from x (derivation in distributions.cc).
+ * A trial whose value lies within kGammaMargin of its threshold (0,
+ * u, log u, a half-integer or kSpeechMaxLen), or whose w is below
+ * kMinCubeBase, is recomputed from its pair's exactPair() x through
+ * Rng::gamma's arithmetic verbatim. Every other decision is the
+ * per-draw loop's, so every length is too. The caller's Rng ends in
+ * the same state: a spare pending at entry is the first normal, and a
+ * sine half left at exit is restored by redrawing its pair through
+ * Rng::normal and then the one uniform that followed it.
  */
 namespace lengthkernel {
 
@@ -147,6 +179,51 @@ int64_t cellLength(double x);
 size_t pairLengths(const double *u1, const double *u2, size_t pairs,
                    double mu, double sigma, size_t want,
                    std::vector<int64_t> &lens);
+
+/** Shortest LibriSpeech length; offsets keep every draw above it. */
+constexpr int64_t kSpeechMinLen = 50;
+/** Longest LibriSpeech length; longer draws redraw their mode. */
+constexpr int64_t kSpeechMaxLen = 450;
+
+/** One LibriSpeech mode: offset + Gamma(shape, scale). */
+struct GammaMode
+{
+    /** The mode is picked when the mode uniform is below this. */
+    double below;
+    double offset;
+    double shape;
+    double scale;
+};
+
+/** LibriSpeech's mixture, in the order the mode uniform picks it. */
+constexpr GammaMode kSpeechModes[] = {
+    {0.55, 50.0, 2.2, 22.0},  // dominant short-utterance mode
+    {0.80, 160.0, 3.0, 30.0}, // mid-length audiobook sentences
+    {1.0, 260.0, 2.0, 55.0},  // long-utterance tail
+};
+constexpr size_t kSpeechModeCount = std::size(kSpeechModes);
+
+/** A gamma trial is recomputed exactly within this of a threshold. */
+constexpr double kGammaMargin = 1e-9;
+/** A trial with w = 1 + c x~ below this is recomputed exactly. */
+constexpr double kMinCubeBase = 1.0 / 64;
+/** Result of a rejected Marsaglia-Tsang trial (the next normal follows). */
+constexpr int64_t kTrialRejected = -2;
+
+/**
+ * The decision of one trial of mode kSpeechModes[mode] from normal x
+ * and accept uniform u: a length, kRejected (above kSpeechMaxLen),
+ * kTrialRejected, or kNearEdge when a value lies within its margin.
+ */
+int64_t gammaDecision(size_t mode, double x, double u);
+
+/**
+ * One trial as the kernel runs it: gammaDecision() on the x~ of the
+ * pair (u1, u2) (its sine half when sine is set), recomputed from its
+ * exactPair() x when that is kNearEdge. u is ignored when the trial is
+ * rejected before Rng::gamma would draw it.
+ */
+int64_t gammaTrial(size_t mode, double u1, double u2, bool sine, double u);
 
 } // namespace lengthkernel
 

@@ -6,10 +6,14 @@
 #include "harness/figures.hh"
 
 #include <algorithm>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/bytestream.hh"
 #include "common/logging.hh"
 #include "common/status.hh"
+#include "core/seqpoint.hh"
 
 namespace seqpoint {
 namespace harness {
@@ -78,22 +82,65 @@ selectorOrder()
     return order;
 }
 
+namespace {
+
+/** Append a count and then each value's bit pattern. */
+void
+encodeDoubles(ByteWriter &w, const std::vector<double> &values)
+{
+    w.u64(values.size());
+    for (double v : values)
+        w.f64(v);
+}
+
+/**
+ * Every field of a sweep, each double as its bit pattern: the image
+ * identicalTo compares, so a NaN equals its own copy and -0.0 differs
+ * from 0.0.
+ */
+std::string
+sweepBytes(const FigureSweep &sweep)
+{
+    ByteWriter w;
+    w.u64(sweep.columns.size());
+    for (const FigureColumn &col : sweep.columns) {
+        w.str(col.config);
+        w.f64(col.actualSec);
+        w.f64(col.actualThroughput);
+        encodeDoubles(w, col.projectedSec);
+        encodeDoubles(w, col.projectedThroughput);
+    }
+    w.u64(sweep.selections.size());
+    for (const auto &[kind, set] : sweep.selections) {
+        w.u64(static_cast<uint64_t>(kind));
+        core::encodeSeqPointSet(w, set);
+    }
+    return w.data();
+}
+
+std::string
+sweepBytes(const SensitivitySweep &sweep)
+{
+    ByteWriter w;
+    w.u64(sweep.sls.size());
+    for (int64_t sl : sweep.sls)
+        w.i64(sl);
+    w.u64(sweep.configs.size());
+    for (const std::string &name : sweep.configs)
+        w.str(name);
+    w.u64(sweep.iterSec.size());
+    for (const std::vector<double> &row : sweep.iterSec)
+        encodeDoubles(w, row);
+    w.u32(sweep.batchSize);
+    return w.data();
+}
+
+} // anonymous namespace
+
 bool
 FigureSweep::identicalTo(const FigureSweep &other) const
 {
-    if (columns.size() != other.columns.size() ||
-        selections != other.selections)
-        return false;
-    for (size_t c = 0; c < columns.size(); ++c) {
-        const FigureColumn &ca = columns[c];
-        const FigureColumn &cb = other.columns[c];
-        if (ca.config != cb.config || ca.actualSec != cb.actualSec ||
-            ca.actualThroughput != cb.actualThroughput ||
-            ca.projectedSec != cb.projectedSec ||
-            ca.projectedThroughput != cb.projectedThroughput)
-            return false;
-    }
-    return true;
+    return sweepBytes(*this) == sweepBytes(other);
 }
 
 FigureSweep
@@ -170,8 +217,7 @@ runFigureSweepScheduled(const WorkloadFactory &make, unsigned threads,
 bool
 SensitivitySweep::identicalTo(const SensitivitySweep &other) const
 {
-    return sls == other.sls && configs == other.configs &&
-        iterSec == other.iterSec && batchSize == other.batchSize;
+    return sweepBytes(*this) == sweepBytes(other);
 }
 
 namespace {

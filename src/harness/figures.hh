@@ -51,7 +51,9 @@ struct FigureSweep {
 
     /**
      * Bit-exact equality of every measured and projected value and
-     * of the selections (the scheduler-vs-serial identity guard).
+     * of the selections (the scheduler-vs-serial identity guard):
+     * doubles compare as bit patterns, so a NaN equals its own copy
+     * and -0.0 differs from 0.0.
      */
     bool identicalTo(const FigureSweep &other) const;
 };
@@ -113,7 +115,10 @@ struct SensitivitySweep {
     std::vector<std::vector<double>> iterSec;
     unsigned batchSize = 0;            ///< Workload batch size.
 
-    /** Bit-exact equality (scheduler-vs-serial identity guard). */
+    /**
+     * Bit-exact equality (scheduler-vs-serial identity guard), with
+     * doubles compared as bit patterns like FigureSweep::identicalTo.
+     */
     bool identicalTo(const SensitivitySweep &other) const;
 };
 

@@ -20,6 +20,15 @@ PerfCounters::summary() const
         writeStallSec, busySec);
 }
 
+bool
+PerfCounters::operator==(const PerfCounters &other) const
+{
+    ByteWriter mine, theirs;
+    encodeCounters(mine, *this);
+    encodeCounters(theirs, other);
+    return mine.data() == theirs.data();
+}
+
 void
 encodeCounters(ByteWriter &w, const PerfCounters &c)
 {

@@ -37,9 +37,11 @@ struct PerfCounters {
 
     /**
      * Bit-exact field-wise equality (bench/test identity guards; no
-     * tolerance -- the engines under comparison must agree exactly).
+     * tolerance -- the engines under comparison must agree exactly):
+     * the encodeCounters() images compare, so a NaN field equals its
+     * own copy and -0.0 differs from 0.0.
      */
-    bool operator==(const PerfCounters &other) const = default;
+    bool operator==(const PerfCounters &other) const;
 
     /**
      * Accumulate another bundle into this one. Inline: the profiler's

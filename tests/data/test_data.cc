@@ -128,15 +128,6 @@ TEST(Dataset, GoldenDigests)
     }
 }
 
-TEST(Dataset, Helpers)
-{
-    Dataset ds;
-    ds.trainLens = {5, 3, 9, 3, 7};
-    EXPECT_EQ(ds.minLen(), 3);
-    EXPECT_EQ(ds.maxLen(), 9);
-    EXPECT_EQ(ds.uniqueLenCount(), 4u);
-}
-
 TEST(Batching, PadsToMaxAndKeepsBatchSize)
 {
     Rng rng(1);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -382,6 +383,47 @@ TEST(FigurePipeline, CellRetriedPastOneFaultMatchesSerialSweep)
 
     inj.reset();
     setQuietLogging(false);
+}
+
+TEST(FigureSweep, IdenticalToComparesBitPatterns)
+{
+    FigureSweep sweep;
+    sweep.columns.push_back(
+        {"cfg", std::nan(""), 2.0, {0.5, std::nan("")}, {0.0, 1.0}});
+    sweep.selections[core::SelectorKind::SeqPoint].points = {
+        {40, 3.0, std::nan("")}};
+    FigureSweep copy = sweep;
+    EXPECT_TRUE(sweep.identicalTo(copy));
+
+    // -0.0 for 0.0 in a column, or in a selection, is another sweep.
+    FigureSweep negative_zero = sweep;
+    negative_zero.columns[0].projectedThroughput[0] = -0.0;
+    EXPECT_FALSE(sweep.identicalTo(negative_zero));
+    negative_zero = sweep;
+    negative_zero.selections[core::SelectorKind::SeqPoint].selfError = -0.0;
+    EXPECT_FALSE(sweep.identicalTo(negative_zero));
+    FigureSweep other_nan = sweep;
+    other_nan.columns[0].actualSec = std::bit_cast<double>(
+        std::bit_cast<uint64_t>(sweep.columns[0].actualSec) | 1);
+    EXPECT_FALSE(sweep.identicalTo(other_nan));
+}
+
+TEST(SensitivitySweep, IdenticalToComparesBitPatterns)
+{
+    SensitivitySweep sweep;
+    sweep.sls = {40, 80};
+    sweep.configs = {"cfg"};
+    sweep.iterSec = {{std::nan(""), 0.0}};
+    sweep.batchSize = 64;
+    SensitivitySweep copy = sweep;
+    EXPECT_TRUE(sweep.identicalTo(copy));
+
+    SensitivitySweep negative_zero = sweep;
+    negative_zero.iterSec[0][1] = -0.0;
+    EXPECT_FALSE(sweep.identicalTo(negative_zero));
+    SensitivitySweep other_batch = sweep;
+    other_batch.batchSize = 32;
+    EXPECT_FALSE(sweep.identicalTo(other_batch));
 }
 
 TEST(ModelSnapshotDeathTest, MisuseFailsLoudly)

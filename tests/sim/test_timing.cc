@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for occupancy, compute, DRAM and whole-kernel timing models:
- * the physical monotonicity properties the evaluation relies on.
+ * the physical monotonicity properties the evaluation relies on, and
+ * the bit-exact equality of the counter bundles they produce.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "nn/autotune.hh"
 #include "nn/kernel_gen.hh"
 #include "sim/compute_model.hh"
+#include "sim/counters.hh"
 #include "sim/dram_model.hh"
 #include "sim/gpu.hh"
 #include "sim/occupancy.hh"
@@ -32,6 +38,24 @@ skinnyGemm()
     nn::Autotuner tuner(nn::Autotuner::Mode::Heuristic);
     return nn::resolveKernel(
         nn::makeGemm(KernelStem("t_skinny"), 4096, 64, 1024), tuner);
+}
+
+TEST(PerfCounters, EqualityComparesBitPatterns)
+{
+    PerfCounters c;
+    c.busySec = std::nan("");
+    c.launchSec = -0.0;
+    PerfCounters copy = c;
+    EXPECT_TRUE(c == copy);
+
+    // 0.0 for -0.0, or another NaN payload, is another bundle.
+    PerfCounters positive_zero = c;
+    positive_zero.launchSec = 0.0;
+    EXPECT_FALSE(c == positive_zero);
+    PerfCounters other_nan = c;
+    other_nan.busySec = std::bit_cast<double>(
+        std::bit_cast<uint64_t>(c.busySec) | 1);
+    EXPECT_FALSE(c == other_nan);
 }
 
 TEST(Occupancy, SmallLaunchUnderutilizes)
