@@ -267,7 +267,7 @@ const HoistedMode *
 hoistedModes()
 {
     static const auto modes = [] {
-        std::array<HoistedMode, kSpeechModeCount> m;
+        std::array<HoistedMode, kSpeechModeCount> m{};
         for (size_t i = 0; i < kSpeechModeCount; ++i) {
             const GammaMode &g = kSpeechModes[i];
             double d = g.shape - 1.0 / 3.0;
@@ -405,12 +405,11 @@ gammaLengths(Rng &rng, size_t count)
     auto draw_u = [&r] { return r.uniformDouble(); };
     while (lens.size() < count) {
         const HoistedMode &m = modes[modeOf(r.uniformDouble())];
-        int64_t len;
+        int64_t len = kTrialRejected;
         do {
             bool sine = have_sine;
-            double x;
+            double x = sine_x;
             if (have_sine) {
-                x = sine_x;
                 have_sine = false;
             } else {
                 before_pair = r;
