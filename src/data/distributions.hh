@@ -113,7 +113,7 @@ int64_t clampLen(double value, int64_t lo, int64_t hi);
  * accept uniforms inline in the per-draw order, and takes each x~ from
  * the Box-Muller tables. Since v is a polynomial in x, every decision
  * is made on x~ without exp or cbrt; only the log test, which about
- * one trial in ten reaches, calls log.
+ * 8% of trials reach, calls log.
  *
  * Exactness: each decision's value computed from x~ -- w, the squeeze
  * bound, the log test's right side and offset + scale d v -- is within
